@@ -7,10 +7,20 @@ use adc_bench::observe::run_adc_observed;
 use adc_bench::{BenchArgs, Experiment, Scale};
 use adc_obs::validate_json;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Unique scratch path so parallel test binaries can't collide.
+/// Unique scratch path per call: the process id keeps parallel test
+/// binaries apart, and the test's name plus a counter keep the tests of
+/// this binary apart (libtest runs them on concurrent threads).
 fn scratch(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("adc_obs_test_{}_{name}", std::process::id()))
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let thread = std::thread::current();
+    let test = thread.name().unwrap_or("main").replace("::", "_");
+    std::env::temp_dir().join(format!(
+        "adc_obs_test_{}_{test}_{call}_{name}",
+        std::process::id()
+    ))
 }
 
 #[test]

@@ -52,7 +52,7 @@ pub const RULES: &[RuleInfo] = &[
         id: "index-comment",
         severity: Severity::Warning,
         summary: "slice/array indexing without a nearby justification comment",
-        scope: "adc-core plus adc-sim hot path (queue.rs, flows.rs, runner.rs)",
+        scope: "adc-core plus adc-sim hot path (queue.rs, flows.rs, model.rs, runner.rs, sharded.rs)",
     },
     RuleInfo {
         id: "float-eq",
@@ -64,7 +64,7 @@ pub const RULES: &[RuleInfo] = &[
         id: "lossy-cast",
         severity: Severity::Warning,
         summary: "potentially lossy `as` cast without a nearby justification comment",
-        scope: "adc-sim hot path only (queue.rs, flows.rs, runner.rs)",
+        scope: "adc-sim hot path only (queue.rs, flows.rs, model.rs, runner.rs, sharded.rs)",
     },
     RuleInfo {
         id: "obs-coverage",
@@ -179,6 +179,7 @@ const PROFILE_COUNTER_TOKENS: &[&str] = &[
 const HOT_PATH_FILES: &[&str] = &[
     "crates/adc-sim/src/queue.rs",
     "crates/adc-sim/src/flows.rs",
+    "crates/adc-sim/src/model.rs",
     "crates/adc-sim/src/runner.rs",
     "crates/adc-sim/src/sharded.rs",
 ];

@@ -36,6 +36,7 @@
 mod config;
 mod cputime;
 mod flows;
+mod model;
 mod network;
 mod pool;
 mod queue;

@@ -26,8 +26,8 @@ struct Item<T> {
 /// A monotone priority queue over `(at, seq)` keys.
 ///
 /// `seq` breaks ties between items scheduled for the same instant and
-/// must be unique across live items (the simulator uses its event
-/// insertion counter).
+/// must be unique across live items (the simulator uses its
+/// content-derived event key).
 #[derive(Debug)]
 pub struct CalendarQueue<T> {
     /// Ring of time buckets; index = `(at >> shift) & mask`.

@@ -182,11 +182,11 @@ pub struct SimReport {
     /// count: the sharded executor merges it by summing per-shard
     /// counters.
     pub messages_delivered: u64,
-    /// Total events the simulator processed (deliveries plus injection
-    /// ticks) — the denominator for events/sec throughput numbers.
-    /// Summed across shards; the sharded executor synthesizes the
-    /// injection ticks its workers never pop so the field reconciles
-    /// with the single-queue runner.
+    /// Total events the simulator processed (deliveries plus open-loop
+    /// arrivals) — the denominator for events/sec throughput numbers.
+    /// Deliveries are summed across shards; arrivals count as the
+    /// single-queue runner pops them (one per request plus the final
+    /// exhausted pull), for both executors.
     pub events_processed: u64,
     /// Largest number of flows in flight at once. **Not** a sum: this is
     /// a maximum over the time-ordered global schedule, so the sharded

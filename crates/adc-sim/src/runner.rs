@@ -1,54 +1,29 @@
-//! The discrete-event simulation loop.
+//! The single-queue executor: one calendar queue holds every pending
+//! event, and the loop pops them in `(at, key)` order. What each event
+//! does is the shared model's business (see the `model` module); this
+//! file adds only the schedule, plus what the sharded engine rejects:
+//! fault duplicates, churn, and the delivery trace log.
 
-use crate::config::{ChurnEvent, ClientAssignment, InjectionMode, SimConfig};
+use crate::config::{ChurnEvent, InjectionMode, SimConfig};
 use crate::flows::FlowTable;
+use crate::model::{sequential_stream, Event, Flow, Ledger, Net, Proxies, ARRIVAL_KEY};
 use crate::queue::CalendarQueue;
-use crate::report::{PhaseStats, SimReport};
+use crate::report::SimReport;
 use crate::time::SimTime;
 use crate::tracelog::{DeliveryRecord, TraceLog};
-use adc_core::{
-    Action, ActionSink, CacheAgent, Message, NodeId, ObjectId, ProxyId, Reply, Request, RequestId,
-};
-use adc_metrics::{MovingAverage, P2Quantile, Sampler, Summary};
-use adc_obs::{ConvergenceConfig, ConvergenceTracker, NullProbe, Probe, SimEvent};
-use adc_workload::{Phase, RequestRecord};
+use adc_core::{CacheAgent, Message, ProxyId};
+use adc_obs::{NullProbe, Probe};
+use adc_workload::RequestRecord;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
-// Wall-clock time feeds report telemetry only, never simulation
-// state. adc-lint: allow(determinism)
-use std::time::Instant;
 
-/// Per-flow bookkeeping from injection to completion.
+/// What the queue holds.
 #[derive(Debug, Clone, Copy)]
-struct FlowState {
-    start: SimTime,
-    hops: u32,
-    size: u32,
-    phase: Phase,
-}
-
-/// Live state for the periodic convergence sampler: injected-request
-/// counts (to pick the hot set) plus the tracker folding snapshots into
-/// series.
-struct ConvState {
-    cfg: ConvergenceConfig,
-    /// Ordered map: the hot-set selection iterates it, and that order
-    /// must not depend on a randomized hasher.
-    counts: BTreeMap<u64, u64>,
-    tracker: ConvergenceTracker,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EventKind {
-    /// Deliver `message` from `from` to `to`.
-    Deliver {
-        from: NodeId,
-        to: NodeId,
-        message: Message,
-    },
-    /// Pull the next request from the workload (open-loop mode).
-    Inject,
+enum Queued {
+    /// A message delivery.
+    Deliver(Event),
+    /// The next open-loop arrival: pull a request from the workload.
+    Arrival,
 }
 
 /// A deterministic discrete-event simulation of one proxy cluster.
@@ -116,468 +91,123 @@ impl<A: CacheAgent> Simulation<A> {
     /// agents and the runner emit. With [`NullProbe`] every emission
     /// site is statically dead code, so observability costs nothing
     /// unless a real probe is attached.
+    ///
+    /// [`SimEvent`]: adc_obs::SimEvent
     pub fn run_observed_with_agents<P: Probe>(
-        mut self,
+        self,
         workload: impl IntoIterator<Item = RequestRecord>,
         probe: &mut P,
     ) -> (SimReport, Vec<A>) {
-        // Wall telemetry only. adc-lint: allow(determinism, determinism-purity)
-        let wall_start = Instant::now();
-        let cpu_start = crate::cputime::thread_cpu_now();
-        let n = self.agents.len() as u32; // proxy counts stay tiny
+        let Simulation { agents, config } = self;
+        let n = agents.len();
+        let net = Net::new(&config);
+        let mut ledger = Ledger::new(&config, n, None);
+        let mut proxies = Proxies::new(&config, agents, 0, 1, sequential_stream(config.seed));
         let mut workload = workload.into_iter();
-        let mut agent_rng = StdRng::seed_from_u64(self.config.seed ^ 0xA6E7);
-        let mut assign_rng = StdRng::seed_from_u64(self.config.seed ^ 0xA551);
-        let mut fault_rng = StdRng::seed_from_u64(self.config.seed ^ 0xFA17);
-
-        // Events pop in exactly ascending `(at, seq)` order — the same
-        // total order the original binary-heap loop used; the calendar
-        // queue only changes the constant factor (see the module docs of
-        // `queue` and the property test pinning the equivalence).
-        let mut queue: CalendarQueue<EventKind> = CalendarQueue::new();
-        let mut event_seq: u64 = 0;
-        let mut now = SimTime::ZERO;
-        let mut flows: FlowTable<FlowState> = FlowTable::new();
-        let mut sink = ActionSink::new();
-        let mut events_processed: u64 = 0;
-        let mut orphan_origin_requests: u64 = 0;
-
-        // Metrics.
-        let mut completed: u64 = 0;
-        let mut hits: u64 = 0;
-        let mut phases = [PhaseStats::default(); 3];
-        let mut hops_summary = Summary::new();
-        let mut latency_summary = Summary::new();
-        let mut latency_p50 = P2Quantile::new(0.5);
-        let mut latency_p99 = P2Quantile::new(0.99);
-        let mut hit_window = MovingAverage::new(self.config.hit_window);
-        let mut hops_window = MovingAverage::new(self.config.hit_window);
-        let mut hit_sampler = Sampler::new("hit_rate", self.config.sample_every);
-        let mut hops_sampler = Sampler::new("hops", self.config.sample_every);
-        // Occupancy samplers are optional (sweeps never read them) and
-        // unnamed until the report is built, keeping the hot path free of
-        // string formatting.
-        let mut occupancy: Option<Vec<Sampler>> = self.config.sample_occupancy.then(|| {
-            (0..self.agents.len())
-                .map(|_| Sampler::new("", self.config.sample_every))
-                .collect()
-        });
-        let mut messages_delivered: u64 = 0;
+        let mut fault_rng = StdRng::seed_from_u64(config.seed ^ 0xFA17);
+        let mut queue: CalendarQueue<Queued> = CalendarQueue::new();
+        let mut flows: FlowTable<Flow> = FlowTable::new();
+        let mut trace = (config.trace_capacity > 0).then(|| TraceLog::new(config.trace_capacity));
         let mut duplicates_injected: u64 = 0;
-        let mut client_orphans: u64 = 0;
-        let mut bytes_from_origin: u64 = 0;
-        let mut bytes_from_caches: u64 = 0;
-        let mut trace =
-            (self.config.trace_capacity > 0).then(|| TraceLog::new(self.config.trace_capacity));
-        let mut conv: Option<ConvState> = self.config.convergence.map(|cfg| ConvState {
-            cfg,
-            counts: BTreeMap::new(),
-            tracker: ConvergenceTracker::new(),
-        });
-
-        let assignment = self.config.assignment;
-        let base_latency = self.config.latency;
-        let matrix = self.config.proxy_latency_matrix.clone();
-        let latency = move |from: NodeId, to: NodeId| -> SimTime {
-            if let (Some(m), NodeId::Proxy(a), NodeId::Proxy(b)) = (&matrix, from, to) {
-                if a != b {
-                    // Matrix is n×n over dense proxy ids (checked in new()).
-                    return m[a.raw() as usize][b.raw() as usize];
-                }
-            }
-            base_latency.latency(from, to)
-        };
-        let faults = self.config.faults;
-        let injection = self.config.injection;
-        let mut churn: Vec<ChurnEvent> = self.config.churn.clone();
+        let mut churn: Vec<ChurnEvent> = config.churn.clone();
         churn.sort_by_key(|c| c.after_completed);
         let mut churn_idx = 0;
         let mut proxies_reset: u64 = 0;
+        let faults = config.faults;
 
-        let push = |queue: &mut CalendarQueue<EventKind>,
-                    event_seq: &mut u64,
-                    at: SimTime,
-                    kind: EventKind| {
-            queue.push(at.as_micros(), *event_seq, kind);
-            *event_seq += 1;
-        };
-
-        // Injects the next workload request, if any. Returns false when
-        // the workload is exhausted.
-        let mut inject = |queue: &mut CalendarQueue<EventKind>,
-                          event_seq: &mut u64,
-                          now: SimTime,
-                          flows: &mut FlowTable<FlowState>,
-                          assign_rng: &mut StdRng,
-                          conv: &mut Option<ConvState>,
+        // Starts the next workload flow at `now`. Returns false when the
+        // workload is exhausted.
+        let mut inject = |now: SimTime,
+                          queue: &mut CalendarQueue<Queued>,
+                          flows: &mut FlowTable<Flow>,
+                          ledger: &mut Ledger,
                           probe: &mut P|
          -> bool {
             let Some(record) = workload.next() else {
                 return false;
             };
-            if let Some(c) = conv.as_mut() {
-                *c.counts.entry(record.object.raw()).or_insert(0) += 1;
-            }
-            if P::ENABLED {
-                probe.emit(SimEvent::RequestInjected {
-                    client: record.client.raw(),
-                    seq: record.seq,
-                    object: record.object.raw(),
-                });
-            }
-            let proxy = match assignment {
-                ClientAssignment::Sticky => ProxyId::new(record.client.raw() % n),
-                ClientAssignment::RandomPerRequest => ProxyId::new(assign_rng.gen_range(0..n)),
-            };
-            let id = RequestId::new(record.client, record.seq);
-            flows.insert(
-                id,
-                FlowState {
-                    start: now,
-                    hops: 0,
-                    size: record.size,
-                    phase: record.phase,
-                },
-            );
-            let request = Request::new(id, record.object, record.client);
-            let from = NodeId::Client(record.client);
-            let to = NodeId::Proxy(proxy);
-            let at = now + latency(from, to);
-            push(
-                queue,
-                event_seq,
-                at,
-                EventKind::Deliver {
-                    from,
-                    to,
-                    message: Message::Request(request),
-                },
-            );
+            let start = ledger.start_flow(record, now, &net, probe);
+            flows.insert(start.id, start.flow);
+            queue.push(start.at, start.key, Queued::Deliver(start.event));
             true
         };
 
         // Prime the pump.
-        match injection {
+        match config.injection {
             InjectionMode::Sequential => {
-                inject(
-                    &mut queue,
-                    &mut event_seq,
-                    now,
-                    &mut flows,
-                    &mut assign_rng,
-                    &mut conv,
-                    probe,
-                );
+                inject(SimTime::ZERO, &mut queue, &mut flows, &mut ledger, probe);
             }
-            InjectionMode::OpenLoop { .. } => {
-                push(&mut queue, &mut event_seq, SimTime::ZERO, EventKind::Inject);
-            }
+            InjectionMode::OpenLoop { .. } => queue.push(0, ARRIVAL_KEY, Queued::Arrival),
         }
 
-        while let Some((at, _seq, kind)) = queue.pop() {
-            now = SimTime::from_micros(at);
-            if P::ENABLED {
-                probe.tick(at);
+        while let Some((at, _key, queued)) = queue.pop() {
+            let now = SimTime::from_micros(at);
+            let ev = match queued {
+                Queued::Arrival => {
+                    if P::ENABLED {
+                        probe.tick(at);
+                    }
+                    if inject(now, &mut queue, &mut flows, &mut ledger, probe) {
+                        if let InjectionMode::OpenLoop { interval } = config.injection {
+                            queue.push((now + interval).as_micros(), ARRIVAL_KEY, Queued::Arrival);
+                        }
+                    }
+                    continue;
+                }
+                Queued::Deliver(ev) => ev,
+            };
+            let id = ev.message.request_id();
+            if let Some(log) = trace.as_mut() {
+                log.record(DeliveryRecord {
+                    at: now,
+                    request: id,
+                    from: ev.from,
+                    to: ev.to,
+                    is_request: matches!(ev.message, Message::Request(_)),
+                });
             }
-            events_processed += 1;
-            match kind {
-                EventKind::Inject => {
-                    if inject(
-                        &mut queue,
-                        &mut event_seq,
-                        now,
-                        &mut flows,
-                        &mut assign_rng,
-                        &mut conv,
-                        probe,
-                    ) {
-                        if let InjectionMode::OpenLoop { interval } = injection {
-                            push(
-                                &mut queue,
-                                &mut event_seq,
-                                now + interval,
-                                EventKind::Inject,
-                            );
-                        }
-                    }
+            // Fault injection: deliver this message a second time.
+            if faults.duplicate_prob > 0.0 && fault_rng.gen_bool(faults.duplicate_prob) {
+                duplicates_injected += 1;
+                let at = (now + faults.duplicate_jitter).as_micros();
+                queue.push(at, proxies.stray_key(), Queued::Deliver(ev));
+            }
+
+            let completion =
+                proxies.deliver(&net, at, ev, flows.get_mut(&id), probe, |at, key, ev, _| {
+                    queue.push(at, key, Queued::Deliver(ev));
+                });
+            let Some(done) = completion else {
+                continue;
+            };
+            flows.remove(&id);
+            // Proxy ids are dense 0..n, the agents' indexes.
+            ledger.complete(&done, probe, |p| &proxies.agents[p]);
+            // Scheduled proxy restarts fire on completion boundaries.
+            let completed = ledger.completed();
+            while let Some(c) = churn
+                .get(churn_idx)
+                .filter(|c| c.after_completed <= completed)
+            {
+                // u32 → usize widens on 64-bit.
+                if let Some(agent) = proxies.agents.get_mut(c.proxy.raw() as usize) {
+                    agent.reset();
+                    proxies_reset += 1;
                 }
-                EventKind::Deliver { from, to, message } => {
-                    messages_delivered += 1;
-                    if let Some(log) = trace.as_mut() {
-                        log.record(DeliveryRecord {
-                            at: now,
-                            request: message.request_id(),
-                            from,
-                            to,
-                            is_request: matches!(message, Message::Request(_)),
-                        });
-                    }
-                    // Byte accounting: a reply's body travels once per
-                    // transfer; attribute it to its producer.
-                    if from != to {
-                        if let Message::Reply(rep) = &message {
-                            if from == NodeId::Origin {
-                                bytes_from_origin += u64::from(rep.size);
-                            } else if rep.served_from.is_hit() && matches!(to, NodeId::Client(_)) {
-                                bytes_from_caches += u64::from(rep.size);
-                            }
-                        }
-                    }
-                    // A hop is any message transfer between distinct nodes
-                    // (client–proxy, proxy–proxy, proxy–server), counted
-                    // for the flow it belongs to.
-                    if from != to {
-                        if let Some(flow) = flows.get_mut(&message.request_id()) {
-                            flow.hops += 1;
-                        }
-                    }
-
-                    // Fault injection: duplicate this delivery.
-                    if faults.duplicate_prob > 0.0 && fault_rng.gen_bool(faults.duplicate_prob) {
-                        duplicates_injected += 1;
-                        push(
-                            &mut queue,
-                            &mut event_seq,
-                            now + faults.duplicate_jitter,
-                            EventKind::Deliver { from, to, message },
-                        );
-                    }
-
-                    debug_assert!(sink.is_empty(), "sink drained after every delivery");
-                    match to {
-                        NodeId::Proxy(pid) => {
-                            // Proxy ids are dense 0..n (checked in new()).
-                            let agent = &mut self.agents[pid.raw() as usize];
-                            match message {
-                                Message::Request(req) => {
-                                    agent.on_request(req, &mut agent_rng, probe, &mut sink);
-                                }
-                                Message::Reply(rep) => agent.on_reply(rep, probe, &mut sink),
-                            }
-                        }
-                        NodeId::Origin => match message {
-                            Message::Request(req) => {
-                                // The origin always resolves; reply to the
-                                // proxy that sent the request. A request
-                                // whose flow already completed gets the
-                                // nominal size — and is counted, not
-                                // silently patched over.
-                                let size = match flows.get(&req.id) {
-                                    Some(f) => f.size,
-                                    None => {
-                                        orphan_origin_requests += 1;
-                                        adc_core::DEFAULT_OBJECT_SIZE
-                                    }
-                                };
-                                let reply = Reply::from_origin(&req, size);
-                                sink.send(req.sender, reply);
-                            }
-                            Message::Reply(_) => {
-                                debug_assert!(false, "origin never receives replies");
-                            }
-                        },
-                        NodeId::Client(_) => {
-                            match message {
-                                Message::Reply(rep) => {
-                                    if let Some(flow) = flows.remove(&rep.id) {
-                                        completed += 1;
-                                        let hit = rep.served_from.is_hit();
-                                        if hit {
-                                            hits += 1;
-                                        }
-                                        if P::ENABLED {
-                                            probe.emit(SimEvent::RequestCompleted {
-                                                client: rep.id.client.raw(),
-                                                seq: rep.id.seq,
-                                                object: rep.object.raw(),
-                                                hit,
-                                                hops: flow.hops,
-                                                start_us: flow.start.as_micros(),
-                                            });
-                                        }
-                                        let phase_idx = match flow.phase {
-                                            Phase::Fill => 0,
-                                            Phase::RequestI => 1,
-                                            Phase::RequestII => 2,
-                                        };
-                                        // phase_idx is 0..3 by construction.
-                                        phases[phase_idx].requests += 1;
-                                        phases[phase_idx].hits += u64::from(hit);
-                                        let hops_f = flow.hops as f64; // u32: exact in f64
-                                        let completed_f = completed as f64; // < 2^53: exact
-                                        let latency_us = (now - flow.start).as_micros() as f64; // < 2^53: exact
-                                        hops_summary.push(hops_f);
-                                        latency_summary.push(latency_us);
-                                        latency_p50.push(latency_us);
-                                        latency_p99.push(latency_us);
-                                        hit_window.push_bool(hit);
-                                        hops_window.push(hops_f);
-                                        if let Some(v) = hit_window.value() {
-                                            hit_sampler.observe(completed_f, v);
-                                        }
-                                        if let Some(v) = hops_window.value() {
-                                            hops_sampler.observe(completed_f, v);
-                                        }
-                                        if let Some(occupancy) = occupancy.as_mut() {
-                                            for (agent, sampler) in
-                                                self.agents.iter().zip(occupancy.iter_mut())
-                                            {
-                                                sampler.observe(
-                                                    completed_f,
-                                                    // cache sizes ≪ 2^53: exact
-                                                    agent.cached_objects() as f64,
-                                                );
-                                            }
-                                        }
-                                        // Convergence: snapshot every
-                                        // agent's owner hint for the hot
-                                        // set on the sampling schedule.
-                                        if let Some(c) = conv.as_mut() {
-                                            if completed.is_multiple_of(c.cfg.sample_every) {
-                                                let mut hot: Vec<(u64, u64)> = c
-                                                    .counts
-                                                    .iter()
-                                                    .map(|(&o, &n)| (o, n))
-                                                    .collect();
-                                                hot.sort_unstable_by(|a, b| {
-                                                    b.1.cmp(&a.1).then(a.0.cmp(&b.0))
-                                                });
-                                                hot.truncate(c.cfg.top_k);
-                                                let snapshot: Vec<(u64, Vec<Option<u32>>)> = hot
-                                                    .iter()
-                                                    .map(|&(object, _)| {
-                                                        let hints = self
-                                                            .agents
-                                                            .iter()
-                                                            .map(|a| {
-                                                                a.owner_hint(ObjectId::new(object))
-                                                                    .map(|p| p.raw())
-                                                            })
-                                                            .collect();
-                                                        (object, hints)
-                                                    })
-                                                    .collect();
-                                                c.tracker.sample(completed_f, &snapshot);
-                                            }
-                                        }
-                                        // Scheduled proxy restarts fire on
-                                        // completion boundaries.
-                                        while churn_idx < churn.len()
-                                            && churn[churn_idx].after_completed <= completed
-                                        {
-                                            // churn_idx bounds-checked above.
-                                            let p = churn[churn_idx].proxy;
-                                            if let Some(agent) =
-                                                // u32 → usize widens on 64-bit
-                                                self.agents.get_mut(p.raw() as usize)
-                                            {
-                                                agent.reset();
-                                                proxies_reset += 1;
-                                            }
-                                            churn_idx += 1;
-                                        }
-                                        if injection == InjectionMode::Sequential {
-                                            inject(
-                                                &mut queue,
-                                                &mut event_seq,
-                                                now,
-                                                &mut flows,
-                                                &mut assign_rng,
-                                                &mut conv,
-                                                probe,
-                                            );
-                                        }
-                                    } else {
-                                        client_orphans += 1;
-                                    }
-                                }
-                                Message::Request(_) => {
-                                    debug_assert!(false, "clients never receive requests");
-                                }
-                            }
-                        }
-                    }
-
-                    for action in sink.drain() {
-                        let Action::Send {
-                            to: dest,
-                            mut message,
-                        } = action;
-                        // Agents only know a nominal object size; the
-                        // workload's size lives in the flow state.
-                        // Normalize replies so byte accounting and the
-                        // client-visible size are the workload's.
-                        if let Message::Reply(rep) = &mut message {
-                            if let Some(flow) = flows.get(&rep.id) {
-                                rep.size = flow.size;
-                            }
-                        }
-                        let mut at = now + latency(to, dest);
-                        if dest == NodeId::Origin {
-                            // Account for the origin's per-request service
-                            // time up front, so its reply goes out at
-                            // arrival + service + wire time.
-                            at += base_latency.origin_service;
-                        }
-                        push(
-                            &mut queue,
-                            &mut event_seq,
-                            at,
-                            EventKind::Deliver {
-                                from: to,
-                                to: dest,
-                                message,
-                            },
-                        );
-                    }
-                }
+                churn_idx += 1;
+            }
+            if config.injection == InjectionMode::Sequential {
+                inject(now, &mut queue, &mut flows, &mut ledger, probe);
             }
         }
 
         let report = SimReport {
-            completed,
-            hits,
-            phases,
-            hops: hops_summary,
-            latency_us: latency_summary,
-            latency_p50_us: latency_p50.value().unwrap_or(0.0),
-            latency_p99_us: latency_p99.value().unwrap_or(0.0),
-            hit_series: hit_sampler.into_series(),
-            hops_series: hops_sampler.into_series(),
-            per_proxy: self.agents.iter().map(|a| *a.stats()).collect(),
-            final_cache_sizes: self.agents.iter().map(|a| a.cached_objects()).collect(),
-            occupancy_series: occupancy
-                .map(|samplers| {
-                    samplers
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, sampler)| {
-                            let mut series = sampler.into_series();
-                            series.name = format!("proxy{i}");
-                            series
-                        })
-                        .collect()
-                })
-                .unwrap_or_default(),
-            messages_delivered,
-            events_processed,
-            peak_flows: flows.peak(),
             duplicates_injected,
-            client_orphans,
-            orphan_origin_requests,
             proxies_reset,
-            bytes_from_origin,
-            bytes_from_caches,
             trace,
-            convergence: conv.map(|c| c.tracker.into_report()),
-            metrics: None,
-            shard_exec: None,
-            spans: None,
-            shard_profile: None,
-            wall_time: wall_start.elapsed(),
-            cpu_time: crate::cputime::thread_cpu_now().saturating_sub(cpu_start),
+            ..ledger.into_report(&proxies.agents, proxies.counters, flows.peak())
         };
-        (report, self.agents)
+        (report, proxies.agents)
     }
 
     /// Runs the workload to completion.
@@ -627,7 +257,7 @@ impl<A: CacheAgent> Simulation<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FaultPlan;
+    use crate::config::{ClientAssignment, FaultPlan};
     use adc_baselines::CarpProxy;
     use adc_core::{AdcConfig, AdcProxy, ClientId, ObjectId};
     use adc_workload::{Phase, PolygraphConfig, StationaryZipf};
@@ -885,6 +515,7 @@ mod tests {
 mod observed_tests {
     use super::*;
     use adc_core::{AdcConfig, AdcProxy, CountingProbe, EventLog};
+    use adc_obs::ConvergenceConfig;
     use adc_obs::EventKind as ObsEventKind;
     use adc_workload::StationaryZipf;
 
@@ -976,7 +607,6 @@ mod observed_tests {
 #[cfg(test)]
 mod churn_tests {
     use super::*;
-    use crate::config::ChurnEvent;
     use adc_core::{AdcConfig, AdcProxy};
     use adc_workload::StationaryZipf;
 
@@ -1043,7 +673,7 @@ mod churn_tests {
 #[cfg(test)]
 mod trace_tests {
     use super::*;
-    use adc_core::{AdcConfig, AdcProxy, ClientId, ObjectId};
+    use adc_core::{AdcConfig, AdcProxy, ClientId, ObjectId, RequestId};
     use adc_workload::{Phase, StationaryZipf};
 
     fn adc(n: u32) -> Vec<AdcProxy> {

@@ -2,51 +2,45 @@
 //!
 //! Proxies are partitioned round-robin across `N` worker shards (proxy
 //! `p` lives on shard `p % N`). Each shard owns its own calendar queue,
-//! slab flow table and RNG stream, and the run proceeds in fixed time
-//! windows of width `W` — the *lookahead bound*: the minimum configured
-//! network latency over every edge that can carry a cross-shard message
-//! (client→proxy plus the proxy↔proxy minimum; origin round trips and
-//! client deliveries are processed on the sending proxy's shard, so they
-//! never cross shards). Within a window `[T, T + W)` every shard drains
-//! its local queue independently: any message produced inside the window
-//! is either shard-local (arbitrary latency, including zero-latency
-//! self-sends) or crosses shards with latency `≥ W`, hence lands at or
-//! after the barrier `T + W`. Cross-shard messages accumulate in
-//! per-destination outboxes and are routed at the barrier, so the merged
-//! event schedule is a pure function of `(workload, agents, config)` —
-//! independent of the shard count and of thread scheduling.
+//! slab flow table and agent RNG streams, and the run proceeds in fixed
+//! time windows of width `W` — the *lookahead bound*: the minimum
+//! configured network latency over every edge that can carry a
+//! cross-shard message (client→proxy plus the proxy↔proxy minimum;
+//! origin round trips and client deliveries are processed on the sending
+//! proxy's shard, so they never cross shards). Within a window
+//! `[T, T + W)` every shard drains its local queue independently: any
+//! message produced inside the window is either shard-local (arbitrary
+//! latency, including zero-latency self-sends) or crosses shards with
+//! latency `≥ W`, hence lands at or after the barrier `T + W`.
+//! Cross-shard messages accumulate in per-destination outboxes and are
+//! routed at the barrier.
 //!
 //! # Determinism
 //!
-//! Three mechanisms make `shards=N` byte-identical to `shards=1`:
+//! What each event does is the shared model's (see the `model` module):
+//! this file only schedules. Three properties of the model make the
+//! schedule's shape invisible in the report:
 //!
-//! 1. **Content-derived event keys.** The single-threaded runner breaks
-//!    `at` ties with a global push counter; a per-shard counter would
-//!    depend on the partitioning. Here every queued event carries the key
-//!    `(flow seq << 16) | step`, where `step` counts the flow's hops so
-//!    far — unique per event and identical under any partitioning, so
-//!    per-shard pop order and the barrier merge order are shard-count
-//!    invariant.
+//! 1. **Content-derived event keys.** Every queued event carries the key
+//!    `(flow seq << 16) | step`, unique per event and identical under any
+//!    partitioning, so per-shard pop order and the barrier merge order
+//!    are shard-count invariant — and equal to the single-queue runner's.
 //! 2. **Canonical completion folding.** Workers only record completions;
 //!    the coordinator folds them at each barrier in `(at, flow seq)`
-//!    order and performs all cross-shard accounting there (series,
-//!    quantiles, convergence snapshots, metrics, sequential
-//!    re-injection), exactly as the single-threaded loop would.
-//! 3. **Mode-appropriate RNG streams.** Sequential injection has at most
-//!    one live event in the whole system, so all shards share the
-//!    single-threaded runner's agent RNG (behind an uncontended mutex)
-//!    and draw in exactly the legacy order — sharded sequential runs are
-//!    *byte-identical to [`Simulation::run`]*. Open-loop injection
-//!    interleaves flows, so each agent gets an independent stream seeded
-//!    from `(seed, proxy id)`; reports are then invariant in the shard
-//!    count (but intentionally not comparable to the single-queue
-//!    runner, whose tie order depends on push order).
+//!    order through the model's fold (series, quantiles, convergence
+//!    snapshots, metrics, sequential re-injection), exactly as the
+//!    single-queue runner folds them one by one.
+//! 3. **The model's RNG layout.** Sequential injection shares one agent
+//!    stream across shards (behind an uncontended mutex: at most one
+//!    event is live in the whole system); open-loop injection gives each
+//!    agent its own stream seeded from `(seed, proxy id)`.
 //!
-//! In open-loop mode, occupancy/convergence/metrics sampling reads agent
-//! state at the enclosing barrier rather than at the completion instant
-//! (they coincide in sequential mode); `events_processed` counts the
-//! injection events the single-threaded loop would have popped, so the
-//! field reconciles across executors.
+//! So the report is byte-identical at every shard count and to
+//! [`Simulation::run`], with one exception: in open-loop mode,
+//! occupancy/convergence/metrics sampling reads agent state at the
+//! enclosing barrier rather than at the completion instant (they coincide
+//! in sequential mode). `events_processed` counts the arrival events the
+//! single-queue runner pops, so the field reconciles across executors.
 //!
 //! # Synchronization layer
 //!
@@ -91,115 +85,40 @@
 //! cross-shard coordination mid-window, and the trace log is inherently
 //! a single totally-ordered stream.
 
-use crate::config::{ClientAssignment, InjectionMode, SimConfig};
+use crate::config::{InjectionMode, SimConfig};
 use crate::flows::FlowTable;
-use crate::network::LatencyModel;
+use crate::model::{
+    sequential_stream, Completion, Counters, Event, Flow, Ledger, Net, Proxies, SharedRng,
+};
 use crate::pool::{self, WindowTask};
 use crate::queue::CalendarQueue;
-use crate::report::{PhaseStats, ShardExecStats, ShardProfile, SimReport};
+use crate::report::{ShardExecStats, ShardProfile, SimReport};
 use crate::runner::Simulation;
 use crate::time::SimTime;
-use adc_core::{
-    Action, ActionSink, CacheAgent, Message, NodeId, ObjectId, ProxyId, Reply, Request, RequestId,
-};
-use adc_metrics::{Log2Histogram, MovingAverage, P2Quantile, Registry, Sampler, Summary};
-use adc_obs::{ConvergenceConfig, ConvergenceTracker, MetricsProbe, NullProbe, Probe};
-use adc_obs::{MetricsReport, ShardSlice, SimEvent};
-use adc_workload::{Phase, RequestRecord};
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
-use std::collections::{BTreeMap, VecDeque};
+use adc_core::{CacheAgent, NodeId, ProxyId};
+use adc_metrics::{Log2Histogram, Registry};
+use adc_obs::{MetricsProbe, MetricsReport, NullProbe, Probe, ShardSlice};
+use adc_workload::RequestRecord;
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 // Wall-clock time feeds report telemetry only, never simulation
 // state. adc-lint: allow(determinism)
 use std::time::Instant;
 
-/// Bits of the event key reserved for the per-flow step counter.
-const STEP_BITS: u32 = 16;
-
-/// The default occupancy-sampling cadence, matching
-/// [`Simulation::run_with_metrics`] (which uses `MetricsProbe::new()`).
-const METRICS_CADENCE: u64 = adc_obs::metrics::DEFAULT_CADENCE;
-
-/// The canonical, shard-invariant queue key of a flow's `step`-th event.
-fn event_key(flow_seq: u64, step: u32) -> u64 {
-    debug_assert!(
-        flow_seq < (1 << (64 - STEP_BITS)),
-        "workload seq {flow_seq} overflows the event key"
-    );
-    (flow_seq << STEP_BITS) | u64::from(step)
-}
-
-/// Per-flow bookkeeping, resident in the shard holding the flow's single
-/// in-flight message (clean-fault runs have exactly one).
-#[derive(Debug, Clone, Copy)]
-struct FlowMeta {
-    start: SimTime,
-    hops: u32,
-    /// Events this flow has generated so far; the tie-breaking half of
-    /// the event key. Bounded by hop limits far below `2^16`.
-    step: u32,
-    size: u32,
-    phase: Phase,
-}
-
-/// One in-flight delivery.
-#[derive(Debug, Clone, Copy)]
-struct ShardEvent {
-    from: NodeId,
-    to: NodeId,
-    message: Message,
-}
-
-/// A delivery crossing shards, carried through a barrier outbox.
+/// A delivery crossing shards, carried through a barrier outbox with
+/// its flow's bookkeeping.
 #[derive(Debug, Clone, Copy)]
 struct Routed {
     at: u64,
     key: u64,
-    ev: ShardEvent,
-    meta: FlowMeta,
+    ev: Event,
+    flow: Option<Flow>,
 }
 
-/// A completed flow, recorded by a worker and folded on the coordinator.
-#[derive(Debug, Clone, Copy)]
-struct Completion {
-    at: u64,
-    /// The flow's workload seq: the canonical fold tiebreaker.
-    flow_seq: u64,
-    hit: bool,
-    /// Serving proxy for hit flows (`None` = origin-served) — exact
-    /// attribution from the reply's `served_from`.
-    server: Option<u32>,
-    hops: u32,
-    start_us: u64,
-    phase: Phase,
-}
-
-/// The latency function shared (immutably) by all workers; mirrors the
-/// single-threaded runner's closure exactly.
-struct Net {
-    base: LatencyModel,
-    matrix: Option<Vec<Vec<SimTime>>>,
-    /// Shard count, for ownership tests during routing.
-    shards: usize,
-}
-
-impl Net {
-    fn latency(&self, from: NodeId, to: NodeId) -> SimTime {
-        if let (Some(m), NodeId::Proxy(a), NodeId::Proxy(b)) = (&self.matrix, from, to) {
-            if a != b {
-                // Matrix is n×n over dense proxy ids (checked in new()).
-                return m[a.raw() as usize][b.raw() as usize];
-            }
-        }
-        self.base.latency(from, to)
-    }
-
-    /// Shard owning proxy `p` (round-robin partitioning).
-    fn shard_of(&self, p: ProxyId) -> usize {
-        // Dense proxy ids fit usize on every supported target.
-        p.raw() as usize % self.shards
-    }
+/// Shard owning proxy `p` under round-robin partitioning.
+fn shard_of(p: ProxyId, shards: usize) -> usize {
+    // Dense proxy ids fit usize on every supported target.
+    p.raw() as usize % shards
 }
 
 /// The conservative lookahead bound `W` in microseconds: the minimum
@@ -283,75 +202,6 @@ impl<X: ShardProbe, Y: ShardProbe> ShardProbe for (X, Y) {
     }
 }
 
-/// A shared view of the single-threaded runner's agent RNG stream, used
-/// in sequential mode where at most one event is live in the whole
-/// system — the lock is never contended, it only satisfies `Sync`.
-#[derive(Debug, Clone)]
-struct SharedRng(Arc<Mutex<StdRng>>);
-
-impl SharedRng {
-    fn lock(&mut self) -> std::sync::MutexGuard<'_, StdRng> {
-        // A worker panic aborts the scope anyway; the state itself is
-        // never left inconsistent mid-draw.
-        self.0
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-}
-
-impl RngCore for SharedRng {
-    fn next_u32(&mut self) -> u32 {
-        self.lock().next_u32()
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.lock().next_u64()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.lock().fill_bytes(dest);
-    }
-}
-
-/// SplitMix64: decorrelates per-agent seeds derived from (seed, proxy).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Mode-appropriate agent RNG stream(s) for one shard.
-enum AgentRngs {
-    /// Sequential: all shards share the legacy stream (see above).
-    Shared(SharedRng),
-    /// Open-loop: one independent stream per local agent.
-    PerAgent(Vec<StdRng>),
-}
-
-/// Per-delivery counters a worker accumulates; summed at report time
-/// (every field is a pure event count, so addition is the exact merge —
-/// see `SimReport`'s field docs for max-vs-sum semantics).
-#[derive(Debug, Default, Clone, Copy)]
-struct ShardCounters {
-    events_processed: u64,
-    messages_delivered: u64,
-    bytes_from_origin: u64,
-    bytes_from_caches: u64,
-    client_orphans: u64,
-    orphan_origin_requests: u64,
-}
-
-impl ShardCounters {
-    /// Element-wise sum, the merge all pure event counts use.
-    fn merge(&mut self, other: &ShardCounters) {
-        self.events_processed += other.events_processed;
-        self.messages_delivered += other.messages_delivered;
-        self.bytes_from_origin += other.bytes_from_origin;
-        self.bytes_from_caches += other.bytes_from_caches;
-        self.client_orphans += other.client_orphans;
-        self.orphan_origin_requests += other.orphan_origin_requests;
-    }
-}
-
 /// Per-shard half of the execution profiler
 /// ([`ShardTuning::profile`](crate::ShardTuning::profile)): wall-clock
 /// drain accounting, the window-occupancy histogram, and chrome-trace
@@ -421,52 +271,37 @@ impl CoordProf {
     }
 }
 
-/// One worker shard: a vertical slice of the simulator owning every
-/// `index + i·N`-th proxy, its events, and its resident flows.
-struct Shard<A, P> {
-    index: usize,
-    /// Local agents; local index `l` holds proxy `index + l·N`.
-    agents: Vec<A>,
-    rngs: AgentRngs,
-    queue: CalendarQueue<ShardEvent>,
-    flows: FlowTable<FlowMeta>,
-    sink: ActionSink,
-    probe: P,
-    /// Completions recorded this window, drained by the coordinator.
-    records: Vec<Completion>,
-    /// Cross-shard deliveries produced this window, per destination
-    /// shard, routed by the coordinator at the barrier.
-    outboxes: Vec<Vec<Routed>>,
-    counters: ShardCounters,
-    /// Timestamp of this shard's earliest pending event (`u64::MAX` when
-    /// idle); maintained by `drain_window` and by coordinator routing.
+/// A shard's backlog: its queued events, the flows resident with them,
+/// and the counts the widening bound reads.
+struct Backlog {
+    queue: CalendarQueue<Event>,
+    flows: FlowTable<Flow>,
+    /// Timestamp of the earliest pending event (`u64::MAX` when idle);
+    /// exact between windows, maintained by `drain_events` and
+    /// `enqueue`.
     next_at: u64,
     /// Pending events addressed to a proxy — work that could emit a
     /// cross-shard message the moment it is processed. Fuels the
-    /// widening bound (see [`cross_send_bound`](Shard::cross_send_bound)).
+    /// widening bound (see [`cross_send_bound`](Backlog::cross_send_bound)).
     pending_proxy: usize,
     /// Pending events addressed to the origin — work whose earliest
     /// cross-shard consequence is one origin→proxy reply latency away.
     pending_origin: usize,
-    /// The latency function, shared immutably with the coordinator and
-    /// every sibling shard.
-    net: Arc<Net>,
-    /// Wall-clock drain profiler, present when
-    /// [`ShardTuning::profile`](crate::ShardTuning::profile) is set.
-    prof: Option<Box<ShardProfState>>,
 }
 
-impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
-    /// Coordinator-side insertion (injection and barrier routing):
-    /// classifies the destination for the widening bound and keeps
-    /// `next_at` current.
-    fn enqueue(&mut self, at: u64, key: u64, ev: ShardEvent) {
+impl Backlog {
+    /// Queues `ev` at `(at, key)` and files its flow, classifying the
+    /// destination for the widening bound.
+    fn enqueue(&mut self, at: u64, key: u64, ev: Event, flow: Option<Flow>) {
         match ev.to {
             NodeId::Proxy(_) => self.pending_proxy += 1,
             NodeId::Origin => self.pending_origin += 1,
             NodeId::Client(_) => {}
         }
         self.next_at = self.next_at.min(at);
+        if let Some(flow) = flow {
+            self.flows.insert(ev.message.request_id(), flow);
+        }
         self.queue.push(at, key, ev);
     }
 
@@ -491,7 +326,33 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
             u64::MAX
         }
     }
+}
 
+/// One worker shard: a vertical slice of the simulator owning every
+/// `index + i·N`-th proxy, its events, and its resident flows.
+struct Shard<A, P> {
+    index: usize,
+    /// The shard count `N`.
+    shards: usize,
+    /// Local agents (local index `l` holds proxy `index + l·N`), their
+    /// RNG streams, and the delivery counters.
+    proxies: Proxies<A, SharedRng>,
+    probe: P,
+    backlog: Backlog,
+    /// Completions recorded this window, drained by the coordinator.
+    records: Vec<Completion>,
+    /// Cross-shard deliveries produced this window, per destination
+    /// shard, routed by the coordinator at the barrier.
+    outboxes: Vec<Vec<Routed>>,
+    /// The latency function, shared immutably with the coordinator and
+    /// every sibling shard.
+    net: Arc<Net>,
+    /// Wall-clock drain profiler, present when
+    /// [`ShardTuning::profile`](crate::ShardTuning::profile) is set.
+    prof: Option<Box<ShardProfState>>,
+}
+
+impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
     /// Drains the window, measuring the drain on the wall clock when
     /// profiling is on. Called for both execution paths (pool workers
     /// via [`WindowTask`], the coordinator inline), so the profile
@@ -502,12 +363,12 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
             self.drain_events(window_end);
             return;
         }
-        let before = self.counters.events_processed;
+        let before = self.proxies.counters.messages_delivered;
         // Profiler telemetry only. adc-lint: allow(determinism, determinism-purity)
         let t0 = Instant::now();
         self.drain_events(window_end);
         let dur = t0.elapsed();
-        let drained = self.counters.events_processed - before;
+        let drained = self.proxies.counters.messages_delivered - before;
         let lane = self.index as u32; // shard counts stay tiny
         if let Some(prof) = self.prof.as_mut() {
             // Durations ≪ 2^64 ns (584 years): the casts are lossless.
@@ -539,172 +400,56 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
     /// order, then records the next pending timestamp.
     fn drain_events(&mut self, window_end: u64) {
         loop {
-            match self.queue.peek_key() {
+            let backlog = &mut self.backlog;
+            match backlog.queue.peek_key() {
                 None => {
-                    self.next_at = u64::MAX;
+                    backlog.next_at = u64::MAX;
                     return;
                 }
                 Some((at, _)) if at >= window_end => {
-                    self.next_at = at;
+                    backlog.next_at = at;
                     return;
                 }
                 Some(_) => {
-                    let Some((at, key, ev)) = self.queue.pop() else {
+                    let Some((at, _, ev)) = backlog.queue.pop() else {
                         // peek_key just returned Some.
                         unreachable!("peeked event vanished");
                     };
                     match ev.to {
-                        NodeId::Proxy(_) => self.pending_proxy -= 1,
-                        NodeId::Origin => self.pending_origin -= 1,
+                        NodeId::Proxy(_) => backlog.pending_proxy -= 1,
+                        NodeId::Origin => backlog.pending_origin -= 1,
                         NodeId::Client(_) => {}
                     }
-                    self.process(at, key, ev, window_end);
+                    self.process(at, ev, window_end);
                 }
             }
         }
     }
 
-    /// Processes one delivery, mirroring the single-threaded runner's
-    /// `Deliver` arm field for field (counters, byte accounting, hop
-    /// accounting, dispatch, sink drain).
-    fn process(&mut self, at: u64, _key: u64, ev: ShardEvent, window_end: u64) {
-        let now = SimTime::from_micros(at);
-        let shards_n = self.net.shards;
-        if P::ENABLED {
-            self.probe.tick(at);
-        }
-        self.counters.events_processed += 1;
-        self.counters.messages_delivered += 1;
-        let ShardEvent { from, to, message } = ev;
-        let id = message.request_id();
-
-        // Byte accounting: a reply's body travels once per transfer;
-        // attribute it to its producer.
-        if from != to {
-            if let Message::Reply(rep) = &message {
-                if from == NodeId::Origin {
-                    self.counters.bytes_from_origin += u64::from(rep.size);
-                } else if rep.served_from.is_hit() && matches!(to, NodeId::Client(_)) {
-                    self.counters.bytes_from_caches += u64::from(rep.size);
-                }
-            }
-        }
-
-        // The flow's metadata rides with its single in-flight message:
-        // pop it here, reinsert (locally or cross-shard) with whatever
-        // the dispatch produces. A missing flow can only mean an orphan
-        // (impossible under the validated clean-fault configs, but
-        // counted, not crashed on, like the single-threaded runner).
-        let Some(mut meta) = self.flows.remove(&id) else {
-            match (to, &message) {
-                (NodeId::Client(_), Message::Reply(_)) => self.counters.client_orphans += 1,
-                (NodeId::Origin, Message::Request(_)) => {
-                    self.counters.orphan_origin_requests += 1;
-                }
-                _ => {}
-            }
-            return;
-        };
-        // A hop is any message transfer between distinct nodes, counted
-        // for the flow it belongs to.
-        if from != to {
-            meta.hops += 1;
-        }
-
-        debug_assert!(self.sink.is_empty(), "sink drained after every delivery");
-        match to {
-            NodeId::Proxy(pid) => {
-                debug_assert_eq!(
-                    self.net.shard_of(pid),
-                    self.index,
-                    "event delivered to wrong shard"
-                );
-                // Round-robin partitioning: local index = proxy / shards.
-                let agent = &mut self.agents[pid.raw() as usize / shards_n];
-                match message {
-                    Message::Request(req) => {
-                        let rng: &mut dyn RngCore = match &mut self.rngs {
-                            AgentRngs::Shared(r) => r,
-                            // Same local index as the agent above.
-                            AgentRngs::PerAgent(v) => &mut v[pid.raw() as usize / shards_n],
-                        };
-                        agent.on_request(req, rng, &mut self.probe, &mut self.sink);
-                    }
-                    Message::Reply(rep) => agent.on_reply(rep, &mut self.probe, &mut self.sink),
-                }
-            }
-            NodeId::Origin => match message {
-                Message::Request(req) => {
-                    // The origin always resolves; reply to the proxy that
-                    // sent the request. The origin is stateless, so the
-                    // round trip stays on the sending proxy's shard.
-                    let reply = Reply::from_origin(&req, meta.size);
-                    self.sink.send(req.sender, reply);
-                }
-                Message::Reply(_) => {
-                    debug_assert!(false, "origin never receives replies");
-                }
-            },
-            NodeId::Client(_) => match message {
-                Message::Reply(rep) => {
-                    // Flow complete: record for the coordinator fold; the
-                    // metadata is consumed and nothing is re-queued.
-                    let server = match rep.served_from {
-                        adc_core::ServedFrom::Cache(p) => Some(p.raw()),
-                        adc_core::ServedFrom::Origin => None,
-                    };
-                    self.records.push(Completion {
-                        at,
-                        flow_seq: id.seq,
-                        hit: rep.served_from.is_hit(),
-                        server,
-                        hops: meta.hops,
-                        start_us: meta.start.as_micros(),
-                        phase: meta.phase,
-                    });
-                    return;
-                }
-                Message::Request(_) => {
-                    debug_assert!(false, "clients never receive requests");
-                }
-            },
-        }
-
-        // Route the (at most one) outgoing action. Dispatch consumed the
-        // flow's metadata above, so exactly one reinsertion happens here;
-        // an agent that drops a flow (never under the cooperative
-        // protocols) simply ends it, as in the single-threaded runner.
-        for action in self.sink.drain() {
-            let Action::Send {
-                to: dest,
-                mut message,
-            } = action;
-            // Agents only know a nominal object size; the workload's
-            // size lives in the flow metadata. Normalize replies so byte
-            // accounting and the client-visible size are the workload's.
-            if let Message::Reply(rep) = &mut message {
-                rep.size = meta.size;
-            }
-            let mut out_at = now + self.net.latency(to, dest);
-            if dest == NodeId::Origin {
-                // Account for the origin's per-request service time up
-                // front, so its reply goes out at arrival + service +
-                // wire time.
-                out_at += self.net.base.origin_service;
-            }
-            meta.step += 1;
-            debug_assert!(
-                u64::from(meta.step) < (1 << STEP_BITS),
-                "flow step overflows the event key"
+    /// Processes one delivery through the model's delivery step, filing
+    /// its sends locally or into a cross-shard outbox.
+    fn process(&mut self, at: u64, ev: Event, window_end: u64) {
+        if let NodeId::Proxy(pid) = ev.to {
+            debug_assert_eq!(
+                shard_of(pid, self.shards),
+                self.index,
+                "event delivered to wrong shard"
             );
-            let key = event_key(id.seq, meta.step);
-            let ev = ShardEvent {
-                from: to,
-                to: dest,
-                message,
-            };
-            match dest {
-                NodeId::Proxy(p) if self.net.shard_of(p) != self.index => {
+        }
+        // The flow's bookkeeping rides with its single in-flight message:
+        // take it out here; each send files it again, locally or through
+        // an outbox, with whatever the delivery changed.
+        let mut flow = self.backlog.flows.remove(&ev.message.request_id());
+        let (index, shards) = (self.index, self.shards);
+        let (backlog, outboxes) = (&mut self.backlog, &mut self.outboxes);
+        let done = self.proxies.deliver(
+            &self.net,
+            at,
+            ev,
+            flow.as_mut(),
+            &mut self.probe,
+            |out_at, key, ev, flow| match ev.to {
+                NodeId::Proxy(p) if shard_of(p, shards) != index => {
                     // Conservative synchronization: a cross-shard message
                     // travels a proxy↔proxy edge with latency ≥ W, so it
                     // cannot land inside the current window — widened
@@ -712,32 +457,23 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
                     // exceeds the grid barrier after the global earliest
                     // cross-shard send bound (see `cross_send_bound`).
                     debug_assert!(
-                        out_at.as_micros() >= window_end,
-                        "lookahead violated: cross-shard delivery at {} inside window ending {}",
-                        out_at.as_micros(),
-                        window_end
+                        out_at >= window_end,
+                        "lookahead violated: cross-shard delivery at {out_at} inside window \
+                         ending {window_end}"
                     );
                     // Outboxes are sized to the shard count at startup.
-                    self.outboxes[self.net.shard_of(p)].push(Routed {
-                        at: out_at.as_micros(),
+                    outboxes[shard_of(p, shards)].push(Routed {
+                        at: out_at,
                         key,
                         ev,
-                        meta,
+                        flow,
                     });
                 }
-                _ => {
-                    // Local reinsertion: classify for the widening bound
-                    // (the sink borrow is live, so this mirrors
-                    // `enqueue` on disjoint fields).
-                    match dest {
-                        NodeId::Proxy(_) => self.pending_proxy += 1,
-                        NodeId::Origin => self.pending_origin += 1,
-                        NodeId::Client(_) => {}
-                    }
-                    self.queue.push(out_at.as_micros(), key, ev);
-                    self.flows.insert(id, meta);
-                }
-            }
+                _ => backlog.enqueue(out_at, key, ev, flow),
+            },
+        );
+        if let Some(done) = done {
+            self.records.push(done);
         }
     }
 }
@@ -799,11 +535,11 @@ fn validate_sharded(config: &SimConfig, proxies: usize, shards: usize) -> u64 {
 impl<A: CacheAgent + Send> Simulation<A> {
     /// Runs the workload on `shards` worker shards and returns the
     /// report; see the [module docs](self) for the synchronization
-    /// protocol and the determinism guarantees. With
-    /// [`InjectionMode::Sequential`] the report is byte-identical to
-    /// [`Simulation::run`]; with open-loop injection it is invariant in
-    /// `shards` (any `shards ≥ 1`, including counts exceeding the proxy
-    /// count).
+    /// protocol and the determinism guarantees. The report is invariant
+    /// in `shards` (any `shards ≥ 1`, including counts exceeding the
+    /// proxy count) and byte-identical to [`Simulation::run`], except
+    /// that open-loop runs sample occupancy and convergence at barriers
+    /// rather than at completions.
     ///
     /// # Panics
     ///
@@ -855,32 +591,16 @@ impl<A: CacheAgent + Send> Simulation<A> {
     }
 }
 
-/// Live state for the periodic convergence sampler (the sharded twin of
-/// the runner's `ConvState`; ordered map so hot-set selection never
-/// depends on a randomized hasher).
-struct ConvState {
-    cfg: ConvergenceConfig,
-    counts: BTreeMap<u64, u64>,
-    tracker: ConvergenceTracker,
-}
-
-/// Injects the next workload request at `now`, routing its first
-/// delivery into the owner shard. `shards` is the coordinator's locked
-/// view of the shard cells (or any other exclusive view of them).
-/// Returns false when the workload is exhausted.
-#[allow(clippy::too_many_arguments)] // the coordinator's loop state, threaded explicitly
+/// Starts the next workload flow at `now`, filing its first delivery in
+/// the owner shard. `shards` is the coordinator's locked view of the
+/// shard cells. Returns false when the workload is exhausted.
 fn inject_next<A, P, G>(
     now: SimTime,
     shards: &mut [G],
     workload: &mut dyn Iterator<Item = RequestRecord>,
+    ledger: &mut Ledger,
     net: &Net,
-    n: u32,
-    assignment: ClientAssignment,
-    assign_rng: &mut StdRng,
-    conv: &mut Option<ConvState>,
-    coord_probe: &mut Option<MetricsProbe>,
     inj_times: &mut VecDeque<u64>,
-    injected: &mut u64,
 ) -> bool
 where
     A: CacheAgent,
@@ -890,81 +610,40 @@ where
     let Some(record) = workload.next() else {
         return false;
     };
-    if let Some(c) = conv.as_mut() {
-        *c.counts.entry(record.object.raw()).or_insert(0) += 1;
-    }
-    if let Some(p) = coord_probe.as_mut() {
-        p.emit(SimEvent::RequestInjected {
-            client: record.client.raw(),
-            seq: record.seq,
-            object: record.object.raw(),
-        });
-    }
-    let proxy = match assignment {
-        ClientAssignment::Sticky => ProxyId::new(record.client.raw() % n),
-        ClientAssignment::RandomPerRequest => ProxyId::new(assign_rng.gen_range(0..n)),
-    };
-    let id = RequestId::new(record.client, record.seq);
-    let meta = FlowMeta {
-        start: now,
-        hops: 0,
-        step: 0,
-        size: record.size,
-        phase: record.phase,
-    };
-    let request = Request::new(id, record.object, record.client);
-    let from = NodeId::Client(record.client);
-    let to = NodeId::Proxy(proxy);
-    let at = (now + net.latency(from, to)).as_micros();
+    let start = ledger.start_flow(record, now, net, &mut NullProbe);
     // shard_of() is always below the shard count.
-    let shard = &mut shards[net.shard_of(proxy)];
-    shard.enqueue(
-        at,
-        event_key(id.seq, 0),
-        ShardEvent {
-            from,
-            to,
-            message: Message::Request(request),
-        },
-    );
-    shard.flows.insert(id, meta);
+    let shard = &mut shards[shard_of(start.proxy, shards.len())];
+    shard
+        .backlog
+        .enqueue(start.at, start.key, start.event, Some(start.flow));
     inj_times.push_back(now.as_micros());
-    *injected += 1;
     true
 }
 
 /// The coordinator loop: builds the shards, advances the window barrier
 /// until every queue drains, folds completions, and assembles the
 /// report. Returns `(report, agents in id order, merged registry)`.
-#[allow(clippy::too_many_lines)] // one loop, mirroring the runner's shape
+#[allow(clippy::too_many_lines)] // one loop: windows, routing, folds
 fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
     sim: Simulation<A>,
     workload: impl IntoIterator<Item = RequestRecord>,
     shards_n: usize,
-    mut coord_probe: Option<MetricsProbe>,
+    coord_metrics: Option<MetricsProbe>,
 ) -> (SimReport, Vec<A>, Option<Registry>) {
-    // Wall telemetry only. adc-lint: allow(determinism, determinism-purity)
-    let wall_start = Instant::now();
-    // CPU telemetry covers the coordinator thread only; worker CPU would
-    // need cross-thread aggregation for a number no gate consumes.
-    let cpu_start = crate::cputime::thread_cpu_now();
     let Simulation { agents, config } = sim;
     let n_proxies = agents.len();
-    let n = n_proxies as u32; // proxy counts stay tiny
     let window_us = validate_sharded(&config, n_proxies, shards_n);
-    let net = Arc::new(Net {
-        base: config.latency,
-        matrix: config.proxy_latency_matrix.clone(),
-        shards: shards_n,
-    });
+    // The ledger starts the run's clocks; CPU telemetry covers the
+    // coordinator thread only (worker CPU would need cross-thread
+    // aggregation for a number no gate consumes).
+    let mut ledger = Ledger::new(&config, n_proxies, coord_metrics);
+    let wall_start = ledger.wall_start();
+    let net = Arc::new(Net::new(&config));
 
-    // Partition agents round-robin: proxy p → shard p % N. The shared
-    // sequential RNG is the legacy stream; per-agent open-loop streams
-    // decorrelate via splitmix64 over the proxy id.
+    // Partition agents round-robin: proxy p → shard p % N. Sequential
+    // runs share the one agent stream across shards.
     let sequential = config.injection == InjectionMode::Sequential;
-    let shared_rng = SharedRng(Arc::new(Mutex::new(StdRng::seed_from_u64(
-        config.seed ^ 0xA6E7,
-    ))));
+    let shared_rng = SharedRng::new(sequential_stream(config.seed));
     let mut shard_agents: Vec<Vec<A>> = (0..shards_n).map(|_| Vec::new()).collect();
     for (p, agent) in agents.into_iter().enumerate() {
         // Round-robin: proxy p lives on shard p % N.
@@ -973,70 +652,29 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
     let shards: Vec<Shard<A, P>> = shard_agents
         .into_iter()
         .enumerate()
-        .map(|(index, agents)| {
-            let rngs = if sequential {
-                AgentRngs::Shared(shared_rng.clone())
-            } else {
-                AgentRngs::PerAgent(
-                    (0..agents.len())
-                        // Local l on shard s is proxy s + l·N; seed from
-                        // the global proxy id so partitioning is moot.
-                        .map(|l| {
-                            let proxy = (index + l * shards_n) as u64; // dense ids
-                            StdRng::seed_from_u64(config.seed ^ 0xA6E7 ^ splitmix64(proxy + 1))
-                        })
-                        .collect(),
-                )
-            };
-            Shard {
-                index,
-                agents,
-                rngs,
+        .map(|(index, agents)| Shard {
+            index,
+            shards: shards_n,
+            proxies: Proxies::new(&config, agents, index, shards_n, shared_rng.clone()),
+            probe: P::for_shard(),
+            backlog: Backlog {
                 queue: CalendarQueue::new(),
                 flows: FlowTable::new(),
-                sink: ActionSink::new(),
-                probe: P::for_shard(),
-                records: Vec::new(),
-                outboxes: (0..shards_n).map(|_| Vec::new()).collect(),
-                counters: ShardCounters::default(),
                 next_at: u64::MAX,
                 pending_proxy: 0,
                 pending_origin: 0,
-                net: Arc::clone(&net),
-                prof: config
-                    .shard
-                    .profile
-                    .then(|| Box::new(ShardProfState::new(wall_start))),
-            }
+            },
+            records: Vec::new(),
+            outboxes: (0..shards_n).map(|_| Vec::new()).collect(),
+            net: Arc::clone(&net),
+            prof: config
+                .shard
+                .profile
+                .then(|| Box::new(ShardProfState::new(wall_start))),
         })
         .collect();
 
     let mut workload = workload.into_iter();
-    let mut assign_rng = StdRng::seed_from_u64(config.seed ^ 0xA551);
-    let assignment = config.assignment;
-
-    // Coordinator-side accounting (the runner's locals, verbatim).
-    let mut completed: u64 = 0;
-    let mut hits: u64 = 0;
-    let mut phases = [PhaseStats::default(); 3];
-    let mut hops_summary = Summary::new();
-    let mut latency_summary = Summary::new();
-    let mut latency_p50 = P2Quantile::new(0.5);
-    let mut latency_p99 = P2Quantile::new(0.99);
-    let mut hit_window = MovingAverage::new(config.hit_window);
-    let mut hops_window = MovingAverage::new(config.hit_window);
-    let mut hit_sampler = Sampler::new("hit_rate", config.sample_every);
-    let mut hops_sampler = Sampler::new("hops", config.sample_every);
-    let mut occupancy: Option<Vec<Sampler>> = config.sample_occupancy.then(|| {
-        (0..n_proxies)
-            .map(|_| Sampler::new("", config.sample_every))
-            .collect()
-    });
-    let mut conv: Option<ConvState> = config.convergence.map(|cfg| ConvState {
-        cfg,
-        counts: BTreeMap::new(),
-        tracker: ConvergenceTracker::new(),
-    });
 
     // Live-flow peak accounting: flows enter at injection and leave at
     // completion; the coordinator replays both in time order (see
@@ -1044,7 +682,6 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
     let mut inj_times: VecDeque<u64> = VecDeque::new();
     let mut live_flows: usize = 0;
     let mut peak_flows: usize = 0;
-    let mut injected: u64 = 0;
     let mut workload_done = false;
 
     // Synchronization tuning (see ShardTuning). Widening and batched
@@ -1055,7 +692,7 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
     // of that flow's agent mutations already settled. Gate both
     // features off exactly when an open-loop run samples state at
     // barriers, so every tuning combination yields identical bytes.
-    let state_samplers = occupancy.is_some() || conv.is_some() || coord_probe.is_some();
+    let state_samplers = ledger.samples_state();
     let widen = config.shard.widen && (sequential || !state_samplers);
     let fold_every: u32 = if sequential || state_samplers {
         // Sequential folds drive re-injection and must run every
@@ -1077,11 +714,11 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
         InjectionMode::OpenLoop { interval } => interval.as_micros(),
     };
     let mut next_inject_at: u64 = 0;
-    let client_proxy_us = net.base.client_proxy.as_micros();
+    let client_proxy_us = config.latency.client_proxy.as_micros();
     // The origin→proxy reply latency: the widening slack of
     // origin-bound work. Latency matrices only override proxy↔proxy
     // edges, so the class model's value is exact.
-    let origin_reply_us = net.base.proxy_origin.as_micros();
+    let origin_reply_us = config.latency.proxy_origin.as_micros();
 
     let mut exec = ShardExecStats::default();
     // Coordinator half of the execution profiler (None = profiling off).
@@ -1098,10 +735,10 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
         let mut guards = lock_all(&cells);
 
         // Canonical completion fold: replay the `(at, flow_seq)`-sorted
-        // global completion sequence through the legacy bookkeeping,
-        // then settle injections up to the fold horizon. A macro rather
-        // than a closure so each expansion can borrow the coordinator's
-        // whole local state.
+        // global completion sequence through the model's fold, then
+        // settle injections up to the fold horizon. A macro rather than
+        // a closure so each expansion can borrow the coordinator's whole
+        // local state.
         macro_rules! fold_completions {
             ($fold_end:expr) => {{
                 let fold_end: u64 = $fold_end;
@@ -1109,85 +746,22 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                 for shard in guards.iter_mut() {
                     records_buf.append(&mut shard.records);
                 }
-                records_buf.sort_unstable_by_key(|r| (r.at, r.flow_seq));
-                for &rec in records_buf.iter() {
+                records_buf.sort_unstable_by_key(|r| (r.at, r.id.seq));
+                for rec in records_buf.iter() {
                     // Flows injected before this completion went live
                     // first (completions settle first on exact
-                    // timestamp ties, making the fold independent of
-                    // the runner's push order).
+                    // timestamp ties, the model's tie rule).
                     while inj_times.front().is_some_and(|&t| t < rec.at) {
                         inj_times.pop_front();
                         live_flows += 1;
                         peak_flows = peak_flows.max(live_flows);
                     }
                     live_flows = live_flows.saturating_sub(1);
-                    completed += 1;
-                    if rec.hit {
-                        hits += 1;
-                    }
-                    if let Some(p) = coord_probe.as_mut() {
-                        p.record_completion(rec.at, rec.hit, rec.hops, rec.start_us, rec.server);
-                    }
-                    let phase_idx = match rec.phase {
-                        Phase::Fill => 0,
-                        Phase::RequestI => 1,
-                        Phase::RequestII => 2,
-                    };
-                    // phase_idx is 0..3 by construction.
-                    phases[phase_idx].requests += 1;
-                    phases[phase_idx].hits += u64::from(rec.hit);
-                    let hops_f = f64::from(rec.hops);
-                    let completed_f = completed as f64; // < 2^53: exact
-                    let latency_us = (rec.at - rec.start_us) as f64; // < 2^53: exact
-                    hops_summary.push(hops_f);
-                    latency_summary.push(latency_us);
-                    latency_p50.push(latency_us);
-                    latency_p99.push(latency_us);
-                    hit_window.push_bool(rec.hit);
-                    hops_window.push(hops_f);
-                    if let Some(v) = hit_window.value() {
-                        hit_sampler.observe(completed_f, v);
-                    }
-                    if let Some(v) = hops_window.value() {
-                        hops_sampler.observe(completed_f, v);
-                    }
-                    if let Some(occupancy) = occupancy.as_mut() {
-                        for (p, sampler) in occupancy.iter_mut().enumerate() {
-                            // Proxy p lives on shard p % N at local index p / N.
-                            let agent = &guards[p % shards_n].agents[p / shards_n];
-                            // cache sizes ≪ 2^53: exact
-                            sampler.observe(completed_f, agent.cached_objects() as f64);
-                        }
-                    }
-                    // Convergence: snapshot every agent's owner hint for
-                    // the hot set on the sampling schedule.
-                    if let Some(c) = conv.as_mut() {
-                        if completed.is_multiple_of(c.cfg.sample_every) {
-                            let mut hot: Vec<(u64, u64)> =
-                                c.counts.iter().map(|(&o, &n)| (o, n)).collect();
-                            hot.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-                            hot.truncate(c.cfg.top_k);
-                            let snapshot: Vec<(u64, Vec<Option<u32>>)> = hot
-                                .iter()
-                                .map(|&(object, _)| {
-                                    let hints = (0..n_proxies)
-                                        .map(|p| {
-                                            // Proxy p: shard p % N, local p / N.
-                                            guards[p % shards_n].agents[p / shards_n]
-                                                .owner_hint(ObjectId::new(object))
-                                                .map(|o| o.raw())
-                                        })
-                                        .collect();
-                                    (object, hints)
-                                })
-                                .collect();
-                            c.tracker.sample(completed_f, &snapshot);
-                        }
-                    }
-                    // Occupancy-histogram sampling on the cluster-wide
-                    // cadence (the coordinator owns the completion
-                    // count; shard probes hold the gauges).
-                    if coord_probe.is_some() && completed.is_multiple_of(METRICS_CADENCE) {
+                    // Proxy p lives on shard p % N at local index p / N.
+                    let agent = |p: usize| &guards[p % shards_n].proxies.agents[p / shards_n];
+                    if ledger.complete(rec, &mut NullProbe, agent) {
+                        // The metrics cadence came due: the shard probes
+                        // hold the occupancy gauges.
                         for shard in guards.iter_mut() {
                             shard.probe.barrier_sample();
                         }
@@ -1200,14 +774,9 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                             SimTime::from_micros(rec.at),
                             &mut guards,
                             &mut workload,
+                            &mut ledger,
                             &net,
-                            n,
-                            assignment,
-                            &mut assign_rng,
-                            &mut conv,
-                            &mut coord_probe,
                             &mut inj_times,
-                            &mut injected,
                         );
                     }
                 }
@@ -1229,14 +798,9 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                 SimTime::ZERO,
                 &mut guards,
                 &mut workload,
+                &mut ledger,
                 &net,
-                n,
-                assignment,
-                &mut assign_rng,
-                &mut conv,
-                &mut coord_probe,
                 &mut inj_times,
-                &mut injected,
             );
         }
 
@@ -1244,7 +808,11 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
             // Earliest pending work across shards and (open-loop) the
             // arrival process; the plain next window is the
             // lookahead-aligned window containing it.
-            let mut min_next = guards.iter().map(|s| s.next_at).min().unwrap_or(u64::MAX);
+            let mut min_next = guards
+                .iter()
+                .map(|s| s.backlog.next_at)
+                .min()
+                .unwrap_or(u64::MAX);
             if interval_us > 0 && !workload_done {
                 min_next = min_next.min(next_inject_at + client_proxy_us);
             }
@@ -1268,7 +836,7 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
             if widen {
                 let mut earliest_send = guards
                     .iter()
-                    .map(|s| s.cross_send_bound(origin_reply_us))
+                    .map(|s| s.backlog.cross_send_bound(origin_reply_us))
                     .min()
                     .unwrap_or(u64::MAX);
                 if interval_us > 0 && !workload_done {
@@ -1308,14 +876,9 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                         SimTime::from_micros(next_inject_at),
                         &mut guards,
                         &mut workload,
+                        &mut ledger,
                         &net,
-                        n,
-                        assignment,
-                        &mut assign_rng,
-                        &mut conv,
-                        &mut coord_probe,
                         &mut inj_times,
-                        &mut injected,
                     ) {
                         next_inject_at += interval_us;
                     } else {
@@ -1329,7 +892,10 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
             // mode always lands here) or an empty pool drains inline —
             // zero synchronization; otherwise release the cells to the
             // persistent pool and re-lock after the barrier.
-            let active = guards.iter().filter(|s| s.next_at < window_end).count();
+            let active = guards
+                .iter()
+                .filter(|s| s.backlog.next_at < window_end)
+                .count();
             if active > 1 && workers > 0 {
                 guards.clear();
                 match coord_prof.as_mut() {
@@ -1371,7 +937,7 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                 // per-shard drain profiling happens inside drain_window.
                 // adc-lint: allow(determinism, determinism-purity)
                 let t0 = coord_prof.as_ref().map(|_| Instant::now());
-                for shard in guards.iter_mut().filter(|s| s.next_at < window_end) {
+                for shard in guards.iter_mut().filter(|s| s.backlog.next_at < window_end) {
                     shard.drain_window(window_end);
                 }
                 if let (Some(cp), Some(t0)) = (coord_prof.as_mut(), t0) {
@@ -1411,11 +977,8 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                     let mut routed = std::mem::take(&mut guards[src].outboxes[dst]);
                     for r in routed.drain(..) {
                         debug_assert!(r.at >= window_end, "lookahead violated at the barrier");
-                        let id = r.ev.message.request_id();
                         // dst ranges over the shard count.
-                        let shard = &mut *guards[dst];
-                        shard.enqueue(r.at, r.key, r.ev);
-                        shard.flows.insert(id, r.meta);
+                        guards[dst].backlog.enqueue(r.at, r.key, r.ev, r.flow);
                     }
                     // src/dst range over the shard count, as above.
                     guards[src].outboxes[dst] = routed;
@@ -1440,9 +1003,9 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
         .collect();
 
     // Merge per-shard counters (pure event counts: sum is exact).
-    let mut counters = ShardCounters::default();
+    let mut counters = Counters::default();
     for shard in &shards {
-        counters.merge(&shard.counters);
+        counters.merge(&shard.proxies.counters);
     }
 
     // Assemble the execution profile: per-shard drain accounting merged
@@ -1486,76 +1049,13 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
             .sort_unstable_by_key(|s| (s.start_us, s.lane));
         profile
     });
-    // The single-queue runner pops one Inject event per open-loop
-    // arrival plus the final exhausted pull; synthesize those so
-    // events_processed reconciles across executors.
-    let events_processed = if interval_us > 0 {
-        counters.events_processed + injected + 1
-    } else {
-        counters.events_processed
-    };
-
-    // Collect per-proxy outputs in id order via the round-robin layout.
-    let per_proxy = (0..n_proxies)
-        // Proxy p lives on shard p % N at local index p / N.
-        .map(|p| *shards[p % shards_n].agents[p / shards_n].stats())
-        .collect();
-    let final_cache_sizes = (0..n_proxies)
-        // Same round-robin addressing as above.
-        .map(|p| shards[p % shards_n].agents[p / shards_n].cached_objects())
-        .collect();
-
-    let report = SimReport {
-        completed,
-        hits,
-        phases,
-        hops: hops_summary,
-        latency_us: latency_summary,
-        latency_p50_us: latency_p50.value().unwrap_or(0.0),
-        latency_p99_us: latency_p99.value().unwrap_or(0.0),
-        hit_series: hit_sampler.into_series(),
-        hops_series: hops_sampler.into_series(),
-        per_proxy,
-        final_cache_sizes,
-        occupancy_series: occupancy
-            .map(|samplers| {
-                samplers
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, sampler)| {
-                        let mut series = sampler.into_series();
-                        series.name = format!("proxy{i}");
-                        series
-                    })
-                    .collect()
-            })
-            .unwrap_or_default(),
-        messages_delivered: counters.messages_delivered,
-        events_processed,
-        peak_flows,
-        duplicates_injected: 0,
-        client_orphans: counters.client_orphans,
-        orphan_origin_requests: counters.orphan_origin_requests,
-        proxies_reset: 0,
-        bytes_from_origin: counters.bytes_from_origin,
-        bytes_from_caches: counters.bytes_from_caches,
-        trace: None,
-        convergence: conv.map(|c| c.tracker.into_report()),
-        metrics: None,
-        shard_exec: Some(exec),
-        spans: None,
-        shard_profile,
-        wall_time: wall_start.elapsed(),
-        cpu_time: crate::cputime::thread_cpu_now().saturating_sub(cpu_start),
-    };
-
     // Tear the shards down: agents back into proxy-id order, registries
     // folded through the exact merge (coordinator first, then shards in
     // index order — merge is commutative, the order is cosmetic).
     let mut agent_iters: Vec<std::vec::IntoIter<A>> = Vec::with_capacity(shards_n);
     let mut registries: Vec<Registry> = Vec::new();
     for shard in shards {
-        agent_iters.push(shard.agents.into_iter());
+        agent_iters.push(shard.proxies.agents.into_iter());
         if let Some(reg) = shard.probe.into_registry() {
             registries.push(reg);
         }
@@ -1571,11 +1071,16 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
             }
         })
         .collect();
-    let merged_registry = coord_probe.map(|probe| {
+    let merged_registry = ledger.metrics.take().map(|probe| {
         let mut merged = probe.into_registry();
         merged.merge(&Registry::merge_all(registries.iter()));
         merged
     });
+    let report = SimReport {
+        shard_exec: Some(exec),
+        shard_profile,
+        ..ledger.into_report(&agents, counters, peak_flows)
+    };
 
     (report, agents, merged_registry)
 }

@@ -13,7 +13,8 @@
 //! 2. **Whole-simulator differentials** over randomized small
 //!    configurations: sequential sharded runs must equal the
 //!    single-threaded runner byte-for-byte, and open-loop runs must be
-//!    invariant in the shard count.
+//!    invariant in the shard count and, when nothing samples agent
+//!    state, equal to the single-threaded runner as well.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -418,7 +419,8 @@ proptest! {
     /// The synchronization knobs are pure execution strategy: randomized
     /// pool sizes, widening on/off and fold batches produce the same
     /// bytes as the most conservative tuning (no pool, no widening,
-    /// fold every barrier) at every shard count.
+    /// fold every barrier) at every shard count — and as the
+    /// single-queue runner.
     #[test]
     fn random_tuning_never_changes_open_loop_bytes(
         proxies in 1u32..6,
@@ -450,6 +452,13 @@ proptest! {
         };
         let conservative = Simulation::new(sim_agents(proxies), config.clone())
             .run_sharded(workload(), 1);
+        // Nothing here samples agent state, so the single-queue runner
+        // computes the same bytes as well.
+        let plain = Simulation::new(sim_agents(proxies), config.clone()).run(workload());
+        prop_assert_eq!(
+            plain.to_deterministic_json(),
+            conservative.to_deterministic_json()
+        );
         config.shard = ShardTuning {
             pool_threads: Some(pool),
             widen,

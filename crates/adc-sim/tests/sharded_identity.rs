@@ -7,7 +7,8 @@
 //! canonical report JSON, the Prometheus metrics exposition, and the
 //! convergence series. Sequential injection must match the
 //! single-threaded runner exactly; open-loop injection must be invariant
-//! in the shard count.
+//! in the shard count, and match the single-threaded runner too whenever
+//! nothing samples agent state (occupancy, convergence, metrics).
 
 use adc_core::{AdcConfig, AdcProxy, CacheAgent, ProxyId};
 use adc_sim::{ConvergenceConfig, InjectionMode, SimConfig, SimTime, Simulation};
@@ -146,7 +147,7 @@ fn forced_pool_and_tuning_stay_byte_identical_at_figure_scale() {
     // folds) is pure execution strategy: force an aggressive tuning —
     // real worker threads even on a single-core runner, a small fold
     // batch — and demand byte identity with the single-threaded runner
-    // in sequential mode and with shards=1 in open-loop mode.
+    // in both modes, and with shards=1 in open-loop mode.
     use adc_sim::ShardTuning;
     let tuned = ShardTuning {
         pool_threads: Some(3),
@@ -177,9 +178,17 @@ fn forced_pool_and_tuning_stay_byte_identical_at_figure_scale() {
     };
     let mut open_tuned = open.clone();
     open_tuned.shard = tuned;
+    let plain = Simulation::new(agents(), open.clone()).run(workload());
     let base = Simulation::new(agents(), open).run_sharded(workload(), 1);
     let exec = base.shard_exec.expect("sharded runs report exec stats");
     assert!(exec.windows_widened > 0, "widening must engage: {exec:?}");
+    // Nothing samples agent state here, so the single-queue runner
+    // computes the same open-loop report byte for byte.
+    assert_eq!(
+        plain.to_deterministic_json(),
+        base.to_deterministic_json(),
+        "the single-queue runner's open-loop report diverged from shards=1"
+    );
     for shards in &SHARD_COUNTS[1..] {
         let report = Simulation::new(agents(), open_tuned.clone()).run_sharded(workload(), *shards);
         assert_eq!(
