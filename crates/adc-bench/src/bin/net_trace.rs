@@ -27,8 +27,8 @@ fn main() {
     eprintln!(
         "net_trace: replaying {requests} requests through a traced {LIVE_PROXIES}-proxy cluster..."
     );
-    let replay = replay_live(live_workload(requests), Some(8192)).expect("live traced replay");
-    let merged = replay.merged.as_ref().expect("traced replay merges");
+    let replay = replay_live(live_workload(requests), 8192).expect("live traced replay");
+    let merged = &replay.merged;
 
     // One lane per cluster node (client + proxies + origin), and the
     // workload's cold misses must show up as multi-hop traces.

@@ -114,22 +114,6 @@ impl Experiment {
         Simulation::new(self.carp_agents(), self.sim.clone()).run_sharded(trace.iter(), shards)
     }
 
-    /// [`run_adc_sharded_on`](Self::run_adc_sharded_on) with the
-    /// wall-clock execution profiler on: the report additionally carries
-    /// [`SimReport::shard_profile`] (per-shard drain accounting, the
-    /// coordinator's busy/wait split, occupancy and outbox histograms,
-    /// chrome-trace shard lanes). Deterministic fields are identical to
-    /// the unprofiled run.
-    ///
-    /// # Panics
-    ///
-    /// As [`Simulation::run_sharded`].
-    pub fn run_adc_sharded_profiled_on(&self, trace: &SharedTrace, shards: usize) -> SimReport {
-        let mut sim = self.sim.clone();
-        sim.shard.profile = true;
-        Simulation::new(self.adc_agents(), sim).run_sharded(trace.iter(), shards)
-    }
-
     /// [`run_adc_on`](Self::run_adc_on) with the causal flow-span
     /// recorder attached: the report additionally carries
     /// [`SimReport::spans`] (per-segment / per-proxy latency attribution
@@ -230,7 +214,7 @@ mod tests {
     }
 
     #[test]
-    fn span_and_profiled_runs_observe_without_perturbing() {
+    fn span_run_observes_without_perturbing() {
         let e = Experiment::at_scale(Scale::Custom(0.001));
         let trace = e.trace();
         let plain = e.run_adc_on(&trace);
@@ -239,13 +223,5 @@ mod tests {
         let span_report = spans.spans.expect("span run fills the report");
         assert_eq!(span_report.flows, plain.completed);
         assert_eq!(span_report.sum_check_failures, 0);
-        let profiled = e.run_adc_sharded_profiled_on(&trace, 4);
-        assert_eq!(
-            plain.to_deterministic_json(),
-            profiled.to_deterministic_json()
-        );
-        let profile = profiled.shard_profile.expect("profiled run fills it");
-        assert_eq!(profile.shards, 4);
-        assert!(profile.total_drain_ns() > 0);
     }
 }

@@ -1,7 +1,8 @@
 //! # adc-bench
 //!
 //! The experiment harness that regenerates every figure of the paper's
-//! evaluation section, plus Criterion micro-benchmarks.
+//! evaluation section. Performance is measured by the separate
+//! `perfbench` crate, not here.
 //!
 //! | Paper figure | Binary | Output |
 //! |--------------|--------|--------|
@@ -25,7 +26,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cli;
-pub mod diff;
 pub mod experiment;
 pub mod netlive;
 pub mod netmerge;
@@ -36,7 +36,6 @@ pub mod scale;
 pub mod sweep;
 
 pub use cli::BenchArgs;
-pub use diff::{diff_reports, parse_flat_json, DiffConfig, DiffReport, Scalar};
 pub use experiment::Experiment;
 pub use netlive::{live_workload, replay_live, LiveReplay, LIVE_PROXIES};
 pub use netmerge::{clock_offset_us, merge_node_traces, MergedTrace, NodeTrace, SegmentTotal};

@@ -1,16 +1,12 @@
-//! Live TCP cluster replay shared by the `net_trace` binary and the
-//! `bench_report` `net_trace` section.
+//! Live TCP cluster replay behind the `net_trace` binary.
 //!
-//! Both callers need the same thing: spawn a real [`Cluster`] of ADC
-//! proxies on loopback, replay a deterministic request stream through
-//! it, and — when tracing is on — scrape every node's span ring and
-//! merge the scrapes onto the collector timeline. Keeping the replay
-//! here means the overhead numbers in the report and the artifact the
-//! CI leg uploads come from the identical code path.
+//! Spawns a real [`Cluster`] of ADC proxies on loopback with tracing on,
+//! replays a deterministic request stream through it, scrapes every
+//! node's span ring and merges the scrapes onto the collector timeline.
 
 use crate::netmerge::{merge_node_traces, MergedTrace, NodeTrace};
 use adc_core::{AdcConfig, ClientId, ObjectId};
-use adc_net::{drive_workload, drive_workload_traced, Cluster};
+use adc_net::{drive_workload_traced, Cluster};
 use adc_workload::{Phase, RequestRecord};
 use std::io;
 use std::time::{Duration, Instant};
@@ -34,8 +30,8 @@ pub struct LiveReplay {
     /// Spans dropped by full rings across every scraped node, plus the
     /// client ring. Zero unless the ring capacity is undersized.
     pub spans_dropped: u64,
-    /// The clock-aligned cross-node merge; `None` for untraced replays.
-    pub merged: Option<MergedTrace>,
+    /// The clock-aligned cross-node merge.
+    pub merged: MergedTrace,
 }
 
 impl LiveReplay {
@@ -78,67 +74,46 @@ fn live_config() -> AdcConfig {
         .build()
 }
 
-/// Spawns a fresh [`LIVE_PROXIES`]-proxy ADC cluster on loopback and
-/// replays `workload` through it. With `trace_capacity` set, tracing is
-/// on: every node records spans, the replay ends with a full scrape,
-/// and the result carries the clock-aligned merge.
+/// Spawns a fresh [`LIVE_PROXIES`]-proxy ADC cluster on loopback with
+/// span rings of `trace_capacity` entries per node, replays `workload`
+/// through it, ends with a full scrape and returns the clock-aligned
+/// merge.
 ///
 /// # Errors
 ///
 /// Propagates socket and scrape errors, and lane parse errors as
 /// [`io::ErrorKind::InvalidData`].
-pub fn replay_live(
-    workload: Vec<RequestRecord>,
-    trace_capacity: Option<usize>,
-) -> io::Result<LiveReplay> {
+pub fn replay_live(workload: Vec<RequestRecord>, trace_capacity: usize) -> io::Result<LiveReplay> {
     tokio::runtime::block_on(async move {
         let requests = workload.len() as u64;
         let timeout = Duration::from_secs(5);
-        match trace_capacity {
-            None => {
-                let cluster = Cluster::spawn_adc(LIVE_PROXIES, live_config()).await?;
-                let start = Instant::now();
-                let report = drive_workload(&cluster, workload, timeout).await?;
-                let wall = start.elapsed();
-                Ok(LiveReplay {
-                    requests,
-                    completed: report.completed,
-                    hits: report.hits,
-                    wall,
-                    spans_dropped: 0,
-                    merged: None,
-                })
-            }
-            Some(capacity) => {
-                let cluster =
-                    Cluster::spawn_adc_traced(LIVE_PROXIES, live_config(), capacity).await?;
-                let start = Instant::now();
-                let traced = drive_workload_traced(&cluster, workload, timeout, None).await?;
-                let wall = start.elapsed();
+        let cluster =
+            Cluster::spawn_adc_traced(LIVE_PROXIES, live_config(), trace_capacity).await?;
+        let start = Instant::now();
+        let traced = drive_workload_traced(&cluster, workload, timeout, None).await?;
+        let wall = start.elapsed();
 
-                let mut scrapes = cluster.collect_traces().await?;
-                if let Some(client) = traced.client_trace {
-                    scrapes.insert(0, ("client".to_string(), client));
-                }
-                let mut spans_dropped = 0;
-                let mut nodes = Vec::with_capacity(scrapes.len());
-                for (name, scrape) in &scrapes {
-                    spans_dropped += scrape.dropped;
-                    nodes.push(
-                        NodeTrace::from_scrape(name, scrape)
-                            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?,
-                    );
-                }
-                Ok(LiveReplay {
-                    requests,
-                    completed: traced.report.completed,
-                    hits: traced.report.hits,
-                    wall,
-                    spans_dropped,
-                    merged: Some(merge_node_traces(&nodes)),
-                })
-            }
+        let mut scrapes = cluster.collect_traces().await?;
+        if let Some(client) = traced.client_trace {
+            scrapes.insert(0, ("client".to_string(), client));
         }
+        let mut spans_dropped = 0;
+        let mut nodes = Vec::with_capacity(scrapes.len());
+        for (name, scrape) in &scrapes {
+            spans_dropped += scrape.dropped;
+            nodes.push(
+                NodeTrace::from_scrape(name, scrape)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?,
+            );
+        }
+        Ok(LiveReplay {
+            requests,
+            completed: traced.report.completed,
+            hits: traced.report.hits,
+            wall,
+            spans_dropped,
+            merged: merge_node_traces(&nodes),
+        })
     })
 }
 
@@ -158,21 +133,14 @@ mod tests {
 
     #[test]
     fn traced_replay_merges_every_lane() {
-        let replay = replay_live(live_workload(60), Some(4096)).expect("live replay");
+        let replay = replay_live(live_workload(60), 4096).expect("live replay");
         assert_eq!(replay.completed, 60);
         assert_eq!(replay.spans_dropped, 0);
-        let merged = replay.merged.as_ref().expect("traced replay merges");
+        let merged = &replay.merged;
         // client + four proxies + origin.
         assert_eq!(merged.lanes.len(), LIVE_PROXIES as usize + 2);
-        assert!(merged.cross_node_traces >= 1, "cold misses cross nodes");
+        // Every request leaves the client lane for an entry proxy.
+        assert_eq!(merged.cross_node_traces, 60);
         assert!(replay.requests_per_sec() > 0.0);
-    }
-
-    #[test]
-    fn untraced_replay_reports_throughput_only() {
-        let replay = replay_live(live_workload(30), None).expect("live replay");
-        assert_eq!(replay.completed, 30);
-        assert!(replay.merged.is_none());
-        assert_eq!(replay.spans_dropped, 0);
     }
 }

@@ -1,12 +1,15 @@
-//! Pins the fixed 5-proxy end-to-end scenario's hit and hop numbers to a
-//! golden file, at a micro scale that still exercises both systems.
+//! Pins the fixed 5-proxy end-to-end scenario's hit and hop numbers to
+//! golden files, at a micro scale that still exercises both systems.
 //!
 //! The golden sweep CSV (`determinism.rs`) covers the ADC parameter
-//! sweep; this file covers the Figure 11 comparison path — ADC and the
-//! CARP baseline over the shared Polygraph trace — so an event-loop or
-//! agent rewrite that shifts any count by even one is caught. Hit counts,
-//! hop sums and message totals here were produced by the pre-calendar-
-//! queue binary-heap event loop; the rewrite reproduced them exactly.
+//! sweep; `fig11_micro.txt` covers the Figure 11 comparison path — ADC
+//! and the CARP baseline over the shared Polygraph trace — so an
+//! event-loop or agent rewrite that shifts any count by even one is
+//! caught. Hit counts, hop sums and message totals there were produced
+//! by the pre-calendar-queue binary-heap event loop; the rewrite
+//! reproduced them exactly. `openloop_spans_micro.txt` covers the same
+//! trace under open-loop injection and the flow-span attribution of the
+//! sequential run.
 //!
 //! Regenerate after an *intentional* behavior change:
 //!
@@ -16,15 +19,37 @@
 
 use adc_bench::experiment::Experiment;
 use adc_bench::scale::Scale;
-use adc_sim::SimReport;
+use adc_sim::{InjectionMode, SimReport, SimTime};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-fn golden_path() -> PathBuf {
+fn golden_path(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden")
-        .join("fig11_micro.txt")
+        .join(file)
+}
+
+fn read_golden(file: &str) -> String {
+    std::fs::read_to_string(golden_path(file)).expect(
+        "golden file missing; bless it with \
+         ADC_BLESS_GOLDEN=1 cargo test -p adc-bench --test fig11_pinned",
+    )
+}
+
+/// Rewrites `file` with `rendered` when `ADC_BLESS_GOLDEN` is set;
+/// otherwise asserts the two are identical.
+fn assert_golden(file: &str, rendered: &str) {
+    if std::env::var_os("ADC_BLESS_GOLDEN").is_some() {
+        std::fs::write(golden_path(file), rendered).expect("write golden file");
+        return;
+    }
+    assert_eq!(
+        rendered,
+        read_golden(file),
+        "{file} diverged from the current counts; if the change is \
+         intentional, re-bless with ADC_BLESS_GOLDEN=1"
+    );
 }
 
 /// Renders every deterministic count the comparison produces. Floats are
@@ -75,21 +100,7 @@ fn fig11_micro_counts_match_golden() {
     let adc = experiment.run_adc_on(&trace);
     let carp = experiment.run_carp_on(&trace);
     let rendered = format!("{}\n{}", render("adc", &adc), render("carp", &carp));
-
-    let path = golden_path();
-    if std::env::var_os("ADC_BLESS_GOLDEN").is_some() {
-        std::fs::write(&path, &rendered).expect("write golden file");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).expect(
-        "golden file missing; bless it with \
-         ADC_BLESS_GOLDEN=1 cargo test -p adc-bench --test fig11_pinned",
-    );
-    assert_eq!(
-        rendered, golden,
-        "fig11 micro counts diverged from the golden file; if the change \
-         is intentional, re-bless with ADC_BLESS_GOLDEN=1"
-    );
+    assert_golden("fig11_micro.txt", &rendered);
 }
 
 /// The same scenario on the sharded executor must reproduce the *same*
@@ -106,13 +117,55 @@ fn fig11_micro_counts_match_golden_on_the_sharded_executor() {
     let adc = experiment.run_adc_sharded_on(&trace, 4);
     let carp = experiment.run_carp_sharded_on(&trace, 4);
     let rendered = format!("{}\n{}", render("adc", &adc), render("carp", &carp));
-    let golden = std::fs::read_to_string(golden_path()).expect(
-        "golden file missing; bless it with \
-         ADC_BLESS_GOLDEN=1 cargo test -p adc-bench --test fig11_pinned",
-    );
     assert_eq!(
-        rendered, golden,
+        rendered,
+        read_golden("fig11_micro.txt"),
         "sharded fig11 micro counts diverged from the single-threaded \
          golden file — the sharded executor broke bit-equality"
     );
+}
+
+/// The same trace with a request injected every 50 µs, so flows overlap
+/// and the calendar queue, flow table and shard windows carry load, plus
+/// the flow-span attribution of the sequential run. The open-loop bytes
+/// must not depend on the shard count or on the executor, and the span
+/// recorder must leave the report it observes unchanged.
+#[test]
+fn openloop_and_span_counts_match_golden() {
+    let mut experiment = Experiment::at_scale(Scale::Custom(0.002));
+    experiment.sim.sample_occupancy = false;
+    let trace = experiment.trace();
+
+    let plain = experiment.run_adc_on(&trace);
+    let spans = experiment.run_adc_spans_on(&trace, 5);
+    assert_eq!(
+        plain.to_deterministic_json(),
+        spans.to_deterministic_json(),
+        "the span recorder must not move the deterministic bytes"
+    );
+    let spans = spans.spans.expect("span run reports the breakdown");
+
+    let mut open = experiment;
+    open.sim.injection = InjectionMode::OpenLoop {
+        interval: SimTime::from_micros(50),
+    };
+    let one_shard = open.run_adc_sharded_on(&trace, 1);
+    let expected = one_shard.to_deterministic_json();
+    assert_eq!(
+        open.run_adc_sharded_on(&trace, 4).to_deterministic_json(),
+        expected,
+        "open-loop counts must not depend on the shard count"
+    );
+    assert_eq!(
+        open.run_adc_on(&trace).to_deterministic_json(),
+        expected,
+        "the runner and the sharded engine must agree in open loop"
+    );
+
+    let rendered = format!(
+        "{}\n[adc-spans]\n{}",
+        render("adc-openloop", &one_shard),
+        spans.to_json()
+    );
+    assert_golden("openloop_spans_micro.txt", &rendered);
 }

@@ -1,7 +1,8 @@
 //! End-to-end checks for the observability layer as the figure binaries
 //! use it: convergence sampling over a real (scaled-down) fig11-style
-//! run must show agreement rising in trend, and both export formats must
-//! be syntactically valid.
+//! run must show agreement rising in trend, both export formats must be
+//! syntactically valid, and the Prometheus text a figure run writes must
+//! be identical across two same-seed runs and pass the format checker.
 
 use adc_bench::observe::run_adc_observed;
 use adc_bench::{BenchArgs, Experiment, Scale};
@@ -79,4 +80,30 @@ fn exports_are_valid_json() {
 
     let _ = std::fs::remove_file(&events);
     let _ = std::fs::remove_file(&chrome);
+}
+
+#[test]
+fn metrics_exposition_is_deterministic_across_same_seed_runs() {
+    let run = |name: &str| {
+        let path = scratch(name);
+        let args = BenchArgs {
+            metrics: Some(path.clone()),
+            ..BenchArgs::default()
+        };
+        let report = run_adc_observed(&Experiment::at_scale(Scale::Custom(0.004)), &args);
+        let text = std::fs::read_to_string(&path).expect("exposition written");
+        std::fs::remove_file(&path).ok();
+        (report, text)
+    };
+    let (report_a, text_a) = run("a.prom");
+    let (report_b, text_b) = run("b.prom");
+    assert_eq!(text_a, text_b, "same seed must give identical expositions");
+    adc_metrics::validate_prometheus(&text_a).expect("exposition must pass the format checker");
+    // The per-proxy summaries are part of the SimReport and equally
+    // deterministic.
+    let a = report_a.metrics.expect("metrics on");
+    let b = report_b.metrics.expect("metrics on");
+    assert_eq!(a.per_proxy, b.per_proxy);
+    assert!(text_a.contains("# TYPE adc_local_hits_total counter"));
+    assert!(text_a.contains("# TYPE adc_hops histogram"));
 }

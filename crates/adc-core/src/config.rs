@@ -1,10 +1,9 @@
 //! Configuration for an ADC proxy agent.
 
 use crate::error::ConfigError;
-use serde::{Deserialize, Serialize};
 
 /// How admission thresholds treat the age of the resident worst entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AgingMode {
     /// Compare candidates against the *aged* average of the worst resident
     /// entry, `(avg + (now - last)) / 2` (Figure 4 of the paper). This is
@@ -23,7 +22,7 @@ impl AgingMode {
 }
 
 /// Which caching policy the proxy runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CachePolicy {
     /// The paper's selective caching: an object is cached only when its
     /// average inter-request time beats the worst entry of the caching
@@ -53,7 +52,7 @@ pub enum CachePolicy {
 ///     .build();
 /// assert_eq!(config.single_capacity, 5_000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdcConfig {
     /// Capacity of the single-table (paper default: 20 000).
     pub single_capacity: usize,

@@ -4,7 +4,6 @@
 //! the paper: `(OBJ-ID, PROXY, LAST, AVG, HITS)`.
 
 use crate::ids::{Location, ObjectId};
-use serde::{Deserialize, Serialize};
 
 /// Per-proxy logical time, in units of locally received requests.
 ///
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 pub type Tick = u64;
 
 /// One row of a mapping table (Figures 1–3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableEntry {
     /// The object this row describes (`OBJ-ID`).
     pub object: ObjectId,

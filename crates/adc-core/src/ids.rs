@@ -7,7 +7,6 @@
 //! MD5 to save memory — we use a 64-bit FNV-1a which serves the same
 //! purpose in a simulation).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A cacheable object (the paper's `OBJ-ID`, i.e. a URL).
@@ -22,9 +21,7 @@ use std::fmt;
 /// assert_eq!(a, b);
 /// assert_ne!(a, ObjectId::from_url("http://example.com/other.html"));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ObjectId(pub u64);
 
 impl ObjectId {
@@ -71,9 +68,7 @@ pub(crate) fn fnv1a_64(bytes: &[u8]) -> u64 {
 }
 
 /// One proxy agent in the cooperative proxy set.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ProxyId(pub u32);
 
 impl ProxyId {
@@ -95,9 +90,7 @@ impl fmt::Display for ProxyId {
 }
 
 /// A requesting client.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClientId(pub u32);
 
 impl ClientId {
@@ -123,9 +116,7 @@ impl fmt::Display for ClientId {
 /// The paper: "Each request comes with a global unique ID (usually based on
 /// the clients IP address and an internal request counter), which is used to
 /// give each proxy the option to identify forwarding loops."
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RequestId {
     /// The client that issued the request.
     pub client: ClientId,
@@ -148,7 +139,7 @@ impl fmt::Display for RequestId {
 
 /// Any addressable endpoint in the system: a client, a proxy, or the origin
 /// server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum NodeId {
     /// A requesting client.
     Client(ClientId),
@@ -197,7 +188,7 @@ impl From<ProxyId> for NodeId {
 
 /// The learned location of an object, as stored in a mapping-table entry
 /// (the paper's `PROXY` column: either `Proxy[i]` or `THIS`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Location {
     /// This proxy is itself responsible for the object (`THIS`).
     This,

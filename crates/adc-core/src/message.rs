@@ -2,7 +2,6 @@
 //! origin server.
 
 use crate::ids::{ClientId, NodeId, ObjectId, ProxyId, RequestId};
-use serde::{Deserialize, Serialize};
 
 /// Who ultimately produced the object data for a request.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// rewrite as part of the agreement protocol). Metrics use this to count
 /// hits: a request served from any proxy cache is a hit, one served by the
 /// origin server is a miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServedFrom {
     /// The origin server resolved the request (miss).
     Origin,
@@ -27,7 +26,7 @@ impl ServedFrom {
 }
 
 /// A request for an object, travelling client → proxy → … → resolver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     /// Globally unique request ID (client address + counter).
     pub id: RequestId,
@@ -56,7 +55,7 @@ impl Request {
 }
 
 /// A reply carrying the resolved object back along the forwarding path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reply {
     /// The request this reply answers.
     pub id: RequestId,
@@ -112,7 +111,7 @@ impl Reply {
 }
 
 /// Any message on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Message {
     /// A request travelling toward a resolver.
     Request(Request),

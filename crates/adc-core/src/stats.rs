@@ -1,12 +1,10 @@
 //! Per-proxy counters.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters accumulated by one proxy agent over its lifetime.
 ///
 /// All counters are plain totals; rates and series are derived by the
 /// metrics layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProxyStats {
     /// Requests received (this is also the proxy's local clock under ADC).
     pub requests_received: u64,

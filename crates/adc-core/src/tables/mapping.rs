@@ -10,10 +10,9 @@ use crate::entry::{TableEntry, Tick};
 use crate::ids::{Location, ObjectId};
 use crate::tables::ordered::OrderedTable;
 use crate::tables::single::SingleTable;
-use serde::{Deserialize, Serialize};
 
 /// Which table an `Update_Entry` call found (or created) the entry in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TableHit {
     /// Part 1: the object was in the caching table.
     Cached,

@@ -1,7 +1,5 @@
 //! A simple fixed-width histogram for hop counts and latencies.
 
-use serde::{Deserialize, Serialize};
-
 /// Histogram over `[0, buckets * width)` with an overflow bucket.
 ///
 /// # Examples
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.count(), 3);
 /// assert_eq!(h.bucket_count(3), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     counts: Vec<u64>,
     overflow: u64,

@@ -2,8 +2,6 @@
 //! Chlamtac, 1985): O(1) memory, no sample buffer, good accuracy for
 //! central and tail quantiles of smooth distributions.
 
-use serde::{Deserialize, Serialize};
-
 /// A streaming estimator for one quantile `q` of an observation stream.
 ///
 /// # Examples
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// let est = median.value().unwrap();
 /// assert!((est - 501.0).abs() < 5.0, "estimated {est}");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct P2Quantile {
     q: f64,
     /// Marker heights (the 5 tracked order statistics).

@@ -34,7 +34,6 @@
 //! assert_eq!(shard_a.histogram("adc_hops", 0).unwrap().count(), 2);
 //! ```
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Proxy-id slot for cluster-wide (not per-proxy) metric values; rendered
@@ -52,7 +51,7 @@ pub const LOG2_BUCKETS: usize = 65;
 /// edges, [`Log2Histogram::merge`] is element-wise addition and is exact:
 /// merging shard histograms then taking a quantile equals recording the
 /// interleaved stream into one histogram.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Log2Histogram {
     counts: Vec<u64>,
     total: u64,
@@ -305,7 +304,7 @@ impl Registry {
 /// An owned snapshot of a [`Registry`], sorted by `(metric, proxy)` —
 /// what crosses thread/process boundaries and what the exposition
 /// renders.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegistrySnapshot {
     /// `(metric, proxy, value)` counter triples, sorted.
     pub counters: Vec<(String, u32, u64)>,

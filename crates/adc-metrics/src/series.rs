@@ -1,9 +1,7 @@
 //! Sampled time series, as plotted in the paper's Figures 11 and 12.
 
-use serde::{Deserialize, Serialize};
-
 /// A named series of `(x, y)` points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Series {
     /// Series name (used as a CSV column header).
     pub name: String,

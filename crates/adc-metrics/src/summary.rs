@@ -1,7 +1,5 @@
 //! Streaming summary statistics (Welford's online algorithm).
 
-use serde::{Deserialize, Serialize};
-
 /// Online mean/variance/min/max over a stream of observations.
 ///
 /// # Examples
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.mean(), Some(5.0));
 /// assert_eq!(s.std_dev(), Some(2.138089935299395));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Summary {
     count: u64,
     mean: f64,

@@ -1,9 +1,9 @@
 //! Minimal JSON helpers.
 //!
-//! The workspace's vendored `serde` is a no-op stub (derives expand to
-//! nothing), so all JSON in this repo is hand-rolled. This module keeps
-//! the escaping in one place and provides a small validating parser used
-//! by tests and CI to assert that exported files are well-formed.
+//! The workspace has no serialization framework, so all JSON in this
+//! repo is hand-rolled. This module keeps the escaping in one place and
+//! provides a small validating parser used by tests and CI to assert
+//! that exported files are well-formed.
 
 use std::fmt::Write as _;
 

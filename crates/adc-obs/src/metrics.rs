@@ -23,7 +23,6 @@ use crate::event::{SimEvent, TableLevel};
 use crate::probe::Probe;
 use adc_metrics::registry::CLUSTER;
 use adc_metrics::{Registry, RegistrySnapshot};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Requests served from a proxy's local store, per serving proxy.
@@ -314,7 +313,7 @@ fn table_gauge(level: TableLevel) -> Option<&'static str> {
 
 /// Per-proxy histogram summary derived from a [`Registry`], embedded in
 /// the simulator's `SimReport`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProxyMetricsSummary {
     /// Proxy id, or [`CLUSTER`] for the origin-served flow slot.
     pub proxy: u32,
@@ -336,7 +335,7 @@ pub struct ProxyMetricsSummary {
 
 /// The metrics half of an observed run: the full sorted snapshot plus
 /// per-proxy histogram summaries.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsReport {
     /// Every family, sorted by `(metric, proxy)`.
     pub snapshot: RegistrySnapshot,

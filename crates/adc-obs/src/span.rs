@@ -266,8 +266,8 @@ impl SpanReport {
     }
 
     /// Renders the report as a standalone JSON object (hand-rolled like
-    /// the other exporters; the vendored serde is a no-op stub). The
-    /// output round-trips through [`validate_json`](crate::validate_json).
+    /// the other exporters). The output round-trips through
+    /// [`validate_json`](crate::validate_json).
     pub fn to_json(&self) -> String {
         use fmt::Write as _;
         let mut out = String::with_capacity(1024);

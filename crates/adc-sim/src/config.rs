@@ -4,10 +4,9 @@ use crate::network::LatencyModel;
 use crate::time::SimTime;
 use adc_core::ProxyId;
 use adc_obs::ConvergenceConfig;
-use serde::{Deserialize, Serialize};
 
 /// How client requests enter the system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InjectionMode {
     /// One outstanding request at a time: the next request is injected
     /// when the previous one completes. This mirrors replaying a request
@@ -23,7 +22,7 @@ pub enum InjectionMode {
 }
 
 /// How a request's client is mapped to its first-hop proxy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClientAssignment {
     /// Client `c` always talks to proxy `c mod n` (Polygraph robots are
     /// pinned to proxies).
@@ -35,7 +34,7 @@ pub enum ClientAssignment {
 
 /// Fault injection knobs. All default to off; the paper assumes a
 /// loss-free network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultPlan {
     /// Probability that any delivered message is delivered a second time
     /// (tests duplicate-suppression / orphan-reply handling).
@@ -59,7 +58,7 @@ impl FaultPlan {
 ///
 /// The paper lists "changes of the infrastructure" as an unused
 /// parameter; churn injection lets the ablation binaries study it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChurnEvent {
     /// Number of completed requests after which the restart fires.
     pub after_completed: u64,
@@ -68,7 +67,7 @@ pub struct ChurnEvent {
 }
 
 /// Full simulator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Network latencies.
     pub latency: LatencyModel,
@@ -119,7 +118,7 @@ pub struct SimConfig {
 /// defaults are the fast path; the individual switches exist so the
 /// differential tests can pin each mechanism on and off and prove the
 /// report bytes never move.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardTuning {
     /// Worker threads for the persistent pool, spawned once per run —
     /// lazily, on the first window with more than one active shard.

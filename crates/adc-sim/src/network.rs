@@ -7,10 +7,9 @@
 
 use crate::time::SimTime;
 use adc_core::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// One-way latencies between node classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyModel {
     /// Client ↔ proxy latency (LAN).
     pub client_proxy: SimTime,

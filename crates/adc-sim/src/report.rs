@@ -5,11 +5,10 @@ use adc_core::ProxyStats;
 use adc_metrics::{Log2Histogram, Series, Summary};
 use adc_obs::{ConvergenceReport, MetricsReport, ShardSlice, SpanReport};
 use adc_workload::Phase;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Hit/request counts for one workload phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhaseStats {
     /// Completed requests in this phase.
     pub requests: u64,
@@ -32,7 +31,7 @@ impl PhaseStats {
 /// the persistent worker pool and adaptive window widening actually
 /// engaged on a given run. Host- and tuning-dependent by design, so it
 /// rides next to the wall/CPU clocks rather than in the canonical JSON.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardExecStats {
     /// Worker threads the persistent pool actually spawned — at most
     /// once each for the whole run. 0 means every window ran inline on
@@ -57,7 +56,7 @@ pub struct ShardExecStats {
 /// [`to_deterministic_json`](SimReport::to_deterministic_json) — the
 /// canonical bytes must not move when the same simulation runs on a
 /// slower machine or a different pool schedule.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardProfile {
     /// Shard count of the profiled run.
     pub shards: usize,
@@ -150,7 +149,7 @@ impl ShardProfile {
 }
 
 /// Everything a simulation run produces.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimReport {
     /// Requests that completed (reply reached the client).
     pub completed: u64,

@@ -1,6 +1,5 @@
 //! Simulated time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -15,9 +14,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// assert_eq!(t.as_micros(), 5_000);
 /// assert!(t < SimTime::from_millis(6));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

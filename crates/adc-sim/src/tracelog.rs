@@ -4,10 +4,9 @@
 
 use crate::time::SimTime;
 use adc_core::{NodeId, RequestId};
-use serde::{Deserialize, Serialize};
 
 /// One recorded message delivery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeliveryRecord {
     /// Simulated time of delivery.
     pub at: SimTime,
@@ -24,7 +23,7 @@ pub struct DeliveryRecord {
 /// A bounded delivery log; recording stops silently once `capacity`
 /// events have been captured (the bound keeps multi-million-request runs
 /// usable with tracing left on).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceLog {
     records: Vec<DeliveryRecord>,
     capacity: usize,

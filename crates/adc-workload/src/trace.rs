@@ -1,13 +1,12 @@
 //! Request records and trace files.
 
 use adc_core::{ClientId, ObjectId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::str::FromStr;
 
 /// Which of the paper's three workload phases a request belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Phase {
     /// Phase 1: the fill phase, "almost no request repetitions".
     Fill,
@@ -42,7 +41,7 @@ impl FromStr for Phase {
 }
 
 /// One request in a workload trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestRecord {
     /// Global position in the trace (0-based).
     pub seq: u64,
