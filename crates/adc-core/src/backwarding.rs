@@ -1,0 +1,135 @@
+//! The backwarding store both ADC agents keep (§III.2 of the paper): for
+//! every request a proxy has forwarded and not yet answered, the stack of
+//! hops its reply must retrace.
+
+use crate::ids::{NodeId, ProxyId, RequestId};
+use crate::message::Reply;
+use crate::stats::ProxyStats;
+use adc_obs::{Probe, SimEvent};
+use std::collections::hash_map::Entry;
+// Keyed access only, never iterated, so hasher order cannot leak into
+// results. adc-lint: allow(default-hasher)
+use std::collections::HashMap;
+
+/// The previous hops of one pending request, most recent on top.
+///
+/// Without fault duplicates a request visits a proxy at most twice (the
+/// second visit is a detected loop and goes to the origin), so two hops
+/// are held inline and only a third spills to the heap.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum HopStack {
+    One(NodeId),
+    Two(NodeId, NodeId),
+    Spilled(Vec<NodeId>),
+}
+
+impl HopStack {
+    fn push(&mut self, hop: NodeId) {
+        match self {
+            HopStack::One(first) => *self = HopStack::Two(*first, hop),
+            HopStack::Two(first, second) => *self = HopStack::Spilled(vec![*first, *second, hop]),
+            HopStack::Spilled(hops) => hops.push(hop),
+        }
+    }
+}
+
+/// Pending requests and their backwarding hops. Each call probes the map
+/// once, and a request that loops at most once never allocates.
+#[derive(Debug)]
+pub(crate) struct Backwarding {
+    pending: HashMap<RequestId, HopStack>, // adc-lint: allow(default-hasher)
+}
+
+impl Backwarding {
+    pub(crate) fn new() -> Self {
+        Backwarding {
+            // Keyed access only, never iterated: hasher can't leak order.
+            pending: HashMap::new(), // adc-lint: allow(default-hasher, determinism-purity)
+        }
+    }
+
+    /// Records that `request` arrived from `hop`. Returns `true` when the
+    /// request was already pending here: a forwarding loop.
+    pub(crate) fn push(&mut self, request: RequestId, hop: NodeId) -> bool {
+        match self.pending.entry(request) {
+            Entry::Occupied(mut stack) => {
+                stack.get_mut().push(hop);
+                true
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(HopStack::One(hop));
+                false
+            }
+        }
+    }
+
+    /// Pops the hop `reply` retraces from proxy `at`. A reply for a request
+    /// not pending here is orphaned: it is counted in `stats`, reported to
+    /// `probe`, and gets `None`.
+    pub(crate) fn pop_reply<P: Probe>(
+        &mut self,
+        at: ProxyId,
+        reply: &Reply,
+        stats: &mut ProxyStats,
+        probe: &mut P,
+    ) -> Option<NodeId> {
+        let hop = self.pop(reply.id);
+        if hop.is_none() {
+            stats.replies_orphaned += 1;
+            if P::ENABLED {
+                probe.emit(SimEvent::ReplyOrphaned {
+                    proxy: at.raw(),
+                    object: reply.object.raw(),
+                });
+            }
+        }
+        hop
+    }
+
+    fn pop(&mut self, request: RequestId) -> Option<NodeId> {
+        let Entry::Occupied(mut pending) = self.pending.entry(request) else {
+            return None;
+        };
+        let stack = pending.get_mut();
+        match stack {
+            HopStack::One(hop) => {
+                let hop = *hop;
+                pending.remove();
+                Some(hop)
+            }
+            HopStack::Two(first, second) => {
+                let hop = *second;
+                *stack = HopStack::One(*first);
+                Some(hop)
+            }
+            HopStack::Spilled(hops) => {
+                let hop = hops.pop();
+                if hops.is_empty() {
+                    pending.remove();
+                }
+                hop
+            }
+        }
+    }
+
+    /// Number of requests awaiting a reply.
+    pub(crate) fn len(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Number of hops stacked for `request`.
+    #[cfg(test)]
+    pub(crate) fn depth(&self, request: RequestId) -> usize {
+        match self.pending.get(&request) {
+            None => 0,
+            Some(HopStack::One(_)) => 1,
+            Some(HopStack::Two(..)) => 2,
+            Some(HopStack::Spilled(hops)) => hops.len(),
+        }
+    }
+
+    /// Forgets every pending request.
+    pub(crate) fn clear(&mut self) {
+        self.pending.clear();
+    }
+}

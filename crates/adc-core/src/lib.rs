@@ -63,6 +63,7 @@
 #![warn(missing_debug_implementations)]
 
 mod agent;
+mod backwarding;
 mod config;
 mod entry;
 mod error;

@@ -2,18 +2,16 @@
 //! `Receive_Reply`, `Forward_Addr` and the pending/backwarding store.
 
 use crate::agent::{ActionSink, CacheAgent, CacheEvent};
+use crate::backwarding::Backwarding;
 use crate::config::{AdcConfig, CachePolicy};
 use crate::entry::Tick;
-use crate::ids::{Location, NodeId, ObjectId, ProxyId, RequestId};
+use crate::ids::{Location, NodeId, ObjectId, ProxyId};
 use crate::message::{Reply, Request};
 use crate::stats::ProxyStats;
-use crate::tables::{LruList, MappingTables};
+use crate::tables::{LruList, MappingTables, TableHit, UpdateOutcome};
 use adc_obs::{Probe, SimEvent, TableLevel};
 use rand::Rng;
 use rand::RngCore;
-// Pending-request map on the ADC hot path: keyed access only, never
-// iterated, so hasher order cannot leak into results.
-use std::collections::HashMap; // adc-lint: allow(default-hasher)
 
 /// Default size reported for objects when the runtime does not supply one.
 pub const DEFAULT_OBJECT_SIZE: u32 = 8 * 1024;
@@ -57,7 +55,7 @@ pub struct AdcProxy {
     /// Backwarding information: for every pending request ID, the stack of
     /// previous hops (a stack because a looping request can traverse the
     /// same proxy twice).
-    pending: HashMap<RequestId, Vec<NodeId>>, // adc-lint: allow(default-hasher)
+    pending: Backwarding,
     local_time: Tick,
     stats: ProxyStats,
     cache_events: Vec<CacheEvent>,
@@ -113,8 +111,7 @@ impl AdcProxy {
             config,
             tables,
             lru_store,
-            // Keyed access only, never iterated: hasher can't leak order.
-            pending: HashMap::new(), // adc-lint: allow(default-hasher, determinism-purity)
+            pending: Backwarding::new(),
             local_time: 0,
             stats: ProxyStats::default(),
             cache_events: Vec::new(),
@@ -225,9 +222,14 @@ impl AdcProxy {
         }
     }
 
-    /// Runs `Update_Entry` and mirrors the outcome into the object store
-    /// (selective policy) or refreshes the LRU store (ablation policy).
-    fn update_entry<P: Probe>(&mut self, object: ObjectId, location: Location, probe: &mut P) {
+    /// Runs `Update_Entry`, mirrors the outcome into the object store
+    /// (selective policy) and returns it.
+    fn update_entry<P: Probe>(
+        &mut self,
+        object: ObjectId,
+        location: Location,
+        probe: &mut P,
+    ) -> UpdateOutcome {
         let outcome = self.tables.update_entry(object, location, self.local_time);
         if P::ENABLED {
             let proxy = self.id.raw();
@@ -294,6 +296,7 @@ impl AdcProxy {
                 }
             }
         }
+        outcome
     }
 
     /// Stores `object` in the LRU store (ablation policy only), evicting
@@ -368,11 +371,7 @@ impl CacheAgent for AdcProxy {
         }
 
         // Miss: remember the backwarding hop, then forward.
-        let loop_detected = self.pending.contains_key(&request.id);
-        self.pending
-            .entry(request.id)
-            .or_default()
-            .push(request.sender);
+        let loop_detected = self.pending.push(request.id, request.sender);
 
         let mut forwarded = request;
         forwarded.sender = NodeId::Proxy(self.id);
@@ -405,27 +404,11 @@ impl CacheAgent for AdcProxy {
 
     /// The paper's `Receive_Reply()` (Figure 7).
     fn on_reply<P: Probe>(&mut self, reply: Reply, probe: &mut P, out: &mut ActionSink) {
-        let prev_hop = {
-            let stack = match self.pending.get_mut(&reply.id) {
-                Some(s) => s,
-                None => {
-                    self.stats.replies_orphaned += 1;
-                    if P::ENABLED {
-                        probe.emit(SimEvent::ReplyOrphaned {
-                            proxy: self.id.raw(),
-                            object: reply.object.raw(),
-                        });
-                    }
-                    return;
-                }
-            };
-            // Invariant: empty stacks are removed from `pending` as soon
-            // as the last hop pops (below). adc-lint: allow(panic)
-            let hop = stack.pop().expect("pending stacks are never empty");
-            if stack.is_empty() {
-                self.pending.remove(&reply.id);
-            }
-            hop
+        let Some(prev_hop) = self
+            .pending
+            .pop_reply(self.id, &reply, &mut self.stats, probe)
+        else {
+            return;
         };
         self.stats.replies_processed += 1;
 
@@ -445,15 +428,20 @@ impl CacheAgent for AdcProxy {
                 owner: resolver.raw(),
             });
         }
-        self.update_entry(reply.object, Location::from_proxy(resolver, self.id), probe);
-        if self.lru_store.is_some() {
+        let outcome =
+            self.update_entry(reply.object, Location::from_proxy(resolver, self.id), probe);
+        let cached_here = if self.lru_store.is_some() {
             // Cache-everything ablation: every passing object is stored.
             self.lru_admit(reply.object, probe);
-        }
+            self.locally_cached(reply.object)
+        } else {
+            // Selective policy: the update says where the row ended up.
+            outcome.found_in == TableHit::Cached || outcome.admitted_to_cache
+        };
 
         // Claim the caching location if we hold the data and nobody else
         // on the path has cached it ("focus on only one caching location").
-        if self.locally_cached(reply.object) && reply.cached_by.is_none() {
+        if cached_here && reply.cached_by.is_none() {
             reply.resolver = Some(self.id);
             reply.cached_by = Some(self.id);
         }
@@ -501,7 +489,7 @@ mod tests {
     use super::*;
     use crate::agent::Action;
     use crate::config::AgingMode;
-    use crate::ids::ClientId;
+    use crate::ids::{ClientId, RequestId};
     use crate::message::ServedFrom;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -591,7 +579,40 @@ mod tests {
         assert_eq!(p.stats().origin_loops, 1);
         // Two pending hops now (stacked).
         assert_eq!(p.pending_requests(), 1);
-        assert_eq!(p.pending.get(&req(1, 10).id).unwrap().len(), 2);
+        assert_eq!(p.pending.depth(req(1, 10).id), 2);
+    }
+
+    #[test]
+    fn fault_duplicate_stacks_a_third_hop_and_unwinds_it_first() {
+        let mut p = proxy(0, 4);
+        let mut r = rng();
+        let _ = p.request_action(req(1, 10), &mut r); // prev hop: client
+        for from in [2, 3] {
+            // The loop, then a duplicate of it, come back from peers.
+            let mut again = req(1, 10);
+            again.sender = NodeId::Proxy(ProxyId::new(from));
+            let Action::Send { to, .. } = p.request_action(again, &mut r);
+            assert_eq!(to, NodeId::Origin);
+        }
+        assert_eq!(p.stats().origin_loops, 2);
+        assert_eq!(p.pending.depth(req(1, 10).id), 3);
+        let mut forwarded = req(1, 10);
+        forwarded.sender = NodeId::Proxy(ProxyId::new(0));
+        let mut reply = Reply::from_origin(&forwarded, 100);
+        for expected in [
+            NodeId::Proxy(ProxyId::new(3)),
+            NodeId::Proxy(ProxyId::new(2)),
+            NodeId::Client(ClientId::new(0)),
+        ] {
+            let Action::Send { to, message } = p.reply_action(reply).unwrap();
+            assert_eq!(to, expected);
+            reply = match message {
+                crate::message::Message::Reply(r) => r,
+                _ => panic!("backwarding carries a reply"),
+            };
+        }
+        assert_eq!(p.pending_requests(), 0);
+        assert!(p.reply_action(reply).is_none(), "fourth reply is an orphan");
     }
 
     #[test]

@@ -30,6 +30,7 @@ use crate::entry::{TableEntry, Tick};
 use crate::ids::{Location, ObjectId, ProxyId};
 use crate::proxy::AdcProxy;
 use crate::tables::MappingTables;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 
@@ -107,9 +108,21 @@ impl ProxySnapshot {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError::Parse`] when the snapshot's tables exceed
-    /// the configured capacities.
+    /// Returns [`SnapshotError::Parse`] when the configuration is invalid,
+    /// the proxy is outside its peer set, the policy is not selective, the
+    /// tables exceed the configured capacities, or an object is listed
+    /// twice (in one table or across tables).
     pub fn restore(&self) -> Result<AdcProxy, SnapshotError> {
+        self.config
+            .validate()
+            .map_err(|e| SnapshotError::Parse(format!("invalid config: {e}")))?;
+        if self.proxy.raw() >= self.num_proxies {
+            return Err(SnapshotError::Parse(format!(
+                "proxy {} is outside a peer set of {}",
+                self.proxy.raw(),
+                self.num_proxies
+            )));
+        }
         if self.config.policy != CachePolicy::Selective {
             return Err(SnapshotError::Parse(
                 "only selective-policy proxies are restorable".into(),
@@ -122,6 +135,14 @@ impl ProxySnapshot {
             return Err(SnapshotError::Parse(
                 "table contents exceed configured capacities".into(),
             ));
+        }
+        let mut seen = BTreeSet::new();
+        let rows = self.single.iter().chain(&self.multiple).chain(&self.cached);
+        if let Some(twice) = rows.map(|e| e.object).find(|&o| !seen.insert(o)) {
+            return Err(SnapshotError::Parse(format!(
+                "object {} is listed twice",
+                twice.raw()
+            )));
         }
         let mut tables = MappingTables::new(
             self.config.single_capacity,
@@ -403,6 +424,42 @@ mod tests {
         let mut snapshot = ProxySnapshot::capture(&proxy);
         snapshot.config.cache_capacity = 1; // smaller than captured cache
         assert!(matches!(snapshot.restore(), Err(SnapshotError::Parse(_))));
+    }
+
+    fn restore_text(text: &str) -> Result<AdcProxy, SnapshotError> {
+        ProxySnapshot::read_from(text.as_bytes())?.restore()
+    }
+
+    #[test]
+    fn rejects_invalid_config() {
+        let text = "adc-snapshot v1\nproxy 0 of 1\nconfig 0 4 4 8 aged selective\nclock 0\n";
+        assert!(matches!(restore_text(text), Err(SnapshotError::Parse(_))));
+    }
+
+    #[test]
+    fn rejects_empty_peer_set() {
+        let text = "adc-snapshot v1\nproxy 0 of 0\nconfig 8 8 4 8 aged selective\nclock 0\n";
+        assert!(matches!(restore_text(text), Err(SnapshotError::Parse(_))));
+    }
+
+    #[test]
+    fn rejects_proxy_outside_its_peer_set() {
+        let text = "adc-snapshot v1\nproxy 3 of 2\nconfig 8 8 4 8 aged selective\nclock 0\n";
+        assert!(matches!(restore_text(text), Err(SnapshotError::Parse(_))));
+    }
+
+    #[test]
+    fn rejects_object_listed_twice_in_one_table() {
+        let text = "adc-snapshot v1\nproxy 0 of 1\nconfig 8 8 4 8 aged selective\nclock 9\n\
+                    multiple 5 this 3 2 2\nmultiple 5 this 3 2 2\n";
+        assert!(matches!(restore_text(text), Err(SnapshotError::Parse(_))));
+    }
+
+    #[test]
+    fn rejects_object_listed_in_two_tables() {
+        let text = "adc-snapshot v1\nproxy 0 of 1\nconfig 8 8 4 8 aged selective\nclock 9\n\
+                    single 5 this 3 0 1\ncached 5 this 3 2 3\n";
+        assert!(matches!(restore_text(text), Err(SnapshotError::Parse(_))));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //
 // The hash index is keyed-only — iteration always follows the intrusive
 // links, never the map — so the randomized hasher cannot leak into any
-// observable order. The generic `K: Hash` bound rules out a BTreeMap.
+// observable order. The generic `K: Hash` bound rules out an ordered map.
 // That same invariant keeps the hot-path call chains pure even though
 // the constructors are reachable from the simulation loop.
 // adc-lint: allow-file(default-hasher, determinism-purity)

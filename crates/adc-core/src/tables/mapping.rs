@@ -4,12 +4,17 @@
 //! Objects migrate single-table → multiple-table → caching table as their
 //! measured request frequency improves, and fall back down when displaced.
 //! An object lives in **at most one** of the three tables at any time.
+//!
+//! All three tables live in one store (see `store.rs`): one slot per
+//! remembered object, one object index, the single-table as an LRU list
+//! through the slots and the two ordered tables as indexed max-heaps. A
+//! row that changes table changes only its slot's links, so every
+//! `Update_Entry` costs one index probe.
 
 use crate::config::AgingMode;
 use crate::entry::{TableEntry, Tick};
 use crate::ids::{Location, ObjectId};
-use crate::tables::ordered::OrderedTable;
-use crate::tables::single::SingleTable;
+use crate::tables::store::{Claim, Heap, Lru, OrderedView, SingleView, Slab};
 
 /// Which table an `Update_Entry` call found (or created) the entry in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,6 +52,20 @@ pub struct UpdateOutcome {
     pub forgotten: Option<ObjectId>,
 }
 
+impl UpdateOutcome {
+    /// An outcome for a row found in `found_in` that moved nothing else.
+    fn new(found_in: TableHit) -> Self {
+        UpdateOutcome {
+            found_in,
+            admitted_to_cache: false,
+            evicted_from_cache: None,
+            promoted_to_multiple: false,
+            demoted_to_single: None,
+            forgotten: None,
+        }
+    }
+}
+
 /// Whether the structure runs the full selective-caching scheme or only
 /// the mapping part (used by the LRU-caching ablation, where the actual
 /// store is managed outside).
@@ -75,9 +94,10 @@ enum Mode {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MappingTables {
-    single: SingleTable,
-    multiple: OrderedTable,
-    cached: OrderedTable,
+    slab: Slab,
+    single: Lru,
+    multiple: Heap,
+    cached: Heap,
     aging: AgingMode,
     mode: Mode,
 }
@@ -94,52 +114,72 @@ impl MappingTables {
         cache_capacity: usize,
         aging: AgingMode,
     ) -> Self {
-        MappingTables {
-            single: SingleTable::new(single_capacity),
-            multiple: OrderedTable::new(multiple_capacity),
-            cached: OrderedTable::new(cache_capacity),
+        Self::build(
+            single_capacity,
+            multiple_capacity,
+            cache_capacity,
             aging,
-            mode: Mode::Selective,
-        }
+            Mode::Selective,
+        )
     }
 
     /// Creates a mapping-only variant: the caching table is never
     /// populated, so objects stop at the multiple-table. Used when the
     /// actual store runs a plain LRU policy (ablation A1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either capacity is zero.
     pub fn mapping_only(
         single_capacity: usize,
         multiple_capacity: usize,
         aging: AgingMode,
     ) -> Self {
-        MappingTables {
-            single: SingleTable::new(single_capacity),
-            multiple: OrderedTable::new(multiple_capacity),
-            // Capacity 1 placeholder; never inserted into in this mode.
-            cached: OrderedTable::new(1),
+        // Capacity 1 placeholder; never inserted into in this mode.
+        Self::build(
+            single_capacity,
+            multiple_capacity,
+            1,
             aging,
-            mode: Mode::MappingOnly,
+            Mode::MappingOnly,
+        )
+    }
+
+    fn build(single: usize, multiple: usize, cache: usize, aging: AgingMode, mode: Mode) -> Self {
+        assert!(single > 0, "single-table capacity must be positive");
+        assert!(multiple > 0, "multiple-table capacity must be positive");
+        assert!(cache > 0, "caching table capacity must be positive");
+        MappingTables {
+            slab: Slab::with_capacity(single.saturating_add(multiple).saturating_add(cache)),
+            single: Lru::new(single),
+            multiple: Heap::new(multiple),
+            cached: Heap::new(cache),
+            aging,
+            mode,
         }
     }
 
-    /// Borrows the single-table.
-    pub fn single(&self) -> &SingleTable {
-        &self.single
+    /// Read-only view of the single-table.
+    pub fn single(&self) -> SingleView<'_> {
+        SingleView::new(&self.slab, &self.single)
     }
 
-    /// Borrows the multiple-table.
-    pub fn multiple(&self) -> &OrderedTable {
-        &self.multiple
+    /// Read-only view of the multiple-table.
+    pub fn multiple(&self) -> OrderedView<'_> {
+        OrderedView::new(&self.slab, &self.multiple)
     }
 
-    /// Borrows the caching table.
-    pub fn cached(&self) -> &OrderedTable {
-        &self.cached
+    /// Read-only view of the caching table.
+    pub fn cached(&self) -> OrderedView<'_> {
+        OrderedView::new(&self.slab, &self.cached)
     }
 
     /// Returns `true` if the caching table lists `object` (i.e. the object
     /// data is stored locally under the selective policy).
     pub fn is_cached(&self, object: ObjectId) -> bool {
-        self.cached.contains(object)
+        self.slab
+            .find(object)
+            .is_some_and(|slot| self.cached.position(&self.slab, slot).is_some())
     }
 
     /// Total number of entries across the three tables.
@@ -152,14 +192,12 @@ impl MappingTables {
         self.len() == 0
     }
 
-    /// Looks up the learned entry for `object`, searching (as the paper's
-    /// `Forward_Addr` does) the caching table, then the multiple-table,
-    /// then the single-table.
+    /// Looks up the learned entry for `object`. The paper's `Forward_Addr`
+    /// searches the caching table, then the multiple-table, then the
+    /// single-table; an object is in at most one of them, so one index
+    /// probe finds the same entry.
     pub fn lookup(&self, object: ObjectId) -> Option<&TableEntry> {
-        self.cached
-            .get(object)
-            .or_else(|| self.multiple.get(object))
-            .or_else(|| self.single.get(object))
+        self.slab.find(object).map(|slot| self.slab.entry(slot))
     }
 
     /// The paper's `Update_Entry(Object, Location)` (Figure 8).
@@ -176,6 +214,10 @@ impl MappingTables {
     /// the object a bogus zero inter-request gap (i.e. infinite apparent
     /// popularity). "The average time between two requests" (§III.3.1)
     /// refers to two distinct requests.
+    ///
+    /// A row that stays in its ordered table gets a fresh sequence number,
+    /// as the paper's remove-then-insert would give it: it ranks behind
+    /// every row with an equal average.
     pub fn update_entry(
         &mut self,
         object: ObjectId,
@@ -185,11 +227,13 @@ impl MappingTables {
         let outcome = self.update_entry_inner(object, location, now);
         // The paper's core structural invariant: after every update the
         // object lives in exactly one of the three tables.
-        debug_assert_eq!(
-            usize::from(self.single.contains(object))
-                + usize::from(self.multiple.contains(object))
-                + usize::from(self.cached.contains(object)),
-            1,
+        debug_assert!(
+            self.slab.find(object).is_some_and(|slot| {
+                usize::from(self.single.holds(&self.slab, slot))
+                    + usize::from(self.multiple.position(&self.slab, slot).is_some())
+                    + usize::from(self.cached.position(&self.slab, slot).is_some())
+                    == 1
+            }),
             "object {object} must be in exactly one table after update_entry"
         );
         debug_assert!(
@@ -207,120 +251,99 @@ impl MappingTables {
         location: Location,
         now: Tick,
     ) -> UpdateOutcome {
+        // PART 4 reuses the single-table's bottom slot when the table is
+        // full, forgetting its row.
+        let bottom = if self.single.is_full() {
+            self.single.oldest()
+        } else {
+            None
+        };
+        let fresh = TableEntry::new(object, location, now);
+        let slot = match self.slab.find_or_claim(fresh, bottom) {
+            Claim::Found(slot) => slot,
+            // PART 4: unknown object; a fresh entry goes on top.
+            Claim::New { slot, forgotten } => {
+                if forgotten.is_some() {
+                    self.single.move_to_front(&mut self.slab, slot);
+                } else {
+                    self.single.push_front(&mut self.slab, slot);
+                }
+                let mut outcome = UpdateOutcome::new(TableHit::New);
+                outcome.forgotten = forgotten.map(|e| e.object);
+                return outcome;
+            }
+        };
+
+        let entry = self.slab.entry_mut(slot);
+        if entry.last != now {
+            entry.calc_average(now);
+        }
+        entry.location = location;
+        let (average, has_average) = (entry.average, entry.has_average());
         let aged = self.aging.is_aged();
 
-        // PART 1: the object is cached; refresh in place.
-        if self.mode == Mode::Selective {
-            if let Some(mut entry) = self.cached.remove(object) {
-                if entry.last != now {
-                    entry.calc_average(now);
-                }
-                entry.location = location;
-                self.cached.insert(entry);
-                return UpdateOutcome {
-                    found_in: TableHit::Cached,
-                    admitted_to_cache: false,
-                    evicted_from_cache: None,
-                    promoted_to_multiple: false,
-                    demoted_to_single: None,
-                    forgotten: None,
-                };
-            }
+        // PART 1: the object is cached; re-key it in place.
+        if let Some(pos) = self.cached.position(&self.slab, slot) {
+            let key = self.slab.key(average);
+            self.cached.rekey(&mut self.slab, pos, key);
+            return UpdateOutcome::new(TableHit::Cached);
         }
 
         // PART 2: in the multiple-table; maybe promote into the cache.
-        if let Some(mut entry) = self.multiple.remove(object) {
-            if entry.last != now {
-                entry.calc_average(now);
+        if let Some(pos) = self.multiple.position(&self.slab, slot) {
+            let mut outcome = UpdateOutcome::new(TableHit::Multiple);
+            let promote = self.mode == Mode::Selective && self.cached().admits(average, now, aged);
+            if !promote {
+                let key = self.slab.key(average);
+                self.multiple.rekey(&mut self.slab, pos, key);
+                return outcome;
             }
-            entry.location = location;
-            let promote =
-                self.mode == Mode::Selective && self.cached.admits(entry.average, now, aged);
-            if promote {
-                let mut evicted_from_cache = None;
-                if self.cached.is_full() {
-                    // Invariant: is_full() just returned true, so the
-                    // table is non-empty.
-                    let worst = self
-                        .cached
-                        .pop_worst()
-                        .expect("full caching table has a worst entry"); // adc-lint: allow(panic)
-                    evicted_from_cache = Some(worst.object);
-                    // The multiple-table just lost `entry`, so it has room.
-                    self.multiple.insert(worst);
+            outcome.admitted_to_cache = true;
+            match self.cached.worst().filter(|_| self.cached.is_full()) {
+                // The cache's worst row drops into the multiple-table
+                // position this object leaves, and the object takes the
+                // worst row's place at the root of the cache.
+                Some(worst) => {
+                    outcome.evicted_from_cache = Some(self.slab.entry(worst).object);
+                    let worst_key = self.slab.key(self.slab.entry(worst).average);
+                    self.multiple.replace(&mut self.slab, pos, worst, worst_key);
+                    let key = self.slab.key(average);
+                    self.cached.replace(&mut self.slab, 0, slot, key);
                 }
-                self.cached.insert(entry);
-                return UpdateOutcome {
-                    found_in: TableHit::Multiple,
-                    admitted_to_cache: true,
-                    evicted_from_cache,
-                    promoted_to_multiple: false,
-                    demoted_to_single: None,
-                    forgotten: None,
-                };
+                None => {
+                    self.multiple.remove(&mut self.slab, pos);
+                    let key = self.slab.key(average);
+                    self.cached.push(&mut self.slab, slot, key);
+                }
             }
-            self.multiple.insert(entry);
-            return UpdateOutcome {
-                found_in: TableHit::Multiple,
-                admitted_to_cache: false,
-                evicted_from_cache: None,
-                promoted_to_multiple: false,
-                demoted_to_single: None,
-                forgotten: None,
-            };
+            return outcome;
         }
 
         // PART 3: in the single-table; maybe promote to the multiple-table.
-        if let Some(mut entry) = self.single.remove(object) {
-            if entry.last != now {
-                entry.calc_average(now);
-            }
-            entry.location = location;
-            // The multiple-table "contains only objects that were
-            // requested more than once": an entry that never received a
-            // real second request (hits == 1, average still 0) must stay
-            // in the single-table — otherwise its zero average would rank
-            // it best-in-table forever.
-            let mut promoted_to_multiple = false;
-            let mut demoted_to_single = None;
-            if entry.has_average() && self.multiple.admits(entry.average, now, aged) {
-                if self.multiple.is_full() {
-                    // Invariant: is_full() just returned true, so the
-                    // table is non-empty.
-                    let worst = self
-                        .multiple
-                        .pop_worst()
-                        .expect("full multiple-table has a worst entry"); // adc-lint: allow(panic)
-                    demoted_to_single = Some(worst.object);
-                    // The single-table just lost `entry`, so it has room.
-                    self.single.push_top(worst);
-                }
-                self.multiple.insert(entry);
-                promoted_to_multiple = true;
-            } else {
-                self.single.push_top(entry);
-            }
-            return UpdateOutcome {
-                found_in: TableHit::Single,
-                admitted_to_cache: false,
-                evicted_from_cache: None,
-                promoted_to_multiple,
-                demoted_to_single,
-                forgotten: None,
-            };
+        // The multiple-table "contains only objects that were requested
+        // more than once": an entry that never received a real second
+        // request (hits == 1, average still 0) must stay in the
+        // single-table — otherwise its zero average would rank it
+        // best-in-table forever.
+        let mut outcome = UpdateOutcome::new(TableHit::Single);
+        if !(has_average && self.multiple().admits(average, now, aged)) {
+            self.single.move_to_front(&mut self.slab, slot);
+            return outcome;
         }
-
-        // PART 4: unknown object; create a fresh entry on top.
-        let entry = TableEntry::new(object, location, now);
-        let forgotten = self.single.push_top(entry).map(|e| e.object);
-        UpdateOutcome {
-            found_in: TableHit::New,
-            admitted_to_cache: false,
-            evicted_from_cache: None,
-            promoted_to_multiple: false,
-            demoted_to_single: None,
-            forgotten,
+        outcome.promoted_to_multiple = true;
+        self.single.unlink(&mut self.slab, slot);
+        let key = self.slab.key(average);
+        match self.multiple.worst().filter(|_| self.multiple.is_full()) {
+            // The multiple-table's worst row goes back on top of the
+            // single-table, which this object just left.
+            Some(worst) => {
+                outcome.demoted_to_single = Some(self.slab.entry(worst).object);
+                self.multiple.replace(&mut self.slab, 0, slot, key);
+                self.single.push_front(&mut self.slab, worst);
+            }
+            None => self.multiple.push(&mut self.slab, slot, key),
         }
+        outcome
     }
 
     /// Refills the tables from captured contents: `single` newest-first,
@@ -329,59 +352,83 @@ impl MappingTables {
     ///
     /// # Panics
     ///
-    /// Panics (via the underlying tables) if the contents exceed the
-    /// configured capacities.
+    /// Panics if the contents exceed the configured capacities or list an
+    /// object twice.
     pub fn restore_contents(
         &mut self,
         single: &[TableEntry],
         multiple: &[TableEntry],
         cached: &[TableEntry],
     ) {
+        assert!(
+            single.len() <= self.single.capacity()
+                && multiple.len() <= self.multiple.capacity()
+                && cached.len() <= self.cached.capacity(),
+            "restored contents exceed the table capacities"
+        );
         self.clear();
-        // push_top puts each entry on top, so feed oldest first.
+        // Each entry goes on top, so feed oldest first.
         for e in single.iter().rev() {
-            self.single.push_top(*e);
+            let slot = self.slab.insert(*e);
+            self.single.push_front(&mut self.slab, slot);
         }
-        for e in multiple {
-            self.multiple.insert(*e);
-        }
-        for e in cached {
-            self.cached.insert(*e);
+        // Best first: each entry ranks behind the ones before it.
+        for (heap, entries) in [(&mut self.multiple, multiple), (&mut self.cached, cached)] {
+            for e in entries {
+                let slot = self.slab.insert(*e);
+                let key = self.slab.key(e.average);
+                heap.push(&mut self.slab, slot, key);
+            }
         }
     }
 
     /// Removes every entry from all three tables.
     pub fn clear(&mut self) {
+        self.slab.clear();
         self.single.clear();
         self.multiple.clear();
         self.cached.clear();
     }
 
-    /// Asserts the structural invariants (object uniqueness across tables,
-    /// bounded sizes). Intended for tests and debug builds.
+    /// Asserts the structural invariants. Intended for tests and debug
+    /// builds:
+    ///
+    /// * every table is within its capacity; the ordered tables iterate in
+    ///   ascending stored average; LRU links and heap positions agree;
+    /// * every live slot is indexed under its object and listed in exactly
+    ///   one table, so the live slots, the index entries and the sum of the
+    ///   three table lengths are one number;
+    /// * the slab never outgrows the sum of the capacities: forgotten rows
+    ///   give their slots back.
     ///
     /// # Panics
     ///
     /// Panics when an invariant is violated.
     pub fn assert_invariants(&self) {
-        assert!(self.single.len() <= self.single.capacity());
-        assert!(self.multiple.len() <= self.multiple.capacity());
-        assert!(self.cached.len() <= self.cached.capacity());
-        let mut seen = std::collections::BTreeSet::new();
-        for e in self
+        let live = self.slab.assert_invariants();
+        self.single.assert_invariants(&self.slab);
+        self.multiple.assert_invariants(&self.slab);
+        self.cached.assert_invariants(&self.slab);
+        let mut listed = vec![false; self.slab.allocated()];
+        for slot in self
             .single
-            .iter()
-            .chain(self.multiple.iter())
-            .chain(self.cached.iter())
+            .slots(&self.slab)
+            .chain(self.multiple.slots())
+            .chain(self.cached.slots())
         {
-            assert!(
-                seen.insert(e.object),
-                "object {} present in more than one table",
-                e.object
-            );
+            // Tables list only allocated slots (checked just above).
+            let seen = std::mem::replace(&mut listed[slot], true);
+            assert!(!seen, "slot {slot} is listed in two tables");
         }
-        // Ordered tables really are ordered by stored average.
-        for table in [&self.multiple, &self.cached] {
+        assert_eq!(live, self.slab.len(), "live slots and index entries differ");
+        assert_eq!(live, self.len(), "live slots and table lengths differ");
+        let capacity = self.single.capacity() + self.multiple.capacity() + self.cached.capacity();
+        assert!(
+            self.slab.allocated() <= capacity,
+            "slab holds {} slots, more than the {capacity} the tables can use",
+            self.slab.allocated()
+        );
+        for table in [self.multiple(), self.cached()] {
             let mut prev = None;
             for e in table.iter() {
                 if let Some(p) = prev {
@@ -569,6 +616,30 @@ mod tests {
         let out = t.update_entry(ObjectId::new(2), Location::This, 1600);
         assert!(out.admitted_to_cache);
         assert_eq!(out.evicted_from_cache, Some(ObjectId::new(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the table capacities")]
+    fn restore_contents_rejects_contents_over_capacity() {
+        let mut t = tables(2, 2, 1);
+        let rows: Vec<TableEntry> = (0..2)
+            .map(|i| TableEntry::new(ObjectId::new(i), Location::This, i))
+            .collect();
+        t.restore_contents(&[], &[], &rows);
+    }
+
+    #[test]
+    #[should_panic(expected = "stored twice")]
+    fn restore_contents_rejects_an_object_listed_twice() {
+        let mut t = tables(2, 2, 2);
+        let row = TableEntry::new(ObjectId::new(1), Location::This, 0);
+        t.restore_contents(&[row], &[], &[row]);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity must be positive")]
+    fn zero_capacity_rejected() {
+        let _ = tables(0, 4, 4);
     }
 
     #[test]

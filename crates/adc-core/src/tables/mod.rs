@@ -1,12 +1,12 @@
-//! The three mapping tables of an ADC proxy (§III.3 of the paper) and the
-//! LRU primitive they share with the baseline caches.
+//! The three mapping tables of an ADC proxy (§III.3 of the paper), the
+//! store they share, and the LRU primitive of the baseline caches.
 
 mod lru;
 mod mapping;
 mod ordered;
-mod single;
+mod store;
 
 pub use lru::{Iter as LruIter, LruList};
 pub use mapping::{MappingTables, TableHit, UpdateOutcome};
 pub use ordered::OrderedTable;
-pub use single::SingleTable;
+pub use store::{OrderedView, SingleView};

@@ -1,25 +1,18 @@
-//! The ordered table underlying the paper's multiple-table and caching
-//! table.
+//! A standalone ordered table: the multiple- and caching-table structure
+//! on its own, as `UnlimitedAdcProxy` uses it for its caching table.
 //!
 //! Both tables are "always ordered in ascending order of the fourth column
 //! (average request time). This order allows the simple identification of
 //! the object with the worst average time and quick insertions/deletions
-//! based using binary search." We use a `BTreeMap` keyed by
-//! `(average, sequence)` which gives the same O(log n) ordered operations;
-//! the sequence number makes ties deterministic (older insertion wins).
+//! based using binary search." The table runs on the same store as
+//! `MappingTables`: a slab of rows, an object index and an indexed binary
+//! max-heap keyed by `(average, sequence)`. The worst row is at the root
+//! (O(1)); insert, remove and re-key are O(log n); the sequence number
+//! makes ties deterministic (older insertion ranks better).
 
 use crate::entry::{TableEntry, Tick};
 use crate::ids::ObjectId;
-// The object index is keyed-only (never iterated); ordering comes from
-// the BTreeMap, so the randomized hasher cannot leak into results.
-use std::collections::{BTreeMap, HashMap}; // adc-lint: allow(default-hasher)
-
-/// Sort key: ascending stored average, FIFO among equals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct OrderKey {
-    average: Tick,
-    seq: u64,
-}
+use crate::tables::store::{Heap, OrderedView, Slab};
 
 /// A bounded table of [`TableEntry`] rows kept in ascending order of the
 /// stored average inter-request time (best first, worst last).
@@ -41,10 +34,8 @@ struct OrderKey {
 /// ```
 #[derive(Debug, Clone)]
 pub struct OrderedTable {
-    capacity: usize,
-    by_object: HashMap<ObjectId, OrderKey>, // adc-lint: allow(default-hasher)
-    by_order: BTreeMap<OrderKey, TableEntry>,
-    next_seq: u64,
+    slab: Slab,
+    heap: Heap,
 }
 
 impl OrderedTable {
@@ -56,52 +47,55 @@ impl OrderedTable {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ordered table capacity must be positive");
         OrderedTable {
-            capacity,
-            // Keyed access only; iteration goes through `by_order`.
-            by_object: HashMap::with_capacity(capacity.min(1 << 20)), // adc-lint: allow(default-hasher, determinism-purity)
-            by_order: BTreeMap::new(),
-            next_seq: 0,
+            slab: Slab::with_capacity(capacity),
+            heap: Heap::new(capacity),
         }
+    }
+
+    fn view(&self) -> OrderedView<'_> {
+        OrderedView::new(&self.slab, &self.heap)
     }
 
     /// The configured maximum number of entries.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.heap.capacity()
     }
 
     /// Number of entries currently stored.
     pub fn len(&self) -> usize {
-        self.by_object.len()
+        self.heap.len()
     }
 
     /// Returns `true` when no entries are stored.
     pub fn is_empty(&self) -> bool {
-        self.by_object.is_empty()
+        self.len() == 0
     }
 
     /// Returns `true` when the table is at capacity.
     pub fn is_full(&self) -> bool {
-        self.len() >= self.capacity
+        self.heap.is_full()
     }
 
     /// Returns `true` if `object` has an entry.
     pub fn contains(&self, object: ObjectId) -> bool {
-        self.by_object.contains_key(&object)
+        self.slab.find(object).is_some()
     }
 
     /// Borrows the entry for `object`, if present.
     pub fn get(&self, object: ObjectId) -> Option<&TableEntry> {
-        let key = self.by_object.get(&object)?;
-        self.by_order.get(key)
+        self.slab.find(object).map(|slot| self.slab.entry(slot))
     }
 
     /// Removes and returns the entry for `object` (the paper's
     /// `RemoveEntry`).
     pub fn remove(&mut self, object: ObjectId) -> Option<TableEntry> {
-        let key = self.by_object.remove(&object)?;
-        let entry = self.by_order.remove(&key);
+        let slot = self.slab.unindex(object)?;
+        if let Some(pos) = self.heap.position(&self.slab, slot) {
+            self.heap.remove(&mut self.slab, pos);
+        }
+        let entry = self.slab.free(slot);
         self.debug_check();
-        entry
+        Some(entry)
     }
 
     /// Inserts `entry` at its ordered position (the paper's
@@ -111,23 +105,19 @@ impl OrderedTable {
     /// procedure always removes the displaced worst entry before
     /// inserting); if the table is already full the worst entry is evicted
     /// and returned so the invariant `len <= capacity` can never break.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entry.object` is already present; remove it first.
     pub fn insert(&mut self, entry: TableEntry) -> Option<TableEntry> {
-        debug_assert!(
-            !self.by_object.contains_key(&entry.object),
-            "insert of an object already present; remove it first"
-        );
         let evicted = if self.is_full() {
             self.pop_worst()
         } else {
             None
         };
-        let key = OrderKey {
-            average: entry.average,
-            seq: self.next_seq,
-        };
-        self.next_seq += 1;
-        self.by_object.insert(entry.object, key);
-        self.by_order.insert(key, entry);
+        let slot = self.slab.insert(entry);
+        let key = self.slab.key(entry.average);
+        self.heap.push(&mut self.slab, slot, key);
         self.debug_check();
         evicted
     }
@@ -135,20 +125,22 @@ impl OrderedTable {
     /// Borrows the entry with the worst (largest) average, i.e. the last
     /// row of the paper's tables.
     pub fn worst(&self) -> Option<&TableEntry> {
-        self.by_order.values().next_back()
+        self.view().worst()
     }
 
-    /// Borrows the entry with the best (smallest) average.
+    /// Borrows the entry with the best (smallest) average. The heap keeps
+    /// only the worst entry at hand, so this scans: O(n).
     pub fn best(&self) -> Option<&TableEntry> {
-        self.by_order.values().next()
+        self.view().best()
     }
 
     /// Removes and returns the worst entry (the paper's
     /// `RemoveLastEntry`).
     pub fn pop_worst(&mut self) -> Option<TableEntry> {
-        let (&key, _) = self.by_order.iter().next_back()?;
-        let entry = self.by_order.remove(&key)?;
-        self.by_object.remove(&entry.object);
+        let slot = self.heap.worst()?;
+        self.heap.remove(&mut self.slab, 0);
+        let entry = self.slab.free(slot);
+        self.slab.unindex(entry.object);
         Some(entry)
     }
 
@@ -180,48 +172,33 @@ impl OrderedTable {
     /// currently residing in the table". With `aged == true` the worst
     /// entry's threshold is its aged average.
     pub fn admits(&self, average: Tick, now: Tick, aged: bool) -> bool {
-        let threshold = if aged {
-            self.worst_aged_average(now)
-        } else {
-            self.worst_average()
-        };
-        match threshold {
-            None => true,
-            Some(worst) => average < worst,
-        }
+        self.view().admits(average, now, aged)
     }
 
-    /// Iterates entries best-to-worst.
+    /// Iterates entries best-to-worst; sorts on demand, O(n log n).
     pub fn iter(&self) -> impl Iterator<Item = &TableEntry> {
-        self.by_order.values()
-    }
-
-    /// Debug-build invariants: both views agree, the capacity bound
-    /// holds, and the order index really is ascending (best <= worst,
-    /// FIFO among equal averages by sequence).
-    #[inline]
-    fn debug_check(&self) {
-        debug_assert_eq!(
-            self.by_object.len(),
-            self.by_order.len(),
-            "object index and order index must stay in sync"
-        );
-        debug_assert!(
-            self.by_order.len() <= self.capacity,
-            "ordered table exceeded its capacity bound"
-        );
-        debug_assert!(
-            self.best()
-                .zip(self.worst())
-                .is_none_or(|(b, w)| b.average <= w.average),
-            "ordered table lost ascending-average order"
-        );
+        self.view().iter()
     }
 
     /// Removes all entries.
     pub fn clear(&mut self) {
-        self.by_object.clear();
-        self.by_order.clear();
+        self.slab.clear();
+        self.heap.clear();
+    }
+
+    /// Debug-build invariants, O(1): the index and the heap hold the same
+    /// number of rows, within the capacity bound.
+    #[inline]
+    fn debug_check(&self) {
+        debug_assert_eq!(
+            self.slab.len(),
+            self.heap.len(),
+            "object index and heap must stay in sync"
+        );
+        debug_assert!(
+            self.heap.len() <= self.heap.capacity(),
+            "ordered table exceeded its capacity bound"
+        );
     }
 }
 

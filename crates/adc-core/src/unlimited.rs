@@ -15,8 +15,9 @@
 //! with fixed memory.
 
 use crate::agent::{ActionSink, CacheAgent, CacheEvent};
+use crate::backwarding::Backwarding;
 use crate::entry::{TableEntry, Tick};
-use crate::ids::{Location, NodeId, ObjectId, ProxyId, RequestId};
+use crate::ids::{Location, NodeId, ObjectId, ProxyId};
 use crate::message::{Reply, Request};
 use crate::proxy::DEFAULT_OBJECT_SIZE;
 use crate::stats::ProxyStats;
@@ -50,8 +51,8 @@ pub struct UnlimitedAdcProxy {
     mapping: HashMap<ObjectId, TableEntry>,
     /// Bounded selective caching table, same as the bounded design.
     cached: OrderedTable,
-    /// Keyed access only, never iterated. adc-lint: allow(default-hasher)
-    pending: HashMap<RequestId, Vec<NodeId>>,
+    /// Backwarding hops of every pending request.
+    pending: Backwarding,
     local_time: Tick,
     stats: ProxyStats,
     cache_events: Vec<CacheEvent>,
@@ -75,7 +76,7 @@ impl UnlimitedAdcProxy {
             // Keyed access only, never iterated: hasher can't leak order.
             mapping: HashMap::new(), // adc-lint: allow(default-hasher, determinism-purity)
             cached: OrderedTable::new(cache_capacity),
-            pending: HashMap::new(), // adc-lint: allow(default-hasher, determinism-purity)
+            pending: Backwarding::new(),
             local_time: 0,
             stats: ProxyStats::default(),
             cache_events: Vec::new(),
@@ -211,11 +212,7 @@ impl CacheAgent for UnlimitedAdcProxy {
             return;
         }
 
-        let loop_detected = self.pending.contains_key(&request.id);
-        self.pending
-            .entry(request.id)
-            .or_default()
-            .push(request.sender);
+        let loop_detected = self.pending.push(request.id, request.sender);
 
         let mut forwarded = request;
         forwarded.sender = NodeId::Proxy(self.id);
@@ -282,27 +279,11 @@ impl CacheAgent for UnlimitedAdcProxy {
     }
 
     fn on_reply<P: Probe>(&mut self, reply: Reply, probe: &mut P, out: &mut ActionSink) {
-        let prev_hop = {
-            let stack = match self.pending.get_mut(&reply.id) {
-                Some(s) => s,
-                None => {
-                    self.stats.replies_orphaned += 1;
-                    if P::ENABLED {
-                        probe.emit(SimEvent::ReplyOrphaned {
-                            proxy: self.id.raw(),
-                            object: reply.object.raw(),
-                        });
-                    }
-                    return;
-                }
-            };
-            // Invariant: stacks are removed when their last hop pops.
-            // adc-lint: allow(panic)
-            let hop = stack.pop().expect("pending stacks are never empty");
-            if stack.is_empty() {
-                self.pending.remove(&reply.id);
-            }
-            hop
+        let Some(prev_hop) = self
+            .pending
+            .pop_reply(self.id, &reply, &mut self.stats, probe)
+        else {
+            return;
         };
         self.stats.replies_processed += 1;
 
@@ -360,7 +341,7 @@ impl CacheAgent for UnlimitedAdcProxy {
 mod tests {
     use super::*;
     use crate::agent::Action;
-    use crate::ids::ClientId;
+    use crate::ids::{ClientId, RequestId};
     use crate::message::Message;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

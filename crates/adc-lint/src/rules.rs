@@ -64,7 +64,7 @@ pub const RULES: &[RuleInfo] = &[
         id: "lossy-cast",
         severity: Severity::Warning,
         summary: "potentially lossy `as` cast without a nearby justification comment",
-        scope: "adc-sim hot path only (queue.rs, flows.rs, model.rs, runner.rs, sharded.rs)",
+        scope: "hot path only: adc-sim queue.rs, flows.rs, model.rs, runner.rs, sharded.rs and the adc-core table store",
     },
     RuleInfo {
         id: "obs-coverage",
@@ -175,13 +175,16 @@ const PROFILE_COUNTER_TOKENS: &[&str] = &[
 // Per-window hot-path files for the shard-safety rule. pool.rs is
 // deliberately absent: it is the one legitimate thread-creation site
 // (its workers persist for the whole run), while code listed here runs
-// once per barrier window and must never create OS threads.
+// once per barrier window and must never create OS threads. The table
+// store runs on every agent call, so its slot arithmetic is held to the
+// lossy-cast rule too.
 const HOT_PATH_FILES: &[&str] = &[
     "crates/adc-sim/src/queue.rs",
     "crates/adc-sim/src/flows.rs",
     "crates/adc-sim/src/model.rs",
     "crates/adc-sim/src/runner.rs",
     "crates/adc-sim/src/sharded.rs",
+    "crates/adc-core/src/tables/store.rs",
 ];
 
 /// A line-oriented rule: a predicate over one file's line model.

@@ -255,17 +255,17 @@ fn workspace_root() -> PathBuf {
 /// new suppression itself needs.
 const SUPPRESSION_CEILINGS: &[(&str, usize)] = &[
     ("determinism", 11),
-    ("default-hasher", 12),
-    ("panic", 26),
+    ("default-hasher", 10),
+    ("panic", 22),
     ("index-comment", 2),
     ("float-eq", 1),
     ("obs-coverage", 9),
-    ("determinism-purity", 12),
+    ("determinism-purity", 11),
     ("probe-exhaustiveness", 2),
 ];
 
 /// Ceiling on the suppression total, line and file scope together.
-const SUPPRESSION_TOTAL_CEILING: usize = 75;
+const SUPPRESSION_TOTAL_CEILING: usize = 68;
 
 /// The CI gate: the binary itself, run over this workspace in `--check`
 /// mode, must exit 0, and no rule may carry more suppressions than its

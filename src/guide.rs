@@ -30,10 +30,10 @@
 //! [`TableEntry`](crate::TableEntry) rows `(OBJ-ID, PROXY, LAST, AVG,
 //! HITS)`; see [`tables`](crate::tables):
 //!
-//! * the **single-table** ([`tables::SingleTable`](crate::tables::SingleTable))
+//! * the **single-table** ([`MappingTables::single`](crate::tables::MappingTables::single))
 //!   is an LRU list of objects seen exactly once — a probation area
 //!   sized so that "requests with at least two hits can occur";
-//! * the **multiple-table** ([`tables::OrderedTable`](crate::tables::OrderedTable))
+//! * the **multiple-table** ([`MappingTables::multiple`](crate::tables::MappingTables::multiple))
 //!   holds objects seen at least twice, ordered by their average
 //!   inter-request time (best first);
 //! * the **caching table** (same structure) lists the objects whose data
