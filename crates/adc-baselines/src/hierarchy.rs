@@ -172,8 +172,10 @@ impl CacheAgent for HierarchyProxy {
                     return;
                 }
             };
-            // Invariant: stacks are removed when their last hop pops.
-            // adc-lint: allow(panic)
+            #[expect(
+                clippy::expect_used,
+                reason = "stacks are removed when their last hop pops"
+            )]
             let hop = stack.pop().expect("pending stacks are never empty");
             if stack.is_empty() {
                 self.pending.remove(&reply.id);

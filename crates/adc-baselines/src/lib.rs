@@ -30,6 +30,19 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// Lint levels of DESIGN.md §8; the disallowed method and type lists
+// live in the root clippy.toml. Unit tests may compare floats exactly.
+#![deny(
+    unsafe_code,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::dbg_macro,
+    clippy::allow_attributes_without_reason
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 mod hashing_proxy;
 mod hierarchy;

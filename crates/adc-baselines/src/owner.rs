@@ -65,13 +65,12 @@ impl Hrw {
 }
 
 impl OwnerMap for Hrw {
+    #[expect(clippy::expect_used, reason = "constructors reject empty proxy sets")]
     fn owner(&self, object: ObjectId) -> ProxyId {
         *self
             .proxies
             .iter()
             .max_by_key(|&&p| Self::score(object, p))
-            // Invariant: constructors reject empty proxy sets.
-            // adc-lint: allow(panic)
             .expect("proxy set is non-empty")
     }
 
@@ -120,6 +119,7 @@ impl ConsistentRing {
 }
 
 impl OwnerMap for ConsistentRing {
+    #[expect(clippy::expect_used, reason = "constructors reject empty proxy sets")]
     fn owner(&self, object: ObjectId) -> ProxyId {
         let h = mix(object.raw() ^ 0xd6e8_feb8_6659_fd93);
         // First point clockwise from the object's hash, wrapping around.
@@ -128,8 +128,6 @@ impl OwnerMap for ConsistentRing {
             .next()
             .or_else(|| self.ring.iter().next())
             .map(|(_, &p)| p)
-            // Invariant: constructors reject empty proxy sets.
-            // adc-lint: allow(panic)
             .expect("ring is non-empty")
     }
 
@@ -141,7 +139,7 @@ impl OwnerMap for ConsistentRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn proxies(n: u32) -> Vec<ProxyId> {
         (0..n).map(ProxyId::new).collect()
@@ -161,7 +159,7 @@ mod tests {
     #[test]
     fn hrw_balances_load() {
         let hrw = Hrw::new(proxies(5));
-        let mut counts: HashMap<ProxyId, usize> = HashMap::new();
+        let mut counts: BTreeMap<ProxyId, usize> = BTreeMap::new();
         let n = 50_000;
         for i in 0..n {
             *counts.entry(hrw.owner(ObjectId::new(i))).or_default() += 1;
@@ -204,7 +202,7 @@ mod tests {
     fn ring_balance_improves_with_vnodes() {
         let imbalance = |vnodes: usize| {
             let ring = ConsistentRing::new(proxies(5), vnodes);
-            let mut counts: HashMap<ProxyId, usize> = HashMap::new();
+            let mut counts: BTreeMap<ProxyId, usize> = BTreeMap::new();
             let n = 20_000;
             for i in 0..n {
                 *counts.entry(ring.owner(ObjectId::new(i))).or_default() += 1;

@@ -214,8 +214,10 @@ impl CacheAgent for SoapProxy {
                     return;
                 }
             };
-            // Invariant: stacks are removed when their last hop pops.
-            // adc-lint: allow(panic)
+            #[expect(
+                clippy::expect_used,
+                reason = "stacks are removed when their last hop pops"
+            )]
             let hop = stack.pop().expect("pending stacks are never empty");
             if stack.is_empty() {
                 self.pending.remove(&reply.id);
@@ -228,7 +230,7 @@ impl CacheAgent for SoapProxy {
         if reply.resolver.is_none() {
             reply.resolver = Some(self.id);
         }
-        // Invariant: set two lines above when None. adc-lint: allow(panic)
+        #[expect(clippy::expect_used, reason = "a None resolver was just replaced")]
         let resolver = reply.resolver.expect("resolver was just set");
         if P::ENABLED && resolver != self.id {
             probe.emit(SimEvent::BackwardAdoption {

@@ -156,12 +156,14 @@ pub trait CacheAgent {
     /// Allocating convenience wrapper around [`CacheAgent::on_request`]
     /// for tests and examples that drive one delivery at a time. Hot
     /// paths should reuse an [`ActionSink`] instead.
+    #[expect(
+        clippy::expect_used,
+        reason = "every on_request impl pushes exactly one action (checked in debug builds)"
+    )]
     fn request_action(&mut self, request: Request, rng: &mut dyn RngCore) -> Action {
         let mut out = ActionSink::new();
         self.on_request(request, rng, &mut NullProbe, &mut out);
         debug_assert_eq!(out.len(), 1, "on_request emits exactly one action");
-        // Invariant: every on_request impl pushes exactly one action
-        // (checked above in debug builds). adc-lint: allow(panic)
         out.pop().expect("on_request emits exactly one action")
     }
 

@@ -7,8 +7,10 @@ use crate::message::Reply;
 use crate::stats::ProxyStats;
 use adc_obs::{Probe, SimEvent};
 use std::collections::hash_map::Entry;
-// Keyed access only, never iterated, so hasher order cannot leak into
-// results. adc-lint: allow(default-hasher)
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed access only, never iterated, so hasher order cannot leak into results"
+)]
 use std::collections::HashMap;
 
 /// The previous hops of one pending request, most recent on top.
@@ -37,14 +39,15 @@ impl HopStack {
 /// once, and a request that loops at most once never allocates.
 #[derive(Debug)]
 pub(crate) struct Backwarding {
-    pending: HashMap<RequestId, HopStack>, // adc-lint: allow(default-hasher)
+    #[expect(clippy::disallowed_types, reason = "keyed access only, never iterated")]
+    pending: HashMap<RequestId, HopStack>,
 }
 
 impl Backwarding {
+    #[expect(clippy::disallowed_types, reason = "keyed access only, never iterated")]
     pub(crate) fn new() -> Self {
         Backwarding {
-            // Keyed access only, never iterated: hasher can't leak order.
-            pending: HashMap::new(), // adc-lint: allow(default-hasher, determinism-purity)
+            pending: HashMap::new(),
         }
     }
 

@@ -164,9 +164,12 @@ impl AdcConfigBuilder {
     ///
     /// Panics if any capacity or the hop limit is zero; use
     /// [`AdcConfigBuilder::try_build`] for a fallible variant.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic; try_build is the fallible variant"
+    )]
     pub fn build(self) -> AdcConfig {
-        // Documented panic above; try_build is the fallible variant.
-        self.try_build().expect("invalid ADC configuration") // adc-lint: allow(panic)
+        self.try_build().expect("invalid ADC configuration")
     }
 
     /// Fallible variant of [`AdcConfigBuilder::build`].

@@ -59,8 +59,22 @@
 //! assert_eq!(entry.location, Location::This);
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 #![warn(missing_debug_implementations)]
+// Lint levels of DESIGN.md §8; the disallowed method and type lists
+// live in the root clippy.toml. Unit tests may compare floats exactly.
+#![deny(
+    unsafe_code,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::dbg_macro,
+    clippy::allow_attributes_without_reason,
+    clippy::indexing_slicing
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 mod agent;
 mod backwarding;

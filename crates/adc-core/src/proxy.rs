@@ -84,8 +84,11 @@ impl AdcProxy {
     /// invalid.
     pub fn with_peers(id: ProxyId, peers: Vec<ProxyId>, config: AdcConfig) -> Self {
         assert!(peers.contains(&id), "peer set must include the proxy");
-        // Documented panic above; callers wanting fallibility validate first.
-        config.validate().expect("invalid ADC configuration"); // adc-lint: allow(panic)
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic; callers wanting fallibility validate first"
+        )]
+        config.validate().expect("invalid ADC configuration");
         let (tables, lru_store) = match config.policy {
             CachePolicy::Selective => (
                 MappingTables::new(
@@ -201,7 +204,8 @@ impl AdcProxy {
             None => {
                 self.stats.forwards_random += 1;
                 let i = rng.gen_range(0..self.peers.len());
-                let to = self.peers[i]; // i < peers.len() by gen_range
+                #[expect(clippy::indexing_slicing, reason = "i < peers.len() by gen_range")]
+                let to = self.peers[i];
                 if P::ENABLED {
                     probe.emit(SimEvent::ForwardRandom {
                         proxy: self.id.raw(),
@@ -418,7 +422,7 @@ impl CacheAgent for AdcProxy {
         if reply.resolver.is_none() {
             reply.resolver = Some(self.id);
         }
-        // Invariant: a None resolver was replaced just above. adc-lint: allow(panic)
+        #[expect(clippy::expect_used, reason = "a None resolver was just replaced")]
         let resolver = reply.resolver.expect("resolver was just set");
         if P::ENABLED && resolver != self.id {
             // Backwarding taught us a remote owner for this object.

@@ -21,9 +21,12 @@
 //! cached <object> <location> <last> <avg> <hits>
 //! ```
 
-// Line-parser idiom: every `parts[i]` access is immediately preceded by a
-// `parts.len()` check on the same match arm, so per-site bounds comments
-// would restate the adjacent guard. adc-lint: allow-file(index-comment)
+// Per-site bounds notes would restate the adjacent guard.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "line-parser idiom: every `parts[i]` access is immediately preceded by a \
+              `parts.len()` check on the same match arm"
+)]
 
 use crate::config::{AdcConfig, AgingMode, CachePolicy};
 use crate::entry::{TableEntry, Tick};

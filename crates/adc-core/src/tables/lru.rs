@@ -6,18 +6,20 @@
 //! Implemented as a slab of doubly linked nodes plus a hash index, so no
 //! per-operation allocation occurs once the slab has grown.
 
-// Slab + hash-index design: every slot index stored in `index`, `head`,
-// `tail`, `prev` or `next` refers to a live `nodes` slot by construction
-// (links are rewired before a slot moves to the free list), so per-site
-// bounds comments would repeat one global invariant.
-// adc-lint: allow-file(index-comment)
-//
-// The hash index is keyed-only — iteration always follows the intrusive
-// links, never the map — so the randomized hasher cannot leak into any
-// observable order. The generic `K: Hash` bound rules out an ordered map.
-// That same invariant keeps the hot-path call chains pure even though
-// the constructors are reachable from the simulation loop.
-// adc-lint: allow-file(default-hasher, determinism-purity)
+// One global invariant covers every index, so per-site bounds notes
+// would repeat it.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "slab + hash-index design: every slot index stored in `index`, `head`, `tail`, \
+              `prev` or `next` refers to a live `nodes` slot by construction (links are \
+              rewired before a slot moves to the free list)"
+)]
+// The generic `K: Hash` bound rules out an ordered map.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the hash index is keyed-only: iteration always follows the intrusive links, \
+              never the map, so the randomized hasher cannot leak into any observable order"
+)]
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -178,24 +180,30 @@ impl<K: Eq + Hash + Clone, V> LruList<K, V> {
     }
 
     /// Borrows the element at the back (least recent) of the list.
+    #[expect(
+        clippy::expect_used,
+        reason = "`value` is None only for free-list slots, and linked traversal never \
+                  reaches a free slot"
+    )]
     pub fn back(&self) -> Option<(&K, &V)> {
         if self.tail == NIL {
             return None;
         }
         let n = &self.nodes[self.tail];
-        // Invariant: `value` is None only for free-list slots, and linked
-        // traversal never reaches a free slot. adc-lint: allow(panic)
         Some((&n.key, n.value.as_ref().expect("linked node has a value")))
     }
 
     /// Borrows the element at the front (most recent) of the list.
+    #[expect(
+        clippy::expect_used,
+        reason = "`value` is None only for free-list slots, and linked traversal never \
+                  reaches a free slot"
+    )]
     pub fn front(&self) -> Option<(&K, &V)> {
         if self.head == NIL {
             return None;
         }
         let n = &self.nodes[self.head];
-        // Invariant: `value` is None only for free-list slots, and linked
-        // traversal never reaches a free slot. adc-lint: allow(panic)
         Some((&n.key, n.value.as_ref().expect("linked node has a value")))
     }
 
@@ -255,14 +263,17 @@ pub struct Iter<'a, K, V> {
 impl<'a, K, V> Iterator for Iter<'a, K, V> {
     type Item = (&'a K, &'a V);
 
+    #[expect(
+        clippy::expect_used,
+        reason = "`value` is None only for free-list slots, and linked traversal never \
+                  reaches a free slot"
+    )]
     fn next(&mut self) -> Option<Self::Item> {
         if self.cursor == NIL {
             return None;
         }
         let n = &self.list.nodes[self.cursor];
         self.cursor = n.next;
-        // Invariant: `value` is None only for free-list slots, and linked
-        // traversal never reaches a free slot. adc-lint: allow(panic)
         Some((&n.key, n.value.as_ref().expect("linked node has a value")))
     }
 }

@@ -416,7 +416,10 @@ impl MappingTables {
             .chain(self.multiple.slots())
             .chain(self.cached.slots())
         {
-            // Tables list only allocated slots (checked just above).
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "tables list only allocated slots (checked just above)"
+            )]
             let seen = std::mem::replace(&mut listed[slot], true);
             assert!(!seen, "slot {slot} is listed in two tables");
         }

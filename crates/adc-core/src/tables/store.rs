@@ -14,14 +14,30 @@
 //! each heap write updates the moved slot's position in the same step.
 //! `MappingTables::assert_invariants` checks all of it.
 
+// Hot path (adc-lint's `HOT_PATH_FILES`): every lossy cast and every
+// index states its bound in an `#[expect]` reason.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::entry::{TableEntry, Tick};
 use crate::ids::ObjectId;
 use std::collections::hash_map::Entry;
-// The index is keyed-only: rows are listed by following LRU links or by
-// sorting heap keys, never by walking the map, so the randomized hasher
-// cannot leak into any observable order. It stays randomized because in
-// `adc-net` object ids arrive off the wire.
-use std::collections::HashMap; // adc-lint: allow(default-hasher)
+// It stays randomized because in `adc-net` object ids arrive off the wire.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the index is keyed-only: rows are listed by following LRU links or by sorting \
+              heap keys, never by walking the map, so the randomized hasher cannot leak into \
+              any observable order"
+)]
+use std::collections::HashMap;
 
 /// Marks a missing LRU neighbour.
 const NIL: usize = usize::MAX;
@@ -69,32 +85,36 @@ pub(crate) enum Claim {
 pub(crate) struct Slab {
     slots: Vec<Slot>,
     free: Vec<usize>,
-    index: HashMap<ObjectId, usize>, // adc-lint: allow(default-hasher)
+    #[expect(clippy::disallowed_types, reason = "keyed access only, never iterated")]
+    index: HashMap<ObjectId, usize>,
     next_seq: u64,
 }
 
 impl Slab {
     /// An empty slab with room reserved for `capacity` rows, capped so a
     /// huge configured bound does not reserve memory up front.
+    #[expect(clippy::disallowed_types, reason = "keyed access only, never iterated")]
     pub(crate) fn with_capacity(capacity: usize) -> Slab {
         let reserve = capacity.min(1 << 20);
         Slab {
             slots: Vec::with_capacity(reserve),
             free: Vec::new(),
-            // Keyed access only, never iterated: hasher order can't leak.
-            index: HashMap::with_capacity(reserve), // adc-lint: allow(default-hasher, determinism-purity)
+            index: HashMap::with_capacity(reserve),
             next_seq: 0,
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "slot numbers only come from the index, links and heap nodes, which name \
+                  live slots (module invariant)"
+    )]
     fn slot(&self, slot: usize) -> &Slot {
-        // Slot numbers only come from the index, links and heap nodes,
-        // which name live slots (module invariant).
         &self.slots[slot]
     }
 
+    #[expect(clippy::indexing_slicing, reason = "same invariant as `slot`")]
     fn slot_mut(&mut self, slot: usize) -> &mut Slot {
-        // Same invariant as `slot`.
         &mut self.slots[slot]
     }
 
@@ -218,6 +238,10 @@ impl Slab {
 }
 
 /// Pops a free slot or appends a new one, storing `entry` in it.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "free-list entries are slot numbers below `slots.len()`"
+)]
 fn take_slot(slots: &mut Vec<Slot>, free: &mut Vec<usize>, entry: TableEntry) -> usize {
     let slot = Slot {
         entry,
@@ -225,7 +249,6 @@ fn take_slot(slots: &mut Vec<Slot>, free: &mut Vec<usize>, entry: TableEntry) ->
     };
     match free.pop() {
         Some(i) => {
-            // Free-list entries are slot numbers below `slots.len()`.
             slots[i] = slot;
             i
         }
@@ -491,15 +514,18 @@ impl Heap {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass positions below `len`: a slot's recorded position, the root \
+                  of a non-empty heap, or a parent/child checked against `len` in the sift \
+                  loops"
+    )]
     fn node(&self, pos: usize) -> Node {
-        // Callers pass positions below `len`: a slot's recorded position,
-        // the root of a non-empty heap, or a parent/child checked against
-        // `len` in the sift loops.
         self.nodes[pos]
     }
 
+    #[expect(clippy::indexing_slicing, reason = "same bound as `node`")]
     fn put(&mut self, slab: &mut Slab, pos: usize, node: Node) {
-        // Same bound as `node`.
         self.nodes[pos] = node;
         slab.slot_mut(node.slot).place = Place::Heap(pos);
     }

@@ -25,8 +25,11 @@ use crate::tables::OrderedTable;
 use adc_obs::{Probe, SimEvent, TableLevel};
 use rand::Rng;
 use rand::RngCore;
-// Keyed access only, never iterated: hasher randomization cannot leak
-// into simulation order. adc-lint: allow(default-hasher)
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed access only, never iterated: hasher randomization cannot leak into \
+              simulation order"
+)]
 use std::collections::HashMap;
 
 /// An ADC proxy with an unbounded mapping table (the paper's earlier
@@ -46,8 +49,8 @@ pub struct UnlimitedAdcProxy {
     id: ProxyId,
     peers: Vec<ProxyId>,
     max_hops: u32,
-    /// The unbounded object → entry map. Keyed access only, never
-    /// iterated. adc-lint: allow(default-hasher)
+    /// The unbounded object → entry map.
+    #[expect(clippy::disallowed_types, reason = "keyed access only, never iterated")]
     mapping: HashMap<ObjectId, TableEntry>,
     /// Bounded selective caching table, same as the bounded design.
     cached: OrderedTable,
@@ -65,6 +68,7 @@ impl UnlimitedAdcProxy {
     ///
     /// Panics if `num_proxies` or `cache_capacity` or `max_hops` is zero,
     /// or `id` is out of range.
+    #[expect(clippy::disallowed_types, reason = "keyed access only, never iterated")]
     pub fn new(id: ProxyId, num_proxies: u32, cache_capacity: usize, max_hops: u32) -> Self {
         assert!(num_proxies > 0, "need at least one proxy");
         assert!(id.raw() < num_proxies, "proxy id out of range");
@@ -73,8 +77,7 @@ impl UnlimitedAdcProxy {
             id,
             peers: (0..num_proxies).map(ProxyId::new).collect(),
             max_hops,
-            // Keyed access only, never iterated: hasher can't leak order.
-            mapping: HashMap::new(), // adc-lint: allow(default-hasher, determinism-purity)
+            mapping: HashMap::new(),
             cached: OrderedTable::new(cache_capacity),
             pending: Backwarding::new(),
             local_time: 0,
@@ -118,18 +121,16 @@ impl UnlimitedAdcProxy {
                 entry.location = location;
                 // Selective admission straight from the unbounded map.
                 if entry.has_average() && self.cached.admits(entry.average, now, true) {
+                    #[expect(clippy::expect_used, reason = "get_mut above proved membership")]
                     let entry = self
                         .mapping
                         .remove(&object)
-                        // Invariant: get_mut above proved membership.
-                        // adc-lint: allow(panic)
                         .expect("entry was just borrowed");
                     if self.cached.is_full() {
+                        #[expect(clippy::expect_used, reason = "is_full() implies non-empty")]
                         let worst = self
                             .cached
                             .pop_worst()
-                            // Invariant: is_full() ⇒ non-empty.
-                            // adc-lint: allow(panic)
                             .expect("full caching table has a worst entry");
                         self.stats.cache_evictions += 1;
                         self.cache_events.push(CacheEvent::Evict(worst.object));
@@ -263,7 +264,8 @@ impl CacheAgent for UnlimitedAdcProxy {
                 None => {
                     self.stats.forwards_random += 1;
                     let i = rng.gen_range(0..self.peers.len());
-                    let to = self.peers[i]; // i < peers.len() by gen_range
+                    #[expect(clippy::indexing_slicing, reason = "i < peers.len() by gen_range")]
+                    let to = self.peers[i];
                     if P::ENABLED {
                         probe.emit(SimEvent::ForwardRandom {
                             proxy: self.id.raw(),
@@ -291,7 +293,7 @@ impl CacheAgent for UnlimitedAdcProxy {
         if reply.resolver.is_none() {
             reply.resolver = Some(self.id);
         }
-        // Invariant: set two lines above when None. adc-lint: allow(panic)
+        #[expect(clippy::expect_used, reason = "a None resolver was just replaced")]
         let resolver = reply.resolver.expect("resolver was just set");
         if P::ENABLED && resolver != self.id {
             probe.emit(SimEvent::BackwardAdoption {

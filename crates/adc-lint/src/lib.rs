@@ -1,12 +1,16 @@
 //! Workspace-local static analysis for the ADC reproduction.
 //!
-//! `adc-lint` is a zero-dependency, tidy-style line/token analyzer that
-//! enforces the invariants the simulator's reproducibility contract
-//! rests on: no wall-clock or OS-randomness reads in deterministic
-//! code, no default-hasher maps in sim paths, panic and float hygiene
-//! in library crates, probe coverage for stats counters, and doc
-//! comments on public API. See DESIGN.md "Static analysis & invariants"
-//! for the rule catalog and suppression policy.
+//! `adc-lint` is a zero-dependency, tidy-style line/token analyzer for
+//! the invariants no compiler checks: probe coverage for stats and
+//! profiler counters, shard safety on the hot path, wall-clock and
+//! environment reads reachable from the simulator in adc-obs and
+//! adc-metrics, atomic-ordering pairing in the barrier protocol,
+//! exhaustive event dispatch, and metric and segment names that agree.
+//! Everything rustc or clippy already enforces (determinism sinks in the
+//! four deterministic crates, panics, float equality, lossy casts,
+//! indexing, prints, missing docs) is a lint level in the crates'
+//! `lib.rs` and the root `clippy.toml`. See DESIGN.md "Static analysis
+//! & invariants" for both catalogs and the suppression policy.
 //!
 //! Suppressions are spelled in comments:
 //!
@@ -20,7 +24,6 @@
 //! stale escapes from accumulating as the code under them changes.
 
 pub mod callgraph;
-pub mod fix;
 pub mod index;
 pub mod lex;
 pub mod rules;
@@ -75,18 +78,6 @@ pub struct RuleStat {
     pub nanos: u128,
 }
 
-/// A stale (unused, well-formed, known-rule) suppression directive —
-/// the mechanical input `--fix` consumes.
-#[derive(Debug, Clone)]
-pub struct StaleAllow {
-    /// Workspace-relative path.
-    pub file: String,
-    /// 1-based line the directive appears on.
-    pub line: usize,
-    /// The rule the stale directive names.
-    pub rule: String,
-}
-
 /// The result of a full lint run.
 #[derive(Debug)]
 pub struct Report {
@@ -101,8 +92,6 @@ pub struct Report {
     pub suppressions_file: usize,
     /// One entry per catalog rule, in catalog order.
     pub rule_stats: Vec<RuleStat>,
-    /// Unused well-formed suppressions, for `--fix`.
-    pub stale_allows: Vec<StaleAllow>,
     /// Wall time spent lexing and indexing (shared by semantic rules).
     pub engine_nanos: u128,
     /// Wall time for the whole run (scan excluded, rules included).
@@ -211,7 +200,6 @@ pub fn run_files(files: &[SourceFile]) -> Report {
         .count();
     let suppressions_file = suppressions.len() - suppressions_line;
 
-    let mut stale_allows = Vec::new();
     for s in &suppressions {
         if !s.used {
             findings.push(Finding {
@@ -221,11 +209,6 @@ pub fn run_files(files: &[SourceFile]) -> Report {
                 line: s.decl_line,
                 snippet: format!("adc-lint: allow({})", s.rule),
                 message: format!("suppression for `{}` matched no finding; remove it", s.rule),
-            });
-            stale_allows.push(StaleAllow {
-                file: s.file.clone(),
-                line: s.decl_line,
-                rule: s.rule.clone(),
             });
         }
     }
@@ -260,7 +243,6 @@ pub fn run_files(files: &[SourceFile]) -> Report {
         suppressions_line,
         suppressions_file,
         rule_stats,
-        stale_allows,
         engine_nanos,
         total_nanos: t_total.elapsed().as_nanos(),
     }
@@ -466,7 +448,7 @@ mod tests {
     #[test]
     fn same_line_allow_suppresses() {
         let r = report_for(
-            "fn t() { x.unwrap(); } // invariant: x was just set; adc-lint: allow(panic)",
+            "struct S { c: RefCell<u64> } // invariant: one owner; adc-lint: allow(shard-safety)",
         );
         assert!(r.is_clean(), "findings: {:?}", r.findings);
         assert_eq!(r.suppressions_line, 1);
@@ -475,7 +457,7 @@ mod tests {
     #[test]
     fn own_line_allow_applies_to_next_code_line() {
         let r = report_for(
-            "// invariant: x was just set\n// adc-lint: allow(panic)\nfn t() { x.unwrap(); }",
+            "// invariant: one owner\n// adc-lint: allow(shard-safety)\nstruct S { c: RefCell<u64> }",
         );
         assert!(r.is_clean(), "findings: {:?}", r.findings);
     }
@@ -483,7 +465,7 @@ mod tests {
     #[test]
     fn file_scope_allow_covers_all_lines() {
         let r = report_for(
-            "// adc-lint: allow-file(panic)\nfn a() { x.unwrap(); }\nfn b() { y.unwrap(); }",
+            "// adc-lint: allow-file(shard-safety)\nstruct A { c: RefCell<u64> }\nstruct B { c: Cell<u64> }",
         );
         assert!(r.is_clean(), "findings: {:?}", r.findings);
         assert_eq!(r.suppressions_file, 1);
@@ -491,14 +473,14 @@ mod tests {
 
     #[test]
     fn unused_allow_is_reported() {
-        let r = report_for("// adc-lint: allow(panic)\nfn t() {}\n");
+        let r = report_for("// adc-lint: allow(shard-safety)\nfn t() {}\n");
         assert_eq!(r.findings.len(), 1);
         assert_eq!(r.findings[0].rule, "unused-allow");
     }
 
     #[test]
     fn unknown_rule_in_allow_is_reported() {
-        let r = report_for("fn t() { x.unwrap(); } // adc-lint: allow(panics)");
+        let r = report_for("struct S { c: RefCell<u64> } // adc-lint: allow(shard-safty)");
         assert!(r
             .findings
             .iter()
@@ -508,8 +490,8 @@ mod tests {
     #[test]
     fn allow_list_suppresses_multiple_rules() {
         let r = report_for(
-            "use std::collections::HashMap; // keyed-only; adc-lint: allow(default-hasher)\n\
-             fn t(m: &HashMap<u32, u32>) { m.get(&1).unwrap(); } // adc-lint: allow(default-hasher, panic)",
+            "struct S { c: RefCell<u64> } // one owner; adc-lint: allow(shard-safety)\n\
+             fn t(s: &mut S) { s.c = RefCell::new(0); s.stats.hits += 1; } // adc-lint: allow(shard-safety, obs-coverage)",
         );
         assert!(r.is_clean(), "findings: {:?}", r.findings);
         assert_eq!(r.suppressions_line, 3);
@@ -520,17 +502,17 @@ mod tests {
         let clean = report_for("fn t() {}\n");
         let j = render_json(&clean);
         assert!(j.contains("\"findings\": []"));
-        let dirty = report_for("fn t() { x.unwrap(); }");
+        let dirty = report_for("struct S { c: RefCell<u64> }");
         let j = render_json(&dirty);
-        assert!(j.contains("\"rule\": \"panic\""));
+        assert!(j.contains("\"rule\": \"shard-safety\""));
         assert!(j.ends_with("}\n"));
     }
 
     #[test]
     fn human_output_mentions_rule_and_location() {
-        let dirty = report_for("fn t() { x.unwrap(); }");
+        let dirty = report_for("struct S { c: RefCell<u64> }");
         let h = render_human(&dirty);
-        assert!(h.contains("error[panic]"));
+        assert!(h.contains("error[shard-safety]"));
         assert!(h.contains("crates/adc-core/src/x.rs:1"));
     }
 }

@@ -5,7 +5,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-adc-lint — workspace determinism & invariant static analysis
+adc-lint — workspace invariant checks that rustc and clippy do not have
 
 USAGE:
     adc-lint [OPTIONS]
@@ -14,8 +14,6 @@ OPTIONS:
     --root <DIR>    Workspace root (default: auto-detected from cwd)
     --check         Exit 1 when any finding survives suppression
     --json          Emit the machine-readable report instead of text
-    --fix           Remove stale `adc-lint: allow(...)` directives
-                    (the mechanical unused-allow case), then re-lint
     --list-rules    Print the rule catalog and exit
     -h, --help      Show this help
 ";
@@ -24,7 +22,6 @@ fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut check = false;
     let mut json = false;
-    let mut fix = false;
     let mut list_rules = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -38,7 +35,6 @@ fn main() -> ExitCode {
             },
             "--check" => check = true,
             "--json" => json = true,
-            "--fix" => fix = true,
             "--list-rules" => list_rules = true,
             "-h" | "--help" => {
                 print!("{USAGE}");
@@ -71,35 +67,13 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut report = match adc_lint::run(&root) {
+    let report = match adc_lint::run(&root) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("error: failed to scan {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-
-    if fix {
-        match adc_lint::fix::apply_fixes(&root, &report) {
-            Ok(0) => {}
-            Ok(n) => {
-                eprintln!("adc-lint --fix: removed {n} stale allow directive(s)");
-                // Re-lint so the printed report (and --check) reflect
-                // the tree as fixed.
-                report = match adc_lint::run(&root) {
-                    Ok(report) => report,
-                    Err(e) => {
-                        eprintln!("error: failed to re-scan {}: {e}", root.display());
-                        return ExitCode::from(2);
-                    }
-                };
-            }
-            Err(e) => {
-                eprintln!("error: --fix failed: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
 
     if json {
         print!("{}", adc_lint::render_json(&report));

@@ -1,20 +1,17 @@
-//! The rule set: each rule is a function over one scanned file that
-//! pushes raw findings (suppression filtering happens in the engine).
+//! The rule set: each rule pushes raw findings (suppression filtering
+//! happens in the engine). Line rules run over one scanned file;
+//! semantic rules run once over the whole set.
 //!
-//! Scope philosophy (documented per-rule in `RULES`): the deterministic
-//! simulation crates (`adc-core`, `adc-sim`, `adc-workload`,
-//! `adc-baselines`) carry the strictest rules because golden-file
-//! reproducibility depends on them. `adc-metrics` and `adc-obs` are
-//! post-processing and get panic/float/println hygiene only. `adc-net`
-//! is an experimental wall-clock TCP harness: it is exempt from the
-//! panic and determinism rules by design (it talks to real sockets),
-//! but still must not `println!` from library code. `adc-bench` and
-//! binaries are CLI glue and are out of scope entirely.
+//! Only rules no compiler has live here. Wall clocks, environment
+//! reads, default-hasher maps, panics, float equality, lossy casts,
+//! indexing, prints and missing docs are rustc and clippy lint levels
+//! (the crates' `lib.rs` headers and the root `clippy.toml`; DESIGN.md
+//! §8). Each rule's scope is in `RULES`.
 
 use crate::callgraph::CallGraph;
 use crate::index::WorkspaceIndex;
 use crate::lex::{lex, Tok, TokKind};
-use crate::scan::{SourceFile, SourceLine};
+use crate::scan::SourceFile;
 use crate::{Finding, Severity};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -31,52 +28,10 @@ pub struct RuleInfo {
 /// and the JSON rule count describe the whole contract.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        id: "determinism",
-        severity: Severity::Error,
-        summary: "wall-clock, OS randomness, or environment reads in deterministic simulation code",
-        scope: "adc-core, adc-sim, adc-workload, adc-baselines (library, non-test)",
-    },
-    RuleInfo {
-        id: "default-hasher",
-        severity: Severity::Error,
-        summary: "HashMap/HashSet with the default (randomized) hasher in deterministic simulation code",
-        scope: "adc-core, adc-sim, adc-workload, adc-baselines (library, non-test)",
-    },
-    RuleInfo {
-        id: "panic",
-        severity: Severity::Error,
-        summary: "bare .unwrap()/.expect() in library code",
-        scope: "adc-core, adc-sim, adc-workload, adc-baselines, adc-metrics, adc-obs (library, non-test)",
-    },
-    RuleInfo {
-        id: "index-comment",
-        severity: Severity::Warning,
-        summary: "slice/array indexing without a nearby justification comment",
-        scope: "adc-core plus adc-sim hot path (queue.rs, flows.rs, model.rs, runner.rs, sharded.rs)",
-    },
-    RuleInfo {
-        id: "float-eq",
-        severity: Severity::Error,
-        summary: "== or != against a floating-point literal",
-        scope: "adc-core, adc-sim, adc-workload, adc-baselines, adc-metrics, adc-obs (library, non-test)",
-    },
-    RuleInfo {
-        id: "lossy-cast",
-        severity: Severity::Warning,
-        summary: "potentially lossy `as` cast without a nearby justification comment",
-        scope: "hot path only: adc-sim queue.rs, flows.rs, model.rs, runner.rs, sharded.rs and the adc-core table store",
-    },
-    RuleInfo {
         id: "obs-coverage",
         severity: Severity::Warning,
         summary: "ProxyStats, metrics-registry, or span/shard-profile counter mutation with no Probe emission nearby",
         scope: "adc-core, adc-baselines (stats/registry); adc-sim, adc-obs (profiler counters) — library, non-test",
-    },
-    RuleInfo {
-        id: "api-docs",
-        severity: Severity::Warning,
-        summary: "public item without a doc comment",
-        scope: "adc-core, adc-obs (library, non-test)",
     },
     RuleInfo {
         id: "shard-safety",
@@ -85,16 +40,10 @@ pub const RULES: &[RuleInfo] = &[
         scope: "adc-core plus adc-sim hot path (code sharded workers may run concurrently)",
     },
     RuleInfo {
-        id: "no-println",
-        severity: Severity::Error,
-        summary: "println!/print!/dbg! in library code (use probes or return values)",
-        scope: "all adc library crates (library, non-test)",
-    },
-    RuleInfo {
         id: "determinism-purity",
         severity: Severity::Error,
-        summary: "fn transitively reachable from the simulation hot path reads wall clocks, OS entropy, env, or builds default-hasher maps",
-        scope: "call chains from CacheAgent::on_*, Simulation::run*, and sharded.rs drains, across the deterministic crates plus adc-obs/adc-metrics",
+        summary: "fn transitively reachable from the simulation hot path reads wall clocks, env, or builds default-hasher maps",
+        scope: "call chains from CacheAgent::on_*, Simulation::run*, and sharded.rs drains, across the deterministic crates plus adc-obs/adc-metrics; reports sinks in adc-obs/adc-metrics (clippy denies them in the deterministic crates)",
     },
     RuleInfo {
         id: "atomic-ordering",
@@ -132,25 +81,9 @@ pub fn is_known_rule(id: &str) -> bool {
     rule_info(id).is_some()
 }
 
+/// The crates whose `lib.rs` denies clippy's `disallowed_methods` and
+/// `disallowed_types` (the sinks listed in the root `clippy.toml`).
 const DETERMINISTIC_CRATES: &[&str] = &["adc-core", "adc-sim", "adc-workload", "adc-baselines"];
-const PANIC_CRATES: &[&str] = &[
-    "adc-core",
-    "adc-sim",
-    "adc-workload",
-    "adc-baselines",
-    "adc-metrics",
-    "adc-obs",
-];
-const PRINTLN_CRATES: &[&str] = &[
-    "adc-core",
-    "adc-sim",
-    "adc-workload",
-    "adc-baselines",
-    "adc-metrics",
-    "adc-obs",
-    "adc-net",
-];
-const DOC_CRATES: &[&str] = &["adc-core", "adc-obs"];
 const OBS_CRATES: &[&str] = &["adc-core", "adc-baselines"];
 // The span recorder (adc-obs) and the shard-execution profiler
 // (adc-sim) keep latency-attribution and wall-clock accumulators that
@@ -172,13 +105,14 @@ const PROFILE_COUNTER_TOKENS: &[&str] = &[
     "sum_check_failures",
     "unmatched_completions",
 ];
-// Per-window hot-path files for the shard-safety rule. pool.rs is
-// deliberately absent: it is the one legitimate thread-creation site
-// (its workers persist for the whole run), while code listed here runs
-// once per barrier window and must never create OS threads. The table
-// store runs on every agent call, so its slot arithmetic is held to the
-// lossy-cast rule too.
-const HOT_PATH_FILES: &[&str] = &[
+/// Per-window hot-path files for the shard-safety rule. pool.rs is
+/// deliberately absent: it is the one legitimate thread-creation site
+/// (its workers persist for the whole run), while code listed here runs
+/// once per barrier window and must never create OS threads. The table
+/// store runs on every agent call. Each file also opens with a
+/// `#![cfg_attr(not(test), deny(...))]` header for clippy's lossy-cast
+/// and indexing lints; adc-lint's self-check asserts it.
+pub const HOT_PATH_FILES: &[&str] = &[
     "crates/adc-sim/src/queue.rs",
     "crates/adc-sim/src/flows.rs",
     "crates/adc-sim/src/model.rs",
@@ -196,16 +130,8 @@ pub type SemanticRule = fn(&SemanticCtx, &mut Vec<Finding>);
 /// The line-oriented rules, in catalog order, keyed by id so the
 /// engine can time and count them individually.
 pub const LINE_RULES: &[(&str, LineRule)] = &[
-    ("determinism", determinism),
-    ("default-hasher", default_hasher),
-    ("panic", panic_hygiene),
-    ("index-comment", index_comment),
-    ("float-eq", float_eq),
-    ("lossy-cast", lossy_cast),
     ("obs-coverage", obs_coverage),
-    ("api-docs", api_docs),
     ("shard-safety", shard_safety),
-    ("no-println", no_println),
 ];
 
 /// The token/symbol-level rules: each runs once over the whole scanned
@@ -316,277 +242,8 @@ fn contains_token(code: &str, tok: &str) -> bool {
     false
 }
 
-fn determinism(file: &SourceFile, out: &mut Vec<Finding>) {
-    if !in_scope(file, DETERMINISTIC_CRATES) {
-        return;
-    }
-    const TOKENS: &[(&str, &str)] = &[
-        ("SystemTime", "wall-clock read"),
-        ("time::Instant", "wall-clock type"),
-        ("Instant::now", "wall-clock read"),
-        ("clock_gettime", "OS clock read"),
-        ("thread_rng", "OS-seeded RNG"),
-        ("from_entropy", "OS-seeded RNG"),
-        ("env::var", "environment read"),
-        ("env::var_os", "environment read"),
-        ("env::args", "environment read"),
-        ("RandomState", "randomized hasher state"),
-    ];
-    for (i, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for (tok, what) in TOKENS {
-            if contains_token(&line.code, tok) {
-                push(
-                    out,
-                    "determinism",
-                    file,
-                    i,
-                    format!("{what} (`{tok}`) in deterministic simulation code"),
-                );
-                break;
-            }
-        }
-    }
-}
-
-fn default_hasher(file: &SourceFile, out: &mut Vec<Finding>) {
-    if !in_scope(file, DETERMINISTIC_CRATES) {
-        return;
-    }
-    for (i, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for tok in ["HashMap", "HashSet"] {
-            if contains_token(&line.code, tok) {
-                push(
-                    out,
-                    "default-hasher",
-                    file,
-                    i,
-                    format!(
-                        "`{tok}` uses a randomized default hasher; use BTreeMap/BTreeSet or \
-                         justify keyed-only access with an allow"
-                    ),
-                );
-                break;
-            }
-        }
-    }
-}
-
-fn panic_hygiene(file: &SourceFile, out: &mut Vec<Finding>) {
-    if !in_scope(file, PANIC_CRATES) {
-        return;
-    }
-    for (i, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        // `debug_assert!` lines may mention unwrap in messages; the code
-        // view already strips strings, so matches here are real calls.
-        if line.code.contains(".unwrap()") {
-            push(
-                out,
-                "panic",
-                file,
-                i,
-                "bare `.unwrap()` in library code; handle the error or document the \
-                 invariant and allow"
-                    .to_string(),
-            );
-        } else if line.code.contains(".expect(") {
-            push(
-                out,
-                "panic",
-                file,
-                i,
-                "`.expect()` in library code; handle the error or document the invariant \
-                 and allow"
-                    .to_string(),
-            );
-        }
-    }
-}
-
 fn is_hot_path(file: &SourceFile) -> bool {
     HOT_PATH_FILES.contains(&file.rel.as_str())
-}
-
-/// A comment on the same line or within the two preceding lines counts
-/// as justification for indexing.
-fn has_nearby_comment(lines: &[SourceLine], i: usize) -> bool {
-    let lo = i.saturating_sub(2);
-    lines[lo..=i].iter().any(|l| !l.comment.is_empty())
-}
-
-fn index_comment(file: &SourceFile, out: &mut Vec<Finding>) {
-    let core_scope = file.is_lib && file.krate == "adc-core";
-    if !(core_scope || is_hot_path(file)) {
-        return;
-    }
-    for (i, line) in file.lines.iter().enumerate() {
-        if line.in_test || !has_index_expr(&line.code) {
-            continue;
-        }
-        if has_nearby_comment(&file.lines, i) {
-            continue;
-        }
-        push(
-            out,
-            "index-comment",
-            file,
-            i,
-            "indexing can panic; add a comment stating why the index is in bounds \
-             (or use get())"
-                .to_string(),
-        );
-    }
-}
-
-/// Detects `expr[` — an identifier, `)`, or `]` immediately followed by
-/// `[`. Attribute syntax (`#[`) never matches because `#` is not an
-/// index-able token tail.
-fn has_index_expr(code: &str) -> bool {
-    let mut prev = ' ';
-    for c in code.chars() {
-        if c == '[' && (prev.is_alphanumeric() || prev == '_' || prev == ')' || prev == ']') {
-            return true;
-        }
-        prev = c;
-    }
-    false
-}
-
-fn float_eq(file: &SourceFile, out: &mut Vec<Finding>) {
-    if !in_scope(file, PANIC_CRATES) {
-        return;
-    }
-    for (i, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        if float_comparison(&line.code) {
-            push(
-                out,
-                "float-eq",
-                file,
-                i,
-                "exact float comparison; use an epsilon, integer representation, or \
-                 document the sentinel and allow"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-/// True when `==` or `!=` has a float literal (digits `.` digits) in its
-/// immediate operand text on either side.
-fn float_comparison(code: &str) -> bool {
-    let chars: Vec<char> = code.chars().collect();
-    let mut k = 0;
-    while k + 1 < chars.len() {
-        let two: String = chars[k..k + 2].iter().collect();
-        if two == "==" || two == "!=" {
-            // Skip <=, >=, +=, etc. (first char must be '=' or '!').
-            let prev = if k > 0 { chars[k - 1] } else { ' ' };
-            if two == "==" && (prev == '<' || prev == '>' || prev == '!' || prev == '=') {
-                k += 2;
-                continue;
-            }
-            let left: String = chars[..k]
-                .iter()
-                .rev()
-                .take_while(|&&c| !matches!(c, '(' | ',' | ';' | '&' | '|' | '{'))
-                .collect();
-            let right: String = chars[k + 2..]
-                .iter()
-                .take_while(|&&c| !matches!(c, ')' | ',' | ';' | '&' | '|' | '{'))
-                .collect();
-            if has_float_literal(&left) || has_float_literal(&right) {
-                return true;
-            }
-            k += 2;
-        } else {
-            k += 1;
-        }
-    }
-    false
-}
-
-fn has_float_literal(s: &str) -> bool {
-    let chars: Vec<char> = s.chars().collect();
-    for k in 0..chars.len() {
-        if chars[k] == '.'
-            && k > 0
-            && chars[k - 1].is_ascii_digit()
-            && chars.get(k + 1).is_some_and(|c| c.is_ascii_digit())
-        {
-            // Reject version-ish tokens glued to identifiers (v1.2).
-            let mut j = k - 1;
-            while j > 0 && chars[j - 1].is_ascii_digit() {
-                j -= 1;
-            }
-            let lead = if j > 0 { chars[j - 1] } else { ' ' };
-            if !lead.is_alphanumeric() && lead != '_' {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-const LOSSY_TARGETS: &[&str] = &[
-    "u8", "u16", "u32", "i8", "i16", "i32", "f32", "f64", "usize",
-];
-
-fn lossy_cast(file: &SourceFile, out: &mut Vec<Finding>) {
-    if !is_hot_path(file) {
-        return;
-    }
-    for (i, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        let Some(target) = lossy_cast_target(&line.code) else {
-            continue;
-        };
-        if has_nearby_comment(&file.lines, i) {
-            continue;
-        }
-        push(
-            out,
-            "lossy-cast",
-            file,
-            i,
-            format!(
-                "`as {target}` can silently truncate or round; add a comment stating the \
-                 value range (or use try_into/from)"
-            ),
-        );
-    }
-}
-
-fn lossy_cast_target(code: &str) -> Option<&'static str> {
-    let mut start = 0;
-    while let Some(p) = code[start..].find(" as ") {
-        let at = start + p + 4;
-        let rest = &code[at..];
-        for t in LOSSY_TARGETS {
-            if rest.starts_with(t)
-                && rest[t.len()..]
-                    .chars()
-                    .next()
-                    .is_none_or(|c| !c.is_alphanumeric() && c != '_')
-            {
-                return Some(t);
-            }
-        }
-        start = at;
-    }
-    None
 }
 
 fn obs_coverage(file: &SourceFile, out: &mut Vec<Finding>) {
@@ -651,82 +308,6 @@ fn obs_coverage(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-const PUB_ITEM_PREFIXES: &[&str] = &[
-    "pub fn ",
-    "pub struct ",
-    "pub enum ",
-    "pub trait ",
-    "pub const ",
-    "pub static ",
-    "pub type ",
-    "pub unsafe fn ",
-    "pub async fn ",
-];
-
-fn api_docs(file: &SourceFile, out: &mut Vec<Finding>) {
-    if !in_scope(file, DOC_CRATES) {
-        return;
-    }
-    for (i, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        let code = line.code.trim_start();
-        if !PUB_ITEM_PREFIXES.iter().any(|p| code.starts_with(p)) {
-            continue;
-        }
-        let j = walk_attributes_up(file, i);
-        let documented = j > 0 && file.lines[j - 1].is_doc_comment();
-        if !documented {
-            push(
-                out,
-                "api-docs",
-                file,
-                i,
-                "public item has no doc comment".to_string(),
-            );
-        }
-    }
-}
-
-/// Walks upward from line `i` over the attributes decorating an item
-/// (single-line `#[...]` and multi-line `#[derive(...)]` blocks),
-/// returning the line index where a doc comment would sit.
-fn walk_attributes_up(file: &SourceFile, mut j: usize) -> usize {
-    loop {
-        if j == 0 {
-            return j;
-        }
-        let above = file.lines[j - 1].code.trim();
-        if above.starts_with("#[") || above.starts_with("#![") {
-            j -= 1;
-            continue;
-        }
-        if above.ends_with(']') && !above.contains(';') {
-            // Possibly the tail of a multi-line attribute: look for its
-            // opener within a few lines.
-            let mut k = j - 1;
-            let mut opener = None;
-            while k > 0 && (j - k) < 16 {
-                let t = file.lines[k - 1].code.trim();
-                if t.starts_with("#[") || t.starts_with("#![") {
-                    opener = Some(k - 1);
-                    break;
-                }
-                if t.is_empty() || t.contains(';') || t.contains('}') {
-                    break;
-                }
-                k -= 1;
-            }
-            if let Some(open) = opener {
-                j = open;
-                continue;
-            }
-        }
-        return j;
-    }
-}
-
 /// Shared-state constructs the sharded executor's `Send` contract cannot
 /// see: `static mut` and thread locals are process-global state that
 /// aliases across worker shards, and unsynchronized interior mutability
@@ -787,31 +368,6 @@ fn shard_safety(file: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-fn no_println(file: &SourceFile, out: &mut Vec<Finding>) {
-    if !in_scope(file, PRINTLN_CRATES) {
-        return;
-    }
-    for (i, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        for tok in ["println!", "print!", "dbg!"] {
-            if contains_token(&line.code, tok) {
-                push(
-                    out,
-                    "no-println",
-                    file,
-                    i,
-                    format!(
-                        "`{tok}` in library code; route output through probes or return values"
-                    ),
-                );
-                break;
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
 // Semantic rules (token/symbol level, cross-file).
 // ---------------------------------------------------------------------
@@ -837,8 +393,6 @@ const PURITY_SINKS: &[(&[&str], &str)] = &[
     ),
     (&["SystemTime"], "wall-clock read (`SystemTime`)"),
     (&["clock_gettime"], "OS clock read (`clock_gettime`)"),
-    (&["thread_rng"], "OS-seeded RNG (`thread_rng`)"),
-    (&["from_entropy"], "OS-seeded RNG (`from_entropy`)"),
     (&["RandomState"], "randomized hasher state (`RandomState`)"),
     (&["env", "::", "var"], "environment read (`env::var`)"),
     (&["env", "::", "var_os"], "environment read (`env::var_os`)"),
@@ -900,7 +454,9 @@ fn fn_label(f: &crate::index::FnItem) -> String {
 
 /// determinism-purity: BFS over the call graph from the hot-path roots;
 /// any reachable fn containing a purity sink is flagged at the sink
-/// line, with one concrete call chain in the message.
+/// line, with one concrete call chain in the message. Chains run through
+/// every purity crate, but sinks inside the deterministic crates are left
+/// to clippy, which denies them there whether reachable or not.
 fn determinism_purity(ctx: &SemanticCtx, out: &mut Vec<Finding>) {
     let files = ctx.files;
     let crate_of = |fi: usize| files[fi].krate.clone();
@@ -927,7 +483,7 @@ fn determinism_purity(ctx: &SemanticCtx, out: &mut Vec<Finding>) {
     let mut flagged: BTreeMap<(usize, usize), (String, &'static str)> = BTreeMap::new();
     for &i in reached.keys() {
         let f = graph.fns[i];
-        if f.is_test {
+        if f.is_test || DETERMINISTIC_CRATES.contains(&files[f.file].krate.as_str()) {
             continue;
         }
         let Some((from, to)) = f.body else {
@@ -1564,106 +1120,6 @@ mod tests {
     }
 
     #[test]
-    fn determinism_catches_instant_now() {
-        let f = lib("adc-sim", "fn t() { let s = Instant::now(); }");
-        assert!(rules_of(&f).contains(&"determinism"));
-    }
-
-    #[test]
-    fn determinism_ignores_out_of_scope_crates() {
-        let f = lib("adc-metrics", "fn t() { let s = Instant::now(); }");
-        assert!(!rules_of(&f).contains(&"determinism"));
-    }
-
-    #[test]
-    fn determinism_ignores_tests() {
-        let f = lib(
-            "adc-sim",
-            "#[cfg(test)]\nmod t {\n fn x() { Instant::now(); }\n}",
-        );
-        assert!(f.is_empty());
-    }
-
-    #[test]
-    fn default_hasher_catches_hashmap_not_identifier_suffix() {
-        let f = lib("adc-core", "use std::collections::HashMap;");
-        assert!(rules_of(&f).contains(&"default-hasher"));
-        let ok = lib("adc-core", "struct MyHashMapLike;");
-        assert!(!rules_of(&ok).contains(&"default-hasher"));
-    }
-
-    #[test]
-    fn panic_catches_unwrap_and_expect_only() {
-        let f = lib("adc-obs", "fn t() { x.unwrap(); y.expect(\"m\"); }");
-        assert_eq!(
-            rules_of(&f).iter().filter(|r| **r == "panic").count(),
-            1,
-            "one finding per line"
-        );
-        let ok = lib("adc-obs", "fn t() { x.unwrap_or(0); y.expect_err(); }");
-        assert!(!rules_of(&ok).contains(&"panic"));
-    }
-
-    #[test]
-    fn index_requires_comment_in_core() {
-        let bad = lib("adc-core", "fn t(v: &[u32]) -> u32 { v[0] }");
-        assert!(rules_of(&bad).contains(&"index-comment"));
-        let ok = lib(
-            "adc-core",
-            "fn t(v: &[u32]) -> u32 {\n // v is non-empty: checked by caller\n v[0]\n}",
-        );
-        assert!(!rules_of(&ok).contains(&"index-comment"));
-    }
-
-    #[test]
-    fn index_scope_is_core_plus_hot_path() {
-        let hot = findings(
-            "adc-sim",
-            "crates/adc-sim/src/queue.rs",
-            "fn t(v: &[u32]) -> u32 { v[0] }",
-        );
-        assert!(rules_of(&hot).contains(&"index-comment"));
-        let cold = findings(
-            "adc-sim",
-            "crates/adc-sim/src/config.rs",
-            "fn t(v: &[u32]) -> u32 { v[0] }",
-        );
-        assert!(!rules_of(&cold).contains(&"index-comment"));
-    }
-
-    #[test]
-    fn float_eq_requires_float_literal() {
-        let bad = lib("adc-sim", "fn t(x: f64) -> bool { x == 0.0 }");
-        assert!(rules_of(&bad).contains(&"float-eq"));
-        let int = lib("adc-sim", "fn t(x: u64) -> bool { x == 0 }");
-        assert!(!rules_of(&int).contains(&"float-eq"));
-        let le = lib("adc-sim", "fn t(x: f64) -> bool { x <= 1.5 }");
-        assert!(!rules_of(&le).contains(&"float-eq"));
-    }
-
-    #[test]
-    fn lossy_cast_hot_path_only_and_comment_exempts() {
-        let bad = findings(
-            "adc-sim",
-            "crates/adc-sim/src/flows.rs",
-            "fn t(x: u64) -> u32 { x as u32 }",
-        );
-        assert!(rules_of(&bad).contains(&"lossy-cast"));
-        let ok = findings(
-            "adc-sim",
-            "crates/adc-sim/src/flows.rs",
-            "// bounded by the window size\nfn t(x: u64) -> u32 { x as u32 }",
-        );
-        assert!(!rules_of(&ok).contains(&"lossy-cast"));
-        let widen = findings(
-            "adc-sim",
-            "crates/adc-sim/src/flows.rs",
-            "fn t(x: u32) -> u64 { x as u64 }",
-        );
-        assert!(!rules_of(&widen).contains(&"lossy-cast"));
-    }
-
-    #[test]
     fn obs_coverage_needs_probe_near_counter() {
         let bad = lib("adc-core", "fn t(&mut self) { self.stats.hits += 1; }");
         assert!(rules_of(&bad).contains(&"obs-coverage"));
@@ -1696,35 +1152,6 @@ mod tests {
         // Stats/registry triggers stay scoped to the agent crates.
         let sim_stats = lib("adc-sim", "fn t(&mut self) { self.stats.hits += 1; }");
         assert!(!rules_of(&sim_stats).contains(&"obs-coverage"));
-    }
-
-    #[test]
-    fn api_docs_walks_over_attributes() {
-        let bad = lib("adc-core", "pub fn undocumented() {}");
-        assert!(rules_of(&bad).contains(&"api-docs"));
-        let ok = lib(
-            "adc-core",
-            "/// Documented.\n#[derive(Debug, Clone)]\npub struct S;",
-        );
-        assert!(!rules_of(&ok).contains(&"api-docs"));
-        let pub_use = lib("adc-core", "pub use crate::ids::ObjectId;");
-        assert!(!rules_of(&pub_use).contains(&"api-docs"));
-    }
-
-    #[test]
-    fn api_docs_walks_over_multiline_derives() {
-        // rustfmt breaks long derive lists across lines; the walker must
-        // traverse the whole attribute to find the doc comment above it.
-        let ok = lib(
-            "adc-core",
-            "/// Documented.\n#[derive(\n    Debug, Clone, Copy, PartialEq, Eq,\n)]\npub struct S;",
-        );
-        assert!(!rules_of(&ok).contains(&"api-docs"));
-        let bad = lib(
-            "adc-core",
-            "#[derive(\n    Debug, Clone,\n)]\npub struct S;",
-        );
-        assert!(rules_of(&bad).contains(&"api-docs"));
     }
 
     #[test]
@@ -1810,20 +1237,13 @@ mod tests {
     }
 
     #[test]
-    fn no_println_catches_macros_but_not_eprintln() {
-        let bad = lib("adc-net", "fn t() { println!(\"x\"); }");
-        assert!(rules_of(&bad).contains(&"no-println"));
-        let ok = lib("adc-net", "fn t() { eprintln!(\"x\"); }");
-        assert!(!rules_of(&ok).contains(&"no-println"));
-    }
-
-    #[test]
     fn bin_files_are_out_of_scope() {
+        // Both line rules would flag this in adc-core library code.
         let file = parse_source(
-            "crates/adc-sim/src/bin/tool.rs",
-            "adc-sim",
+            "crates/adc-core/src/bin/tool.rs",
+            "adc-core",
             false,
-            "fn main() { x.unwrap(); println!(\"x\"); }",
+            "struct S { c: RefCell<u64> }\nfn main() { s.stats.hits += 1; }",
         );
         let mut out = Vec::new();
         check_file(&file, &mut out);

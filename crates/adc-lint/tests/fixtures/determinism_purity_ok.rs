@@ -10,7 +10,7 @@ fn bump(counter: &mut u64) {
 }
 
 /// Offline-report helper: never called from any hook or run loop, so the
-/// clock is out of hot-path reach. adc-lint: allow(determinism)
+/// clock is out of hot-path reach.
 pub fn wall_now_for_reports() -> Instant {
     Instant::now()
 }

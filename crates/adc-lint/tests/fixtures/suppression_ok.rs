@@ -1,4 +1,4 @@
-fn first(xs: &[u32]) -> u32 {
-    // Invariant: callers pass non-empty slices. adc-lint: allow(panic)
-    *xs.first().unwrap()
+pub struct Shard {
+    // Invariant: only the owning shard touches it. adc-lint: allow(shard-safety)
+    scratch: std::cell::RefCell<Vec<u64>>,
 }

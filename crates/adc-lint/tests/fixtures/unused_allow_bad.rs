@@ -1,2 +1,2 @@
-// adc-lint: allow(panic)
-fn nothing_panics_here() {}
+// adc-lint: allow(shard-safety)
+fn nothing_shared_here() {}

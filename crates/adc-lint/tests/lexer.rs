@@ -4,13 +4,14 @@
 //! (`lex::lex`) classify the same byte stream independently — the
 //! scanner into per-line code/comment views, the lexer into spanned
 //! tokens. The differential test pins them to each other over every
-//! rule fixture; the property test drives the lexer over generated
+//! rule fixture and every workspace file the lint scans; the property
+//! test drives the lexer over generated
 //! Rust-ish snippets with a deterministic PRNG (no proptest dependency)
 //! and checks the structural invariants that every downstream pass
 //! relies on.
 
 use adc_lint::lex::{lex, Tok, TokKind};
-use adc_lint::scan::parse_source;
+use adc_lint::scan::{parse_source, scan_workspace};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -37,11 +38,15 @@ fn lexer_comments(text: &str, toks: &[Tok]) -> String {
         .collect()
 }
 
-/// Code text the lexer saw: every non-comment, non-literal token.
+/// Code text the lexer saw: every non-comment, non-literal token, plus
+/// the `b` prefix of a byte literal, which the scanner keeps as code.
 fn lexer_code(text: &str, toks: &[Tok]) -> String {
     toks.iter()
-        .filter(|t| !matches!(t.kind, TokKind::Comment | TokKind::Str | TokKind::Char))
-        .map(|t| &text[t.start..t.end])
+        .filter_map(|t| match t.kind {
+            TokKind::Comment => None,
+            TokKind::Str | TokKind::Char => text[t.start..].starts_with('b').then_some("b"),
+            _ => Some(&text[t.start..t.end]),
+        })
         .collect()
 }
 
@@ -62,23 +67,34 @@ fn assert_agreement(text: &str, label: &str) {
     );
 }
 
-/// Every fixture — the corpus the line rules are pinned to — must
-/// classify identically under both implementations.
+/// Every fixture — the corpus the line rules are pinned to — and every
+/// workspace file `adc-lint` scans must classify identically under both
+/// implementations.
 #[test]
 fn lexer_agrees_with_line_scanner_on_every_fixture() {
-    let mut checked = 0;
     let mut entries: Vec<PathBuf> = fs::read_dir(fixtures_dir())
         .expect("fixtures dir")
         .map(|e| e.expect("entry").path())
         .filter(|p| p.extension().is_some_and(|e| e == "rs"))
         .collect();
     entries.sort();
-    for path in entries {
-        let text = fs::read_to_string(&path).expect("read fixture");
-        assert_agreement(&text, &path.display().to_string());
-        checked += 1;
+    let fixtures = entries.len();
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    for file in scan_workspace(&root).expect("scan the workspace") {
+        if file.krate != "adc-lint" {
+            entries.push(root.join(&file.rel));
+        }
     }
-    assert!(checked >= 30, "fixture corpus shrank to {checked} files");
+    for path in &entries {
+        let text = fs::read_to_string(path).expect("read source");
+        assert_agreement(&text, &path.display().to_string());
+    }
+    assert!(fixtures >= 18, "fixture corpus shrank to {fixtures} files");
+    assert!(
+        entries.len() - fixtures >= 100,
+        "workspace corpus shrank to {} files",
+        entries.len() - fixtures
+    );
 }
 
 /// Minimal multiplicative-congruential PRNG (Lehmer / MINSTD values),

@@ -28,6 +28,15 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// Lint levels of DESIGN.md §8. Unit tests may compare floats exactly.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::dbg_macro,
+    clippy::allow_attributes_without_reason
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod csv;
 mod histogram;

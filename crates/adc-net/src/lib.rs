@@ -29,6 +29,12 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// Lint levels of DESIGN.md §8.
+#![deny(
+    clippy::print_stdout,
+    clippy::dbg_macro,
+    clippy::allow_attributes_without_reason
+)]
 
 mod book;
 mod client;

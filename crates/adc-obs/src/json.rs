@@ -169,13 +169,21 @@ fn number(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    let mut saw_digit = false;
-    while let Some(b'0'..=b'9') = bytes.get(*pos) {
-        saw_digit = true;
-        *pos += 1;
-    }
-    if !saw_digit {
-        return Err(format!("expected digit at byte {}", *pos));
+    // The integer part is `0` or starts with a nonzero digit: RFC 8259
+    // forbids leading zeros.
+    match bytes.get(*pos) {
+        Some(b'0') => {
+            *pos += 1;
+            if let Some(b'0'..=b'9') = bytes.get(*pos) {
+                return Err(format!("leading zero at byte {}", *pos - 1));
+            }
+        }
+        Some(b'1'..=b'9') => {
+            while let Some(b'0'..=b'9') = bytes.get(*pos) {
+                *pos += 1;
+            }
+        }
+        _ => return Err(format!("expected digit at byte {}", *pos)),
     }
     if bytes.get(*pos) == Some(&b'.') {
         *pos += 1;
@@ -226,6 +234,10 @@ mod tests {
             "null",
             "true",
             "-12.5e+3",
+            "0",
+            "-0",
+            "0.5",
+            "0e1",
             r#"{"t":1,"event":"local_hit","proxy":0,"object":42}"#,
             r#"{"traceEvents":[{"ph":"i","ts":0.5,"args":{}}]} "#,
             r#"  [1, "two", {"three": [null, false]}]  "#,
@@ -251,6 +263,10 @@ mod tests {
             "{} {}",
             "{\"a\":1,}",
             "[1] trailing",
+            "01",
+            "-007",
+            "[00]",
+            r#"{"a":01}"#,
         ] {
             assert!(validate_json(bad).is_err(), "accepted invalid: {bad}");
         }

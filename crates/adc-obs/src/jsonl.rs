@@ -106,12 +106,14 @@ pub fn write_jsonl<W: io::Write>(writer: &mut W, events: &[(u64, SimEvent)]) -> 
 }
 
 /// Renders the captured stream as one JSONL string (for tests).
+#[expect(
+    clippy::expect_used,
+    reason = "Vec<u8> writes are infallible and the emitter only produces ASCII-escaped JSON"
+)]
 pub fn to_jsonl_string(events: &[(u64, SimEvent)]) -> String {
     let mut out = Vec::new();
-    // Invariant: Vec<u8> writes are infallible and the emitter only
-    // produces ASCII-escaped JSON. adc-lint: allow(panic)
     write_jsonl(&mut out, events).expect("writing to a Vec cannot fail");
-    String::from_utf8(out).expect("JSONL output is UTF-8") // adc-lint: allow(panic)
+    String::from_utf8(out).expect("JSONL output is UTF-8")
 }
 
 #[cfg(test)]

@@ -10,7 +10,16 @@
 //! itself takes a `Probe` type parameter — so events carry raw integer
 //! ids instead of the core newtypes.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
+// Lint levels of DESIGN.md §8. Unit tests may compare floats exactly.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::dbg_macro,
+    clippy::allow_attributes_without_reason
+)]
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
 
 pub mod chrome;
 pub mod convergence;

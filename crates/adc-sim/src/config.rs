@@ -47,7 +47,7 @@ impl FaultPlan {
     /// Returns `true` when no faults are configured.
     pub fn is_clean(&self) -> bool {
         // Exact-zero sentinel means "faults disabled"; the value is only
-        // ever set, never computed. adc-lint: allow(float-eq)
+        // ever set, never computed.
         self.duplicate_prob == 0.0
     }
 }

@@ -24,7 +24,6 @@ mod linux {
 
     extern "C" {
         // CPU-time telemetry only, never simulation state.
-        // adc-lint: allow(determinism)
         fn clock_gettime(clockid: i32, tp: *mut Timespec) -> i32;
     }
 
@@ -34,7 +33,11 @@ mod linux {
             tv_nsec: 0,
         };
         // SAFETY: `ts` is a valid, writable Timespec matching the C layout.
-        // Telemetry only. adc-lint: allow(determinism, determinism-purity)
+        #[expect(
+            unsafe_code,
+            reason = "the one FFI clock read: per-thread CPU time for run telemetry, never \
+                      simulation state"
+        )]
         let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
         if rc != 0 {
             return Duration::ZERO;

@@ -12,6 +12,19 @@
 //!
 //! [`RequestRecord`]: adc_workload::RequestRecord
 
+// Hot path (adc-lint's `HOT_PATH_FILES`): every lossy cast and every
+// index states its bound in an `#[expect]` reason.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        clippy::indexing_slicing
+    )
+)]
+
 use adc_core::RequestId;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -69,18 +82,24 @@ impl<V> FlowTable<V> {
         self.peak
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "free-list entries always index live slot storage"
+    )]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the slot count is bounded by live flows, far below u32::MAX"
+    )]
     fn alloc(&mut self, id: RequestId, value: V) -> u32 {
         self.len += 1;
         self.peak = self.peak.max(self.len);
         match self.free.pop() {
             Some(slot) => {
-                // Free-list entries always index live slot storage.
                 self.slots[slot as usize] = (id, value);
                 slot
             }
             None => {
                 self.slots.push((id, value));
-                // Slot count is bounded by live flows, far below u32::MAX.
                 (self.slots.len() - 1) as u32
             }
         }
@@ -88,6 +107,10 @@ impl<V> FlowTable<V> {
 
     /// Inserts a flow. `id.seq` values must be unique across live flows
     /// (the workload's global trace position guarantees this).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "resize() guarantees `offset` is in bounds"
+    )]
     pub fn insert(&mut self, id: RequestId, value: V) {
         if self.window.is_empty() {
             self.base = id.seq;
@@ -97,20 +120,20 @@ impl<V> FlowTable<V> {
             self.overflow.insert(id, slot);
             return;
         }
-        // Window span tracks live flows, so the offset fits in memory.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the window span tracks live flows, so the offset fits in memory"
+        )]
         let offset = (id.seq - self.base) as usize;
         if self.window.len() <= offset {
             self.window.resize(offset + 1, 0);
         }
         debug_assert_eq!(
-            // resize() above guarantees offset is in bounds.
-            self.window[offset],
-            0,
+            self.window[offset], 0,
             "seq {} already has a live flow (seqs must be unique)",
             id.seq
         );
         let slot = self.alloc(id, value);
-        // resize() above guarantees offset is in bounds.
         self.window[offset] = slot + 1;
         debug_assert!(
             self.window.front().is_some_and(|&s| s != 0) || self.base == id.seq,
@@ -120,10 +143,16 @@ impl<V> FlowTable<V> {
 
     fn slot_of(&self, id: &RequestId) -> Option<u32> {
         if id.seq >= self.base {
-            // Offset fits: the window never outgrows the live flow span.
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the window never outgrows the live flow span"
+            )]
             let offset = (id.seq - self.base) as usize;
             match self.window.get(offset).copied() {
-                // Nonzero window entries always point at a live slot.
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "nonzero window entries always point at a live slot"
+                )]
                 Some(s) if s != 0 && self.slots[(s - 1) as usize].0 == *id => {
                     return Some(s - 1);
                 }
@@ -137,25 +166,38 @@ impl<V> FlowTable<V> {
     }
 
     /// Borrows the flow for `id`.
+    #[expect(clippy::indexing_slicing, reason = "slot_of names only live slots")]
     pub fn get(&self, id: &RequestId) -> Option<&V> {
         self.slot_of(id).map(|s| &self.slots[s as usize].1)
     }
 
     /// Mutably borrows the flow for `id`.
+    #[expect(clippy::indexing_slicing, reason = "slot_of names only live slots")]
     pub fn get_mut(&mut self, id: &RequestId) -> Option<&mut V> {
         self.slot_of(id).map(|s| &mut self.slots[s as usize].1)
     }
 
     /// Removes and returns the flow for `id`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the returned slot was just resolved from the window or the overflow map"
+    )]
     pub fn remove(&mut self, id: &RequestId) -> Option<V>
     where
         V: Copy,
     {
         let window_slot = if id.seq >= self.base {
-            // Offset fits: the window never outgrows the live flow span.
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the window never outgrows the live flow span"
+            )]
             let offset = (id.seq - self.base) as usize;
             match self.window.get(offset).copied() {
-                // Nonzero window entries always point at a live slot.
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "nonzero window entries always point at a live slot, and `offset` \
+                              was just read"
+                )]
                 Some(s) if s != 0 && self.slots[(s - 1) as usize].0 == *id => {
                     self.window[offset] = 0;
                     // Completed flows at the front shrink the window so
@@ -187,7 +229,6 @@ impl<V> FlowTable<V> {
         debug_assert!(self.len > 0, "freed a slot with no live flows");
         self.free.push(slot);
         self.len -= 1;
-        // Slot was just resolved from the window/overflow, so in bounds.
         Some(self.slots[slot as usize].1)
     }
 }

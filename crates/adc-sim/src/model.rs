@@ -34,6 +34,19 @@
 //! two executors' deterministic reports are byte-identical; sequential
 //! runs are byte-identical with the samplers on too.
 
+// Hot path (adc-lint's `HOT_PATH_FILES`): every lossy cast and every
+// index states its bound in an `#[expect]` reason.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::config::{ClientAssignment, InjectionMode, SimConfig};
 use crate::network::LatencyModel;
 use crate::report::{PhaseStats, SimReport};
@@ -50,8 +63,10 @@ use rand::{Rng, RngCore, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-// Wall-clock time feeds report telemetry only, never simulation
-// state. adc-lint: allow(determinism)
+#[expect(
+    clippy::disallowed_types,
+    reason = "wall-clock time feeds report telemetry only, never simulation state"
+)]
 use std::time::Instant;
 
 /// Bits of the event key reserved for the per-flow step counter.
@@ -109,7 +124,10 @@ impl Net {
     fn latency(&self, from: NodeId, to: NodeId) -> SimTime {
         if let (Some(m), NodeId::Proxy(a), NodeId::Proxy(b)) = (&self.matrix, from, to) {
             if a != b {
-                // Matrix is n×n over dense proxy ids (checked in new()).
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "the matrix is n×n over dense proxy ids (checked in new())"
+                )]
                 return m[a.raw() as usize][b.raw() as usize];
             }
         }
@@ -265,10 +283,13 @@ impl<S: RngCore> AgentRngs<S> {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "one stream per local agent, built alongside the agents"
+    )]
     fn stream(&mut self, local: usize) -> &mut dyn RngCore {
         match self {
             AgentRngs::Shared(r) => r,
-            // One stream per local agent, built alongside the agents.
             AgentRngs::PerAgent(v) => &mut v[local],
         }
     }
@@ -358,8 +379,10 @@ impl<A: CacheAgent, S: RngCore> Proxies<A, S> {
             (NodeId::Proxy(pid), message) => {
                 // Round-robin partitioning: local index = proxy / stride.
                 let local = pid.raw() as usize / self.stride;
-                // Proxies on this unit have local indexes below the
-                // agent count.
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "proxies on this unit have local indexes below the agent count"
+                )]
                 let agent = &mut self.agents[local];
                 match message {
                     Message::Request(req) => {
@@ -485,6 +508,7 @@ pub(crate) struct Ledger {
     /// every injection and completion, with exact hit attribution, while
     /// the shards' probes see the agent events.
     pub(crate) metrics: Option<MetricsProbe>,
+    #[expect(clippy::disallowed_types, reason = "wall telemetry only")]
     wall_start: Instant,
     cpu_start: Duration,
 }
@@ -493,7 +517,8 @@ impl Ledger {
     /// Starts the run's books (and its wall and CPU clocks).
     pub(crate) fn new(config: &SimConfig, proxies: usize, metrics: Option<MetricsProbe>) -> Self {
         Ledger {
-            proxies: proxies as u32, // proxy counts stay tiny
+            #[expect(clippy::cast_possible_truncation, reason = "proxy counts stay tiny")]
+            proxies: proxies as u32,
             assignment: config.assignment,
             assign_rng: StdRng::seed_from_u64(config.seed ^ 0xA551),
             open_loop: config.injection != InjectionMode::Sequential,
@@ -520,13 +545,18 @@ impl Ledger {
                 tracker: ConvergenceTracker::new(),
             }),
             metrics,
-            // Wall telemetry only. adc-lint: allow(determinism, determinism-purity)
+            #[expect(
+                clippy::disallowed_methods,
+                clippy::disallowed_types,
+                reason = "wall telemetry only"
+            )]
             wall_start: Instant::now(),
             cpu_start: crate::cputime::thread_cpu_now(),
         }
     }
 
     /// When the run started, on the wall clock.
+    #[expect(clippy::disallowed_types, reason = "wall telemetry only")]
     pub(crate) fn wall_start(&self) -> Instant {
         self.wall_start
     }
@@ -601,6 +631,7 @@ impl Ledger {
     /// `probe` and to the metrics recorder. Returns true when the
     /// recorder's occupancy cadence comes due, so the caller samples the
     /// gauges its agent-side probes hold.
+    #[expect(clippy::indexing_slicing, reason = "phase is 0..3 by construction")]
     pub(crate) fn complete<'a, A: CacheAgent + 'a, P: Probe>(
         &mut self,
         c: &Completion,
@@ -629,12 +660,13 @@ impl Ledger {
             Phase::RequestI => 1,
             Phase::RequestII => 2,
         };
-        // phase is 0..3 by construction.
         self.phases[phase].requests += 1;
         self.phases[phase].hits += u64::from(c.hit);
         let hops = f64::from(c.hops);
-        let completed = self.completed as f64; // < 2^53: exact
-        let latency_us = (c.at - c.start_us) as f64; // < 2^53: exact
+        #[expect(clippy::cast_precision_loss, reason = "< 2^53: exact")]
+        let completed = self.completed as f64;
+        #[expect(clippy::cast_precision_loss, reason = "< 2^53: exact")]
+        let latency_us = (c.at - c.start_us) as f64;
         self.hops.push(hops);
         self.latency.push(latency_us);
         self.latency_p50.push(latency_us);
@@ -649,7 +681,7 @@ impl Ledger {
         }
         if let Some(occupancy) = self.occupancy.as_mut() {
             for (p, sampler) in occupancy.iter_mut().enumerate() {
-                // cache sizes ≪ 2^53: exact
+                #[expect(clippy::cast_precision_loss, reason = "cache sizes ≪ 2^53: exact")]
                 sampler.observe(completed, agent(p).cached_objects() as f64);
             }
         }

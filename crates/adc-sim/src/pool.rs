@@ -47,8 +47,10 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::thread::{self, Thread};
-// Wall-clock time feeds the execution profiler only, never window
-// content. adc-lint: allow(determinism)
+#[expect(
+    clippy::disallowed_types,
+    reason = "wall-clock time feeds the execution profiler only, never window content"
+)]
 use std::time::Instant;
 
 /// One cell's slice of a window: drain every pending event scheduled
@@ -161,18 +163,20 @@ impl<W: WindowTask> Pool<'_, '_, W> {
     /// [`run_window`](Pool::run_window) with the coordinator's own
     /// wall-clock split measured for the execution profiler. Kept
     /// separate so unprofiled runs never touch a clock.
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "profiler telemetry only; never feeds simulated state"
+    )]
     pub(crate) fn run_window_timed(
         &mut self,
         window_end: u64,
         parallelism_hint: usize,
     ) -> WindowTiming {
         self.dispatch(window_end, parallelism_hint);
-        // Profiler telemetry only; never feeds simulated state.
-        // adc-lint: allow(determinism, determinism-purity)
         let t0 = Instant::now();
         claim_and_run(self.ctl, self.cells);
         // Cell work is done; everything past here is barrier stall.
-        // adc-lint: allow(determinism, determinism-purity)
         let t1 = Instant::now();
         self.wait_barrier();
         WindowTiming {

@@ -15,6 +15,19 @@
 //! `BinaryHeap<Reverse<(at, seq, ..)>>` (`seq` values must be unique; the
 //! property test in `tests/queue_order.rs` pins this equivalence).
 
+// Hot path (adc-lint's `HOT_PATH_FILES`): every lossy cast and every
+// index states its bound in an `#[expect]` reason.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        clippy::indexing_slicing
+    )
+)]
+
 /// One scheduled item.
 #[derive(Debug, Clone)]
 struct Item<T> {
@@ -92,8 +105,11 @@ impl<T> CalendarQueue<T> {
         1 << self.shift
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "masked by `mask < buckets.len()`, so the cast cannot truncate"
+    )]
     fn bucket_of(&self, at: u64) -> usize {
-        // Masked by `mask < buckets.len()`, so the cast cannot truncate.
         ((at >> self.shift) & self.mask) as usize
     }
 
@@ -114,7 +130,10 @@ impl<T> CalendarQueue<T> {
             self.bucket_top = (at >> self.shift).wrapping_add(1) << self.shift;
         }
         let idx = self.bucket_of(at);
-        // bucket_of() masks idx below buckets.len().
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "bucket_of() masks idx below buckets.len()"
+        )]
         self.buckets[idx].push(Item { at, seq, value });
         self.len += 1;
         if self.len > MAX_LOAD * self.buckets.len() {
@@ -131,12 +150,20 @@ impl<T> CalendarQueue<T> {
     /// `pop` re-scans only the (O(1)-occupancy) current bucket. The
     /// sharded executor uses this to decide whether the next event falls
     /// inside the current synchronization window without consuming it.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "mask fits usize: it is derived from buckets.len() - 1"
+    )]
     pub fn peek_key(&mut self) -> Option<(u64, u64)> {
         if self.len == 0 {
             return None;
         }
         // Scan windows in time order, mirroring pop()'s walk.
         for _ in 0..self.buckets.len() {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "the cursor is always masked below buckets.len()"
+            )]
             let bucket = &self.buckets[self.cursor];
             let mut best: Option<(u64, u64)> = None;
             for item in bucket.iter() {
@@ -147,19 +174,20 @@ impl<T> CalendarQueue<T> {
             if best.is_some() {
                 return best;
             }
-            // mask fits usize: it is derived from buckets.len() - 1.
             self.cursor = (self.cursor + 1) & self.mask as usize;
             self.bucket_top += self.width();
         }
         // A full lap of empty windows: fall back to a direct scan and
         // jump the window to the global minimum, as pop() does.
+        #[expect(
+            clippy::expect_used,
+            reason = "len > 0 was checked on entry, so some bucket holds an item"
+        )]
         let (at, seq) = self
             .buckets
             .iter()
             .flat_map(|bucket| bucket.iter().map(|item| (item.at, item.seq)))
             .min()
-            // Invariant: len > 0 was checked on entry, so some bucket
-            // holds an item. adc-lint: allow(panic)
             .expect("len > 0 but no item found");
         self.cursor = self.bucket_of(at);
         self.bucket_top = ((at >> self.shift) + 1) << self.shift;
@@ -167,6 +195,10 @@ impl<T> CalendarQueue<T> {
     }
 
     /// Removes and returns the minimum `(at, seq)` item.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "mask fits usize: it is derived from buckets.len() - 1"
+    )]
     pub fn pop(&mut self) -> Option<(u64, u64, T)> {
         if self.len == 0 {
             return None;
@@ -174,6 +206,10 @@ impl<T> CalendarQueue<T> {
         // Scan windows in time order; each window maps to exactly one
         // bucket, and no live item predates the current window.
         for _ in 0..self.buckets.len() {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "the cursor is always masked below buckets.len()"
+            )]
             let bucket = &self.buckets[self.cursor];
             let mut best: Option<(usize, u64, u64)> = None;
             for (i, item) in bucket.iter().enumerate() {
@@ -186,13 +222,16 @@ impl<T> CalendarQueue<T> {
             if let Some((i, _, _)) = best {
                 return Some(self.take(self.cursor, i));
             }
-            // mask fits usize: it is derived from buckets.len() - 1.
             self.cursor = (self.cursor + 1) & self.mask as usize;
             self.bucket_top += self.width();
         }
         // A full lap of empty windows: the next item is more than a year
         // ahead. Fall back to a direct scan for the global minimum and
         // jump the window to it.
+        #[expect(
+            clippy::expect_used,
+            reason = "len > 0 was checked on entry, so some bucket holds an item"
+        )]
         let (b, i, at) = self
             .buckets
             .iter()
@@ -205,8 +244,6 @@ impl<T> CalendarQueue<T> {
             })
             .min_by_key(|&(_, _, at, seq)| (at, seq))
             .map(|(b, i, at, _)| (b, i, at))
-            // Invariant: len > 0 was checked on entry, so some bucket
-            // holds an item. adc-lint: allow(panic)
             .expect("len > 0 but no item found");
         self.cursor = self.bucket_of(at);
         self.bucket_top = ((at >> self.shift) + 1) << self.shift;
@@ -214,7 +251,10 @@ impl<T> CalendarQueue<T> {
     }
 
     fn take(&mut self, bucket: usize, index: usize) -> (u64, u64, T) {
-        // Callers pass coordinates of an item they just located.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "callers pass coordinates of an item they just located"
+        )]
         let item = self.buckets[bucket].swap_remove(index);
         self.len -= 1;
         #[cfg(debug_assertions)]
@@ -232,6 +272,10 @@ impl<T> CalendarQueue<T> {
 
     /// Doubles the bucket count, keeping the bucket width (and therefore
     /// the current window) unchanged.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "bucket numbers are masked below the bucket count, so the casts cannot truncate"
+    )]
     fn grow(&mut self) {
         let new_count = self.buckets.len() * 2;
         // Bucket counts stay far below u64::MAX.
@@ -239,15 +283,14 @@ impl<T> CalendarQueue<T> {
         let mut new_buckets: Vec<Vec<Item<T>>> = (0..new_count).map(|_| Vec::new()).collect();
         for bucket in self.buckets.drain(..) {
             for item in bucket {
-                // Masked below new_count, so in bounds and not truncated.
                 let idx = ((item.at >> self.shift) & new_mask) as usize;
+                #[expect(clippy::indexing_slicing, reason = "idx is masked below new_count")]
                 new_buckets[idx].push(item);
             }
         }
         self.buckets = new_buckets;
         self.mask = new_mask;
         let window_start = self.bucket_top - self.width();
-        // Masked by mask < buckets.len(), so the cast cannot truncate.
         self.cursor = ((window_start >> self.shift) & self.mask) as usize;
     }
 }

@@ -506,17 +506,9 @@ fn push_series(out: &mut String, key: &str, s: &Series) {
 }
 
 fn push_series_value(out: &mut String, s: &Series) {
-    out.push_str("{\"name\":\"");
-    // Series names are simulator-chosen identifiers; escape the two
-    // JSON-significant characters anyway so the document stays valid.
-    for c in s.name.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            _ => out.push(c),
-        }
-    }
-    out.push_str("\",\"points\":[");
+    out.push_str("{\"name\":");
+    adc_obs::json::write_escaped(out, &s.name);
+    out.push_str(",\"points\":[");
     for (i, &(x, y)) in s.points.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -636,7 +628,8 @@ mod tests {
                 ..Default::default()
             }],
             final_cache_sizes: vec![7],
-            occupancy_series: vec![Series::new("proxy0")],
+            // `name` is public: a control character must still escape.
+            occupancy_series: vec![Series::new("proxy0"), Series::new("a\nb")],
             messages_delivered: 12,
             events_processed: 16,
             peak_flows: 1,

@@ -4,6 +4,19 @@
 //! file adds only the schedule, plus what the sharded engine rejects:
 //! fault duplicates, churn, and the delivery trace log.
 
+// Hot path (adc-lint's `HOT_PATH_FILES`): every lossy cast and every
+// index states its bound in an `#[expect]` reason.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::config::{ChurnEvent, InjectionMode, SimConfig};
 use crate::flows::FlowTable;
 use crate::model::{sequential_stream, Event, Flow, Ledger, Net, Proxies, ARRIVAL_KEY};
@@ -48,14 +61,21 @@ impl<A: CacheAgent> Simulation<A> {
     /// the configuration is invalid.
     pub fn new(agents: Vec<A>, config: SimConfig) -> Self {
         assert!(!agents.is_empty(), "need at least one proxy agent");
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "dense ids: i < agent count ≤ u32::MAX"
+        )]
         for (i, a) in agents.iter().enumerate() {
             assert_eq!(
                 a.proxy_id(),
-                ProxyId::new(i as u32), // dense ids: i < agent count ≤ u32::MAX
+                ProxyId::new(i as u32),
                 "agent IDs must be dense 0..n in order"
             );
         }
-        // Documented precondition (see "# Panics"). adc-lint: allow(panic)
+        #[expect(
+            clippy::expect_used,
+            reason = "documented precondition (see \"# Panics\")"
+        )]
         config.validate().expect("invalid simulator configuration");
         if let Some(matrix) = &config.proxy_latency_matrix {
             assert_eq!(
@@ -181,7 +201,10 @@ impl<A: CacheAgent> Simulation<A> {
                 continue;
             };
             flows.remove(&id);
-            // Proxy ids are dense 0..n, the agents' indexes.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "proxy ids are dense 0..n, the agents' indexes"
+            )]
             ledger.complete(&done, probe, |p| &proxies.agents[p]);
             // Scheduled proxy restarts fire on completion boundaries.
             let completed = ledger.completed();

@@ -85,6 +85,19 @@
 //! cross-shard coordination mid-window, and the trace log is inherently
 //! a single totally-ordered stream.
 
+// Hot path (adc-lint's `HOT_PATH_FILES`): every lossy cast and every
+// index states its bound in an `#[expect]` reason.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_precision_loss,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::config::{InjectionMode, SimConfig};
 use crate::flows::FlowTable;
 use crate::model::{
@@ -101,8 +114,10 @@ use adc_obs::{MetricsProbe, MetricsReport, NullProbe, Probe, ShardSlice};
 use adc_workload::RequestRecord;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-// Wall-clock time feeds report telemetry only, never simulation
-// state. adc-lint: allow(determinism)
+#[expect(
+    clippy::disallowed_types,
+    reason = "wall-clock time feeds report telemetry only, never simulation state"
+)]
 use std::time::Instant;
 
 /// A delivery crossing shards, carried through a barrier outbox with
@@ -210,6 +225,7 @@ impl<X: ShardProbe, Y: ShardProbe> ShardProbe for (X, Y) {
 struct ShardProfState {
     /// Shared zero point for chrome-trace lane offsets (the run's
     /// `wall_start`).
+    #[expect(clippy::disallowed_types, reason = "profiler telemetry only")]
     run_start: Instant,
     /// Cumulative wall-clock drain time, nanoseconds.
     drain_ns: u64,
@@ -227,6 +243,7 @@ struct ShardProfState {
 }
 
 impl ShardProfState {
+    #[expect(clippy::disallowed_types, reason = "profiler telemetry only")]
     fn new(run_start: Instant) -> Self {
         ShardProfState {
             run_start,
@@ -358,20 +375,28 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
     /// via [`WindowTask`], the coordinator inline), so the profile
     /// attributes every drain to the shard that did it regardless of
     /// which thread ran it.
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "profiler telemetry only"
+    )]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "durations ≪ 2^64 ns (584 years): the casts are lossless"
+    )]
     fn drain_window(&mut self, window_end: u64) {
         if self.prof.is_none() {
             self.drain_events(window_end);
             return;
         }
         let before = self.proxies.counters.messages_delivered;
-        // Profiler telemetry only. adc-lint: allow(determinism, determinism-purity)
         let t0 = Instant::now();
         self.drain_events(window_end);
         let dur = t0.elapsed();
         let drained = self.proxies.counters.messages_delivered - before;
-        let lane = self.index as u32; // shard counts stay tiny
+        #[expect(clippy::cast_possible_truncation, reason = "shard counts stay tiny")]
+        let lane = self.index as u32;
         if let Some(prof) = self.prof.as_mut() {
-            // Durations ≪ 2^64 ns (584 years): the casts are lossless.
             // Wall-clock profiler accounting sits deliberately outside
             // the SimEvent stream; the occupancy-sum identity test
             // reconciles it. adc-lint: allow(obs-coverage)
@@ -461,7 +486,10 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
                         "lookahead violated: cross-shard delivery at {out_at} inside window \
                          ending {window_end}"
                     );
-                    // Outboxes are sized to the shard count at startup.
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "outboxes are sized to the shard count at startup"
+                    )]
                     outboxes[shard_of(p, shards)].push(Routed {
                         at: out_at,
                         key,
@@ -611,7 +639,10 @@ where
         return false;
     };
     let start = ledger.start_flow(record, now, net, &mut NullProbe);
-    // shard_of() is always below the shard count.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "shard_of() is always below the shard count"
+    )]
     let shard = &mut shards[shard_of(start.proxy, shards.len())];
     shard
         .backlog
@@ -623,7 +654,6 @@ where
 /// The coordinator loop: builds the shards, advances the window barrier
 /// until every queue drains, folds completions, and assembles the
 /// report. Returns `(report, agents in id order, merged registry)`.
-#[allow(clippy::too_many_lines)] // one loop: windows, routing, folds
 fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
     sim: Simulation<A>,
     workload: impl IntoIterator<Item = RequestRecord>,
@@ -646,7 +676,10 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
     let shared_rng = SharedRng::new(sequential_stream(config.seed));
     let mut shard_agents: Vec<Vec<A>> = (0..shards_n).map(|_| Vec::new()).collect();
     for (p, agent) in agents.into_iter().enumerate() {
-        // Round-robin: proxy p lives on shard p % N.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "round-robin: proxy p lives on shard p % N"
+        )]
         shard_agents[p % shards_n].push(agent);
     }
     let shards: Vec<Shard<A, P>> = shard_agents
@@ -757,7 +790,10 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                         peak_flows = peak_flows.max(live_flows);
                     }
                     live_flows = live_flows.saturating_sub(1);
-                    // Proxy p lives on shard p % N at local index p / N.
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "proxy p lives on shard p % N at local index p / N"
+                    )]
                     let agent = |p: usize| &guards[p % shards_n].proxies.agents[p / shards_n];
                     if ledger.complete(rec, &mut NullProbe, agent) {
                         // The metrics cadence came due: the shard probes
@@ -896,13 +932,21 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                 .iter()
                 .filter(|s| s.backlog.next_at < window_end)
                 .count();
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "wall-clock durations ≪ 2^64 ns (584 years) and shard counts stay \
+                          tiny: the casts are lossless"
+            )]
             if active > 1 && workers > 0 {
                 guards.clear();
                 match coord_prof.as_mut() {
                     None => pool.run_window(window_end, active),
                     Some(cp) => {
-                        // Profiler telemetry only.
-                        // adc-lint: allow(determinism, determinism-purity)
+                        #[expect(
+                            clippy::disallowed_methods,
+                            clippy::disallowed_types,
+                            reason = "profiler telemetry only"
+                        )]
                         let t0 = Instant::now();
                         let t = pool.run_window_timed(window_end, active);
                         // Wall-clock split from the pool, outside the
@@ -935,7 +979,11 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
             } else {
                 // Inline windows count toward coordinator busy time; the
                 // per-shard drain profiling happens inside drain_window.
-                // adc-lint: allow(determinism, determinism-purity)
+                #[expect(
+                    clippy::disallowed_methods,
+                    clippy::disallowed_types,
+                    reason = "profiler telemetry only"
+                )]
                 let t0 = coord_prof.as_ref().map(|_| Instant::now());
                 for shard in guards.iter_mut().filter(|s| s.backlog.next_at < window_end) {
                     shard.drain_window(window_end);
@@ -958,6 +1006,10 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                     }
                 }
                 if cp.barriers_us.len() < ShardProfile::MAX_SLICES {
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "wall-clock offsets ≪ 2^64 µs: the cast is lossless"
+                    )]
                     cp.barriers_us.push(wall_start.elapsed().as_micros() as u64);
                 }
             }
@@ -966,6 +1018,11 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
             // destination) order — the insertion order is irrelevant
             // because delivery order is keyed, but keep it fixed anyway.
             // The emptied outbox Vec is recycled to its owner.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "src and dst range over the shard count, and every shard's outboxes \
+                          are sized to it at startup"
+            )]
             for src in 0..shards_n {
                 for dst in 0..shards_n {
                     if src == dst {
@@ -973,14 +1030,11 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                         // through an outbox.
                         continue;
                     }
-                    // Outboxes are sized to the shard count at startup.
                     let mut routed = std::mem::take(&mut guards[src].outboxes[dst]);
                     for r in routed.drain(..) {
                         debug_assert!(r.at >= window_end, "lookahead violated at the barrier");
-                        // dst ranges over the shard count.
                         guards[dst].backlog.enqueue(r.at, r.key, r.ev, r.flow);
                     }
-                    // src/dst range over the shard count, as above.
                     guards[src].outboxes[dst] = routed;
                 }
             }
@@ -1028,12 +1082,14 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
         };
         for shard in &mut shards {
             // Profiling is a run-wide switch: every shard carries state.
-            // Invariant: this branch only runs when coord_prof was
-            // built, and every shard then got a profiler at construction.
+            #[expect(
+                clippy::expect_used,
+                reason = "this branch only runs when coord_prof was built, and every shard \
+                          then got a profiler at construction"
+            )]
             let sp = shard
                 .prof
                 .as_mut()
-                // adc-lint: allow(panic)
                 .expect("profiled run built shard profilers");
             profile.shard_drain_ns.push(sp.drain_ns);
             profile.shard_windows.push(sp.windows);
@@ -1060,6 +1116,10 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
             registries.push(reg);
         }
     }
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "p % N is below the shard count, one agent iterator per shard"
+    )]
     let agents: Vec<A> = (0..n_proxies)
         .map(|p| {
             // Shard p % N yields its agents in local (ascending id)

@@ -262,7 +262,7 @@ impl ExactSizeIterator for Polygraph {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     fn tiny() -> PolygraphConfig {
         PolygraphConfig {
@@ -306,7 +306,7 @@ mod tests {
     fn fill_phase_has_few_repetitions() {
         let cfg = tiny();
         let fill: Vec<_> = cfg.build().take(1000).collect();
-        let distinct: std::collections::HashSet<_> = fill.iter().map(|r| r.object).collect();
+        let distinct: std::collections::BTreeSet<_> = fill.iter().map(|r| r.object).collect();
         assert!(
             distinct.len() >= 950,
             "fill should be nearly all unique, got {}",
@@ -351,11 +351,11 @@ mod tests {
         let p2: Vec<_> = records[3000..5000].iter().map(|r| r.object).collect();
         assert_ne!(p1, p2);
         // New objects in phase II must not collide with phase I's.
-        let news1: std::collections::HashSet<_> = p1
+        let news1: std::collections::BTreeSet<_> = p1
             .iter()
             .filter(|o| o.raw() >= cfg.hot_set as u64)
             .collect();
-        let news2: std::collections::HashSet<_> = p2
+        let news2: std::collections::BTreeSet<_> = p2
             .iter()
             .filter(|o| o.raw() >= cfg.hot_set as u64)
             .collect();
@@ -375,7 +375,7 @@ mod tests {
     #[test]
     fn popularity_is_zipf_skewed() {
         let cfg = tiny();
-        let mut counts: HashMap<u64, usize> = HashMap::new();
+        let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
         for r in cfg.build().skip(1000) {
             if r.object.raw() < cfg.hot_set as u64 {
                 *counts.entry(r.object.raw()).or_default() += 1;
@@ -392,7 +392,8 @@ mod tests {
     #[test]
     fn clients_span_the_configured_range() {
         let cfg = tiny();
-        let clients: std::collections::HashSet<u32> = cfg.build().map(|r| r.client.raw()).collect();
+        let clients: std::collections::BTreeSet<u32> =
+            cfg.build().map(|r| r.client.raw()).collect();
         assert_eq!(clients.len(), cfg.clients as usize);
         assert!(clients.iter().all(|&c| c < cfg.clients));
     }

@@ -112,7 +112,7 @@ mod tests {
     #[test]
     fn different_objects_get_varied_sizes() {
         let m = SizeModel::default();
-        let distinct: std::collections::HashSet<u32> =
+        let distinct: std::collections::BTreeSet<u32> =
             (0..1000).map(|i| m.size_of(ObjectId::new(i))).collect();
         assert!(distinct.len() > 500);
     }

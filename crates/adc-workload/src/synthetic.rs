@@ -194,7 +194,7 @@ mod tests {
 
     #[test]
     fn uniform_covers_universe() {
-        let objects: std::collections::HashSet<u64> = UniformWorkload::new(10, 2, 3)
+        let objects: std::collections::BTreeSet<u64> = UniformWorkload::new(10, 2, 3)
             .take(1000)
             .map(|r| r.object.raw())
             .collect();
@@ -307,11 +307,11 @@ mod shifting_tests {
     fn windows_are_disjoint() {
         let s = ShiftingZipf::new(100, 0.9, 4, 1, 500);
         let records: Vec<_> = s.take(1500).collect();
-        let w0: std::collections::HashSet<u64> =
+        let w0: std::collections::BTreeSet<u64> =
             records[..500].iter().map(|r| r.object.raw()).collect();
-        let w1: std::collections::HashSet<u64> =
+        let w1: std::collections::BTreeSet<u64> =
             records[500..1000].iter().map(|r| r.object.raw()).collect();
-        let w2: std::collections::HashSet<u64> =
+        let w2: std::collections::BTreeSet<u64> =
             records[1000..].iter().map(|r| r.object.raw()).collect();
         assert!(w0.is_disjoint(&w1));
         assert!(w1.is_disjoint(&w2));
@@ -405,8 +405,10 @@ impl Iterator for LruStackWorkload {
         let recur = !self.stack.is_empty() && self.rng.gen_bool(self.recurrence);
         let object = if recur {
             let depth = self.depth.sample(&mut self.rng).min(self.stack.len() - 1);
-            // Invariant: depth ≤ len - 1 by the min() above (stack is
-            // non-empty when recur is true). adc-lint: allow(panic)
+            #[expect(
+                clippy::expect_used,
+                reason = "depth <= len - 1 by the min() above (stack is non-empty when recur is true)"
+            )]
             let object = self.stack.remove(depth).expect("depth is in range");
             self.stack.push_front(object);
             object
@@ -440,7 +442,7 @@ mod lru_stack_tests {
         let records: Vec<_> = LruStackWorkload::new(200, 0.6, 0.8, 4, 3)
             .take(20_000)
             .collect();
-        let distinct: std::collections::HashSet<_> = records.iter().map(|r| r.object).collect();
+        let distinct: std::collections::BTreeSet<_> = records.iter().map(|r| r.object).collect();
         let measured = 1.0 - distinct.len() as f64 / records.len() as f64;
         assert!(
             (measured - 0.6).abs() < 0.03,
