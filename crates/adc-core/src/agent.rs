@@ -2,7 +2,7 @@
 //!
 //! A [`CacheAgent`] consumes messages and emits [`Action`]s; it never
 //! touches a socket, a clock or a global RNG. The discrete-event simulator
-//! (`adc-sim`) and the tokio TCP runtime (`adc-net`) both drive the same
+//! (`adc-sim`) and the TCP runtime (`adc-net`) both drive the same
 //! agents, so every algorithmic decision is testable in isolation and
 //! deterministic under a seeded RNG.
 

@@ -23,7 +23,7 @@
 //!
 //! The agent is **sans-IO**: it consumes messages and returns actions, so
 //! the same code runs under the deterministic discrete-event simulator
-//! (`adc-sim`) and the tokio TCP runtime (`adc-net`).
+//! (`adc-sim`) and the TCP runtime (`adc-net`).
 //!
 //! # Examples
 //!

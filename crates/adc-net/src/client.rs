@@ -4,7 +4,7 @@
 use crate::book::AddressBook;
 use crate::protocol::{Frame, TraceContext};
 use crate::trace::NodeTracer;
-use crate::transport::{read_frame, write_frame, Pool};
+use crate::transport::{connect, spawn_acceptor, write_frame, FrameReader, Pool};
 use adc_core::{ClientId, ObjectId, ProxyId, Reply, Request, RequestId};
 use adc_obs::netspan::{derive_trace_id, CLIENT_LANE};
 use adc_obs::SegmentKind;
@@ -12,14 +12,19 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tokio::net::TcpListener;
-use tokio::net::TcpStream;
 use tokio::sync::oneshot;
-use tokio::task::JoinHandle;
+
+/// Sends `request` on a scrape connection and reads the node's in-band
+/// answer.
+fn ask(conn: &mut FrameReader<TcpStream>, request: &Frame) -> io::Result<Frame> {
+    write_frame(conn.get_mut(), request)?;
+    conn.next_frame()?
+        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "node closed during scrape"))
+}
 
 /// Scrapes the Prometheus text exposition from the node listening at
 /// `addr` by sending a [`Frame::MetricsRequest`] and reading the
@@ -31,12 +36,8 @@ use tokio::task::JoinHandle;
 /// answering, `InvalidData` when the response is not a metrics frame or
 /// is not valid UTF-8, or any underlying socket error.
 pub async fn scrape_metrics(addr: SocketAddr) -> io::Result<String> {
-    let mut stream = TcpStream::connect(addr).await?;
-    write_frame(&mut stream, &Frame::MetricsRequest).await?;
-    let frame = read_frame(&mut stream)
-        .await?
-        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "node closed during scrape"))?;
-    let Frame::MetricsResponse(body) = frame else {
+    let mut conn = FrameReader::new(connect(addr)?);
+    let Frame::MetricsResponse(body) = ask(&mut conn, &Frame::MetricsRequest)? else {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "expected a metrics response frame",
@@ -75,12 +76,9 @@ pub struct TraceScrapeResult {
 /// answering, `InvalidData` when the response is not a trace frame or
 /// its spans are not valid UTF-8, or any underlying socket error.
 pub async fn scrape_trace(addr: SocketAddr, epoch: Instant) -> io::Result<TraceScrapeResult> {
-    let mut stream = TcpStream::connect(addr).await?;
+    let mut conn = FrameReader::new(connect(addr)?);
     let sent_us = epoch.elapsed().as_micros() as u64;
-    write_frame(&mut stream, &Frame::TraceRequest).await?;
-    let frame = read_frame(&mut stream)
-        .await?
-        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "node closed during scrape"))?;
+    let frame = ask(&mut conn, &Frame::TraceRequest)?;
     let recv_us = epoch.elapsed().as_micros() as u64;
     let Frame::TraceResponse(scrape) = frame else {
         return Err(io::Error::new(
@@ -118,13 +116,14 @@ pub struct NetClient {
     pending: PendingReplies,
     tracer: Option<Arc<Mutex<NodeTracer>>>,
     epoch: Instant,
-    handle: JoinHandle<()>,
 }
 
-impl Drop for NetClient {
-    fn drop(&mut self) {
-        self.handle.abort();
-    }
+/// A request on the wire, awaiting its reply.
+struct Sent {
+    id: RequestId,
+    ctx: Option<TraceContext>,
+    start_us: u64,
+    reply: oneshot::Receiver<(Reply, Bytes)>,
 }
 
 impl NetClient {
@@ -158,27 +157,28 @@ impl NetClient {
         book: Arc<AddressBook>,
         tracer: Option<Arc<Mutex<NodeTracer>>>,
     ) -> io::Result<NetClient> {
-        let listener = TcpListener::bind("127.0.0.1:0").await?;
+        let listener = TcpListener::bind("127.0.0.1:0")?;
         book.register_client(id, listener.local_addr()?);
-        let pending: PendingReplies = Arc::new(Mutex::new(HashMap::new()));
-        let pending_for_task = Arc::clone(&pending);
-        let handle = tokio::spawn(async move {
-            loop {
-                let Ok((mut stream, _)) = listener.accept().await else {
-                    break;
-                };
-                let pending = Arc::clone(&pending_for_task);
-                tokio::spawn(async move {
-                    while let Ok(Some(frame)) = read_frame(&mut stream).await {
-                        if let Frame::Reply(reply, body, _) = frame {
-                            if let Some(tx) = pending.lock().remove(&reply.id) {
-                                tx.send((reply, body)).ok();
-                            }
-                        }
+        let pending: PendingReplies = Arc::default();
+        let waiting = Arc::clone(&pending);
+        // The reply dispatcher: one reader thread per proxy connection,
+        // each handing replies to the request awaiting them.
+        let dispatch = move |mut conn: FrameReader<TcpStream>| {
+            while let Ok(Some(frame)) = conn.next_frame() {
+                if let Frame::Reply(reply, body, _) = frame {
+                    let waiter = waiting.lock().remove(&reply.id);
+                    if let Some(tx) = waiter {
+                        tx.send((reply, body)).ok();
                     }
-                });
+                }
             }
-        });
+        };
+        spawn_acceptor(
+            &format!("adc-client-{}", id.raw()),
+            listener,
+            || true,
+            dispatch,
+        );
         Ok(NetClient {
             id,
             book,
@@ -187,7 +187,6 @@ impl NetClient {
             pending,
             tracer,
             epoch: Instant::now(),
-            handle,
         })
     }
 
@@ -234,6 +233,34 @@ impl NetClient {
         }
     }
 
+    /// Registers a pending slot for a request of `object` and sends it
+    /// through proxy `via`. A failed send takes its slot back out, so
+    /// [`NetClient::in_flight`] counts only requests on the wire.
+    fn send_request(&self, object: ObjectId, via: ProxyId) -> io::Result<Sent> {
+        let addr = self.book.proxy_addr(via).ok_or_else(|| {
+            io::Error::new(io::ErrorKind::NotFound, format!("no such proxy {via}"))
+        })?;
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let id = RequestId::new(self.id, seq);
+        let ctx = self.root_ctx(seq);
+        let start_us = self.now_us();
+        // The slot exists before the frame leaves, so a fast reply
+        // always finds it.
+        let (tx, reply) = oneshot::channel();
+        self.pending.lock().insert(id, tx);
+        let request = Request::new(id, object, self.id);
+        if let Err(e) = self.pool.send(addr, &Frame::Request(request, ctx)) {
+            self.pending.lock().remove(&id);
+            return Err(e);
+        }
+        Ok(Sent {
+            id,
+            ctx,
+            start_us,
+            reply,
+        })
+    }
+
     /// Requests `object` via proxy `via` and awaits the reply with the
     /// object body.
     ///
@@ -242,22 +269,13 @@ impl NetClient {
     /// Returns `NotFound` for an unknown proxy, `BrokenPipe` when the
     /// reply channel is dropped, or any underlying socket error.
     pub async fn request(&self, object: ObjectId, via: ProxyId) -> io::Result<(Reply, Bytes)> {
-        let addr = self.book.proxy_addr(via).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::NotFound, format!("no such proxy {via}"))
-        })?;
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let id = RequestId::new(self.id, seq);
-        let ctx = self.root_ctx(seq);
-        let start_us = self.now_us();
-        let (tx, rx) = oneshot::channel();
-        self.pending.lock().insert(id, tx);
-        let request = Request::new(id, object, self.id);
-        self.pool.send(addr, Frame::Request(request, ctx)).await?;
-        let result = rx
+        let sent = self.send_request(object, via)?;
+        let result = sent
+            .reply
             .await
             .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "reply channel dropped"));
         if result.is_ok() {
-            self.record_root_span(ctx, object, start_us);
+            self.record_root_span(sent.ctx, object, sent.start_us);
         }
         result
     }
@@ -275,23 +293,10 @@ impl NetClient {
         via: ProxyId,
         timeout: Duration,
     ) -> io::Result<(Reply, Bytes)> {
-        let addr = self.book.proxy_addr(via).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::NotFound, format!("no such proxy {via}"))
-        })?;
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let id = RequestId::new(self.id, seq);
-        let ctx = self.root_ctx(seq);
-        let start_us = self.now_us();
-        let (tx, rx) = oneshot::channel();
-        self.pending.lock().insert(id, tx);
-        let request = Request::new(id, object, self.id);
-        if let Err(e) = self.pool.send(addr, Frame::Request(request, ctx)).await {
-            self.pending.lock().remove(&id);
-            return Err(e);
-        }
-        match tokio::time::timeout(timeout, rx).await {
+        let sent = self.send_request(object, via)?;
+        match tokio::time::timeout(timeout, sent.reply).await {
             Ok(Ok(result)) => {
-                self.record_root_span(ctx, object, start_us);
+                self.record_root_span(sent.ctx, object, sent.start_us);
                 Ok(result)
             }
             Ok(Err(_)) => Err(io::Error::new(
@@ -299,10 +304,10 @@ impl NetClient {
                 "reply channel dropped",
             )),
             Err(_) => {
-                self.pending.lock().remove(&id);
+                self.pending.lock().remove(&sent.id);
                 // The wait was real even though no reply came; record
                 // it so merged traces show the abandoned flow.
-                self.record_root_span(ctx, object, start_us);
+                self.record_root_span(sent.ctx, object, sent.start_us);
                 Err(io::Error::new(
                     io::ErrorKind::TimedOut,
                     format!("no reply for {object} within {timeout:?}"),

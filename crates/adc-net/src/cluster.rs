@@ -11,9 +11,9 @@ use adc_core::{AdcConfig, AdcProxy, CacheAgent, ClientId, NullProbe, ProxyId, Pr
 use adc_obs::netspan::ORIGIN_LANE;
 use parking_lot::Mutex;
 use std::io;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Instant;
-use tokio::net::{TcpListener, TcpStream};
 
 /// Optional subsystems a cluster can be spawned with.
 #[derive(Debug, Default, Clone)]
@@ -29,7 +29,8 @@ pub struct ClusterOptions {
 
 /// A running localhost cluster.
 ///
-/// Dropping the cluster aborts all node tasks.
+/// The nodes' threads are detached: dropping the cluster leaves them
+/// running until the process exits.
 #[derive(Debug)]
 pub struct Cluster<A> {
     /// Shared node address book.
@@ -74,12 +75,12 @@ impl<A: CacheAgent + Send + 'static> Cluster<A> {
         options: ClusterOptions,
     ) -> io::Result<Cluster<A>> {
         assert!(!agents.is_empty(), "need at least one proxy agent");
-        let origin_listener = TcpListener::bind("127.0.0.1:0").await?;
+        let origin_listener = TcpListener::bind("127.0.0.1:0")?;
         let origin_addr = origin_listener.local_addr()?;
         let mut proxy_listeners = Vec::with_capacity(agents.len());
         let mut proxy_addrs = Vec::with_capacity(agents.len());
         for _ in &agents {
-            let l = TcpListener::bind("127.0.0.1:0").await?;
+            let l = TcpListener::bind("127.0.0.1:0")?;
             proxy_addrs.push(l.local_addr()?);
             proxy_listeners.push(l);
         }
@@ -222,7 +223,7 @@ impl<A: CacheAgent + Send + 'static> Cluster<A> {
         if let Some(addr) = self.book.proxy_addr(p) {
             // Wake-up connection: the accept returns, sees !alive, and
             // the node's accept loop exits.
-            let _ = TcpStream::connect(addr).await;
+            let _ = TcpStream::connect(addr);
         }
     }
 

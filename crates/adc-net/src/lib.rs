@@ -1,7 +1,7 @@
 //! # adc-net
 //!
-//! A tokio TCP runtime for the ADC system — the paper's future-work item
-//! of "the creation of a real proxy system".
+//! A TCP runtime for the ADC system — the paper's future-work item of
+//! "the creation of a real proxy system".
 //!
 //! The same sans-IO agents that run under the deterministic simulator
 //! ([`adc_core::AdcProxy`], the baselines in `adc-baselines`) are wrapped
@@ -9,6 +9,21 @@
 //! outbound connection [`transport::Pool`], proxy/origin nodes and a
 //! request/reply [`NetClient`]. Object bodies are real bytes, generated
 //! deterministically by the origin so end-to-end integrity is checkable.
+//!
+//! # Threads
+//!
+//! Sockets are blocking `std::net` sockets on plain threads:
+//!
+//! - one accept thread per node (each proxy, the origin, each client);
+//! - one reader thread per inbound connection, reading through a
+//!   [`transport::FrameReader`]; a proxy's or the origin's reader runs the
+//!   frame through the node and writes what it sends itself;
+//! - no thread that only writes: whichever thread made a frame writes it
+//!   whole under its destination's lock in [`transport::Pool`].
+//!
+//! The public calls stay `async` (run them under
+//! `tokio::runtime::block_on` or `#[tokio::main]`): a client's request
+//! awaits its reply on a oneshot channel that its reply reader fills.
 //!
 //! # Examples
 //!

@@ -4,10 +4,10 @@ use crate::book::AddressBook;
 use crate::flight::FlightRecorder;
 use crate::protocol::{Frame, TraceContext, TraceScrape};
 use crate::trace::{NodeTracer, TraceCounters};
-use crate::transport::{read_frame, write_frame, Pool};
+use crate::transport::{spawn_acceptor, write_frame, FrameReader, Pool};
 use adc_core::{
     Action, ActionSink, CacheAgent, CacheEvent, Message, NodeId, NullProbe, ObjectId, Probe,
-    ProxyId, ProxyStats, Reply,
+    ProxyId, ProxyStats, Reply, Request,
 };
 use adc_metrics::Registry;
 use adc_obs::metrics as families;
@@ -18,12 +18,11 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use tokio::net::TcpListener;
-use tokio::task::JoinHandle;
 
 /// Metric families only the network layer emits — counters with no
 /// simulator-side equivalent in [`adc_obs::metrics`]. Kept as consts so
@@ -50,6 +49,9 @@ pub mod net_families {
 type Outgoing = (Action, Bytes, Option<TraceContext>);
 
 /// A running proxy node: the sans-IO agent plus its socket plumbing.
+///
+/// Its threads (one accepting, one per inbound connection) are
+/// detached and end with the process.
 #[derive(Debug)]
 pub struct ProxyNode<A> {
     /// The agent, shared for post-run inspection.
@@ -61,13 +63,6 @@ pub struct ProxyNode<A> {
     /// read the ring without a wire scrape.
     pub tracer: Option<Arc<Mutex<NodeTracer>>>,
     alive: Arc<AtomicBool>,
-    handle: JoinHandle<()>,
-}
-
-impl<A> Drop for ProxyNode<A> {
-    fn drop(&mut self) {
-        self.handle.abort();
-    }
 }
 
 impl<A: CacheAgent + Send + 'static> ProxyNode<A> {
@@ -106,125 +101,33 @@ impl<A: CacheAgent + Send + 'static> ProxyNode<A> {
         tracer: Option<Arc<Mutex<NodeTracer>>>,
         flight: Option<Arc<FlightRecorder>>,
     ) -> Self {
-        let agent = Arc::new(Mutex::new(agent));
-        let store: Arc<Mutex<HashMap<ObjectId, Bytes>>> = Arc::new(Mutex::new(HashMap::new()));
-        let pool = Arc::new(Pool::new());
-        let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(seed)));
-        let alive = Arc::new(AtomicBool::new(true));
-        let epoch = Instant::now();
-
-        let agent_for_task = Arc::clone(&agent);
-        let store_for_task = Arc::clone(&store);
-        let tracer_for_task = tracer.clone();
-        let alive_for_task = Arc::clone(&alive);
-        let handle = tokio::spawn(async move {
-            loop {
-                let Ok((mut stream, _)) = listener.accept().await else {
-                    break;
-                };
-                if !alive_for_task.load(Ordering::Relaxed) {
-                    break;
-                }
-                let agent = Arc::clone(&agent_for_task);
-                let store = Arc::clone(&store_for_task);
-                let book = Arc::clone(&book);
-                let pool = Arc::clone(&pool);
-                let rng = Arc::clone(&rng);
-                let probe = Arc::clone(&probe);
-                let tracer = tracer_for_task.clone();
-                let alive = Arc::clone(&alive_for_task);
-                let flight = flight.clone();
-                tokio::spawn(async move {
-                    while let Ok(Some(frame)) = read_frame(&mut stream).await {
-                        // A killed node stops serving: in-flight
-                        // connections fall silent, which is what the
-                        // driver's peer-death detection watches for.
-                        if !alive.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        // Scrapes (metrics and trace) are answered
-                        // in-band on the same connection — they belong
-                        // to no flow and never touch the address book
-                        // or the pool.
-                        if frame == Frame::MetricsRequest {
-                            let text = {
-                                let agent = agent.lock();
-                                let trace = tracer.as_ref().map(|t| t.lock().counters());
-                                render_node_metrics(
-                                    agent.proxy_id(),
-                                    agent.stats(),
-                                    store.lock().len(),
-                                    trace,
-                                )
-                            };
-                            let response = Frame::MetricsResponse(Bytes::from(text.into_bytes()));
-                            if write_frame(&mut stream, &response).await.is_err() {
-                                break;
-                            }
-                            continue;
-                        }
-                        if frame == Frame::TraceRequest {
-                            let response = answer_trace_scrape(tracer.as_deref(), &epoch);
-                            if write_frame(&mut stream, &response).await.is_err() {
-                                break;
-                            }
-                            continue;
-                        }
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            handle_frame(
-                                &agent,
-                                &store,
-                                &rng,
-                                &probe,
-                                tracer.as_deref(),
-                                &epoch,
-                                frame,
-                            )
-                        }));
-                        let outgoing = match result {
-                            Ok(outgoing) => outgoing,
-                            Err(_) => {
-                                // The agent panicked mid-frame: dump
-                                // the evidence and take the whole node
-                                // down — a half-mutated agent must not
-                                // keep serving.
-                                alive.store(false, Ordering::Relaxed);
-                                if let Some(flight) = &flight {
-                                    dump_after_panic(
-                                        flight,
-                                        &agent,
-                                        &store,
-                                        tracer.as_deref(),
-                                        &epoch,
-                                    );
-                                }
-                                break;
-                            }
-                        };
-                        for (action, body, ctx) in outgoing {
-                            let Action::Send { to, message } = action;
-                            let Some(addr) = book.addr_of(to) else {
-                                continue;
-                            };
-                            let frame = match message {
-                                Message::Request(r) => Frame::Request(r, ctx),
-                                Message::Reply(r) => Frame::Reply(r, body, ctx),
-                            };
-                            if pool.send(addr, frame).await.is_err() {
-                                break;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        ProxyNode {
-            agent,
-            store,
+        let name = format!("adc-proxy-{}", agent.proxy_id().raw());
+        let node = ProxyNode {
+            agent: Arc::new(Mutex::new(agent)),
+            store: Arc::new(Mutex::new(HashMap::new())),
             tracer,
-            alive,
-            handle,
-        }
+            alive: Arc::new(AtomicBool::new(true)),
+        };
+        let server = ProxyServer {
+            agent: Arc::clone(&node.agent),
+            store: Arc::clone(&node.store),
+            tracer: node.tracer.clone(),
+            alive: Arc::clone(&node.alive),
+            book,
+            pool: Pool::new(),
+            rng: Mutex::new(StdRng::seed_from_u64(seed)),
+            probe,
+            flight,
+            epoch: Instant::now(),
+        };
+        let alive = Arc::clone(&node.alive);
+        spawn_acceptor(
+            &name,
+            listener,
+            move || alive.load(Ordering::Relaxed),
+            move |conn| server.serve(conn),
+        );
+        node
     }
 
     /// Number of objects whose bytes are currently stored.
@@ -243,6 +146,109 @@ impl<A: CacheAgent + Send + 'static> ProxyNode<A> {
     /// Whether the node is still serving frames.
     pub fn is_alive(&self) -> bool {
         self.alive.load(Ordering::Relaxed)
+    }
+}
+
+/// What a proxy's connection threads share.
+struct ProxyServer<A, P> {
+    agent: Arc<Mutex<A>>,
+    store: Arc<Mutex<HashMap<ObjectId, Bytes>>>,
+    tracer: Option<Arc<Mutex<NodeTracer>>>,
+    alive: Arc<AtomicBool>,
+    book: Arc<AddressBook>,
+    pool: Pool,
+    rng: Mutex<StdRng>,
+    probe: Arc<Mutex<P>>,
+    flight: Option<Arc<FlightRecorder>>,
+    epoch: Instant,
+}
+
+impl<A: CacheAgent, P: Probe> ProxyServer<A, P> {
+    /// Serves one inbound connection until it closes, breaks, or the
+    /// node dies. Each frame's transmissions are written by this thread.
+    fn serve(&self, mut conn: FrameReader<TcpStream>) {
+        while let Ok(Some(frame)) = conn.next_frame() {
+            // A killed node stops serving: in-flight connections fall
+            // silent, which is what the driver's peer-death detection
+            // watches for.
+            if !self.alive.load(Ordering::Relaxed) {
+                break;
+            }
+            // Scrapes (metrics and trace) are answered in-band on the
+            // same connection — they belong to no flow and never touch
+            // the address book or the pool.
+            let answer = match frame {
+                Frame::MetricsRequest => {
+                    let text = {
+                        let agent = self.agent.lock();
+                        let trace = self.tracer.as_ref().map(|t| t.lock().counters());
+                        render_node_metrics(
+                            agent.proxy_id(),
+                            agent.stats(),
+                            self.store.lock().len(),
+                            trace,
+                        )
+                    };
+                    Frame::MetricsResponse(Bytes::from(text.into_bytes()))
+                }
+                Frame::TraceRequest => answer_trace_scrape(self.tracer.as_deref(), &self.epoch),
+                frame => {
+                    if !self.forward(frame) {
+                        break;
+                    }
+                    continue;
+                }
+            };
+            if write_frame(conn.get_mut(), &answer).is_err() {
+                break;
+            }
+        }
+    }
+
+    /// Feeds `frame` through the agent and sends its transmissions;
+    /// `false` when the agent panicked and took the node down.
+    fn forward(&self, frame: Frame) -> bool {
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            handle_frame(
+                &self.agent,
+                &self.store,
+                &self.rng,
+                &self.probe,
+                self.tracer.as_deref(),
+                &self.epoch,
+                frame,
+            )
+        }));
+        let Ok(outgoing) = result else {
+            // The agent panicked mid-frame: dump the evidence and take
+            // the whole node down — a half-mutated agent must not keep
+            // serving.
+            self.alive.store(false, Ordering::Relaxed);
+            if let Some(flight) = &self.flight {
+                dump_after_panic(
+                    flight,
+                    &self.agent,
+                    &self.store,
+                    self.tracer.as_deref(),
+                    &self.epoch,
+                );
+            }
+            return false;
+        };
+        for (action, body, ctx) in outgoing {
+            let Action::Send { to, message } = action;
+            let Some(addr) = self.book.addr_of(to) else {
+                continue;
+            };
+            let frame = match message {
+                Message::Request(r) => Frame::Request(r, ctx),
+                Message::Reply(r) => Frame::Reply(r, body, ctx),
+            };
+            if self.pool.send(addr, &frame).is_err() {
+                break;
+            }
+        }
+        true
     }
 }
 
@@ -514,19 +520,15 @@ fn apply_cache_events<A: CacheAgent>(
 
 /// A running origin server: resolves every request with deterministic
 /// pseudo-content sized by the workload's [`SizeModel`].
+///
+/// Its threads (one accepting, one per inbound connection) are
+/// detached and end with the process.
 #[derive(Debug)]
 pub struct OriginNode {
     /// The origin's span recorder, present when tracing is enabled. It
     /// records one [`SegmentKind::OriginFetch`] leaf per traced request
     /// served, so merged traces get an origin lane.
     pub tracer: Option<Arc<Mutex<NodeTracer>>>,
-    handle: JoinHandle<()>,
-}
-
-impl Drop for OriginNode {
-    fn drop(&mut self) {
-        self.handle.abort();
-    }
 }
 
 impl OriginNode {
@@ -542,79 +544,93 @@ impl OriginNode {
         book: Arc<AddressBook>,
         tracer: Option<Arc<Mutex<NodeTracer>>>,
     ) -> Self {
-        let pool = Arc::new(Pool::new());
-        let size_model = SizeModel::default();
-        let served = Arc::new(AtomicU64::new(0));
-        let epoch = Instant::now();
-        let tracer_for_task = tracer.clone();
-        let handle = tokio::spawn(async move {
-            loop {
-                let Ok((mut stream, _)) = listener.accept().await else {
-                    break;
-                };
-                let book = Arc::clone(&book);
-                let pool = Arc::clone(&pool);
-                let served = Arc::clone(&served);
-                let tracer = tracer_for_task.clone();
-                tokio::spawn(async move {
-                    while let Ok(Some(frame)) = read_frame(&mut stream).await {
-                        // Answer scrapes so a metrics or trace sweep
-                        // over every address never hangs on the origin.
-                        if frame == Frame::MetricsRequest {
-                            let total = served.load(Ordering::Relaxed);
-                            let family = net_families::ORIGIN_REQUESTS;
-                            let text = format!("# TYPE {family} counter\n{family} {total}\n");
-                            let response = Frame::MetricsResponse(Bytes::from(text.into_bytes()));
-                            if write_frame(&mut stream, &response).await.is_err() {
-                                break;
-                            }
-                            continue;
-                        }
-                        if frame == Frame::TraceRequest {
-                            let response = answer_trace_scrape(tracer.as_deref(), &epoch);
-                            if write_frame(&mut stream, &response).await.is_err() {
-                                break;
-                            }
-                            continue;
-                        }
-                        let Frame::Request(request, ctx) = frame else {
-                            continue;
-                        };
-                        let arrived_us = epoch.elapsed().as_micros() as u64;
-                        served.fetch_add(1, Ordering::Relaxed);
-                        let body = origin_body(request.object, &size_model);
-                        let reply = Reply::from_origin(&request, body.len() as u32);
-                        let out_ctx = match (&tracer, ctx) {
-                            (Some(tracer), Some(ctx)) => {
-                                let end_us = epoch.elapsed().as_micros() as u64;
-                                let span_id = tracer.lock().record_leaf(
-                                    ctx,
-                                    request.object.raw(),
-                                    SegmentKind::OriginFetch,
-                                    arrived_us,
-                                    end_us,
-                                );
-                                Some(TraceContext {
-                                    trace_id: ctx.trace_id,
-                                    parent_span: span_id,
-                                    hop: ctx.hop,
-                                })
-                            }
-                            (None, ctx) => ctx,
-                            (_, None) => None,
-                        };
-                        let Some(addr) = book.addr_of(request.sender) else {
-                            continue;
-                        };
-                        let frame = Frame::Reply(reply, body, out_ctx);
-                        if pool.send(addr, frame).await.is_err() {
-                            break;
-                        }
+        let server = OriginServer {
+            book,
+            pool: Pool::new(),
+            size_model: SizeModel::default(),
+            served: AtomicU64::new(0),
+            tracer: tracer.clone(),
+            epoch: Instant::now(),
+        };
+        spawn_acceptor(
+            "adc-origin",
+            listener,
+            || true,
+            move |conn| server.serve(conn),
+        );
+        OriginNode { tracer }
+    }
+}
+
+/// What the origin's connection threads share.
+struct OriginServer {
+    book: Arc<AddressBook>,
+    pool: Pool,
+    size_model: SizeModel,
+    served: AtomicU64,
+    tracer: Option<Arc<Mutex<NodeTracer>>>,
+    epoch: Instant,
+}
+
+impl OriginServer {
+    /// Serves one inbound connection until it closes or breaks.
+    fn serve(&self, mut conn: FrameReader<TcpStream>) {
+        while let Ok(Some(frame)) = conn.next_frame() {
+            // Answer scrapes so a metrics or trace sweep over every
+            // address never hangs on the origin.
+            let answer = match frame {
+                Frame::MetricsRequest => {
+                    let total = self.served.load(Ordering::Relaxed);
+                    let family = net_families::ORIGIN_REQUESTS;
+                    let text = format!("# TYPE {family} counter\n{family} {total}\n");
+                    Frame::MetricsResponse(Bytes::from(text.into_bytes()))
+                }
+                Frame::TraceRequest => answer_trace_scrape(self.tracer.as_deref(), &self.epoch),
+                Frame::Request(request, ctx) => {
+                    let reply = self.answer(request, ctx);
+                    let Some(addr) = self.book.addr_of(request.sender) else {
+                        continue;
+                    };
+                    if self.pool.send(addr, &reply).is_err() {
+                        break;
                     }
-                });
+                    continue;
+                }
+                _ => continue,
+            };
+            if write_frame(conn.get_mut(), &answer).is_err() {
+                break;
             }
-        });
-        OriginNode { tracer, handle }
+        }
+    }
+
+    /// The reply to `request`, recording its origin-fetch span when
+    /// traced.
+    fn answer(&self, request: Request, ctx: Option<TraceContext>) -> Frame {
+        let arrived_us = self.epoch.elapsed().as_micros() as u64;
+        self.served.fetch_add(1, Ordering::Relaxed);
+        let body = origin_body(request.object, &self.size_model);
+        let reply = Reply::from_origin(&request, body.len() as u32);
+        let out_ctx = match (&self.tracer, ctx) {
+            (Some(tracer), Some(ctx)) => {
+                let end_us = self.epoch.elapsed().as_micros() as u64;
+                let span_id = tracer.lock().record_leaf(
+                    ctx,
+                    request.object.raw(),
+                    SegmentKind::OriginFetch,
+                    arrived_us,
+                    end_us,
+                );
+                Some(TraceContext {
+                    trace_id: ctx.trace_id,
+                    parent_span: span_id,
+                    hop: ctx.hop,
+                })
+            }
+            (None, ctx) => ctx,
+            (_, None) => None,
+        };
+        Frame::Reply(reply, body, out_ctx)
     }
 }
 

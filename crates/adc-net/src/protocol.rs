@@ -191,7 +191,7 @@ fn put_trace_context(buf: &mut BytesMut, ctx: &TraceContext) {
 }
 
 fn get_trace_context(buf: &mut Bytes) -> Result<TraceContext, ProtocolError> {
-    if buf.remaining() < 8 + 8 + 4 {
+    if buf.remaining() < CONTEXT_LEN {
         return Err(ProtocolError::Truncated);
     }
     Ok(TraceContext {
@@ -232,6 +232,27 @@ fn put_reply(buf: &mut BytesMut, r: &Reply, body: &Bytes) {
     buf.put_slice(body);
 }
 
+/// Encoded size of a [`TraceContext`].
+const CONTEXT_LEN: usize = 8 + 8 + 4;
+/// Encoded size of a [`Request`] (after the tag and any context).
+const REQUEST_LEN: usize = 4 + 8 + 8 + 4 + 5 + 4;
+/// Encoded size of a [`Reply`] before its body (after the tag and any
+/// context).
+const REPLY_HEAD_LEN: usize = 4 + 8 + 8 + 4 + 4 + 4 + 5 + 4 + 4;
+
+/// Payload length of `frame` as [`encode`] writes it, so every encoder
+/// allocates its buffer once at the exact size.
+fn encoded_len(frame: &Frame) -> usize {
+    let ctx_len = |ctx: &Option<TraceContext>| if ctx.is_some() { CONTEXT_LEN } else { 0 };
+    1 + match frame {
+        Frame::Request(_, ctx) => ctx_len(ctx) + REQUEST_LEN,
+        Frame::Reply(_, body, ctx) => ctx_len(ctx) + REPLY_HEAD_LEN + body.len(),
+        Frame::MetricsRequest | Frame::TraceRequest => 0,
+        Frame::MetricsResponse(text) => 4 + text.len(),
+        Frame::TraceResponse(scrape) => 8 + 8 + 4 + scrape.spans.len(),
+    }
+}
+
 /// Encodes a frame payload (without the length prefix).
 ///
 /// A [`Frame::Request`]/[`Frame::Reply`] without a trace context
@@ -239,27 +260,46 @@ fn put_reply(buf: &mut BytesMut, r: &Reply, body: &Bytes) {
 /// protocol produced; a context selects the traced tag and prepends the
 /// context to the otherwise unchanged layout.
 pub fn encode(frame: &Frame) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
+    let len = encoded_len(frame);
+    let mut buf = BytesMut::with_capacity(len);
+    put_frame(&mut buf, frame);
+    debug_assert_eq!(buf.len(), len, "encoded_len disagrees with put_frame");
+    buf.freeze()
+}
+
+/// The wire form of `frame` in one buffer of exact size: the payload
+/// length as a `u32` big-endian prefix, then the payload [`encode`]
+/// produces, written by the same code.
+pub(crate) fn encode_framed(frame: &Frame) -> BytesMut {
+    let len = encoded_len(frame);
+    let mut buf = BytesMut::with_capacity(4 + len);
+    buf.put_u32(len as u32);
+    put_frame(&mut buf, frame);
+    debug_assert_eq!(buf.len(), 4 + len, "encoded_len disagrees with put_frame");
+    buf
+}
+
+fn put_frame(buf: &mut BytesMut, frame: &Frame) {
     match frame {
         Frame::Request(r, ctx) => {
             match ctx {
                 None => buf.put_u8(TAG_REQUEST),
                 Some(ctx) => {
                     buf.put_u8(TAG_TRACED_REQUEST);
-                    put_trace_context(&mut buf, ctx);
+                    put_trace_context(buf, ctx);
                 }
             }
-            put_request(&mut buf, r);
+            put_request(buf, r);
         }
         Frame::Reply(r, body, ctx) => {
             match ctx {
                 None => buf.put_u8(TAG_REPLY),
                 Some(ctx) => {
                     buf.put_u8(TAG_TRACED_REPLY);
-                    put_trace_context(&mut buf, ctx);
+                    put_trace_context(buf, ctx);
                 }
             }
-            put_reply(&mut buf, r, body);
+            put_reply(buf, r, body);
         }
         Frame::MetricsRequest => {
             buf.put_u8(TAG_METRICS_REQUEST);
@@ -280,7 +320,6 @@ pub fn encode(frame: &Frame) -> Bytes {
             buf.put_slice(&scrape.spans);
         }
     }
-    buf.freeze()
 }
 
 /// Decodes a frame payload produced by [`encode`].

@@ -1,7 +1,10 @@
 //! End-to-end tests of the TCP runtime: real sockets, real bytes.
 
 use adc_core::{AdcConfig, CacheAgent, ClientId, ObjectId, ProxyId, ServedFrom};
-use adc_net::{drive_workload_traced, origin_body, Cluster, ClusterOptions, FlightRecorder};
+use adc_net::{
+    drive_workload_traced, origin_body, AddressBook, Cluster, ClusterOptions, FlightRecorder,
+    NetClient,
+};
 use adc_obs::netspan::{parse_net_spans_jsonl, NetSpan};
 use adc_workload::{Phase, RequestRecord, SizeModel};
 use std::collections::HashSet;
@@ -26,6 +29,31 @@ async fn request_resolves_with_correct_body() {
     assert_eq!(reply.size as usize, body.len());
     // Body is the origin's deterministic content.
     assert_eq!(body, origin_body(object, &SizeModel::default()));
+    assert_eq!(client.in_flight(), 0);
+}
+
+/// A request whose send fails must not stay counted as in flight, for
+/// either request call.
+#[tokio::test]
+async fn failed_send_leaves_no_request_in_flight() {
+    // A port that was bound and released: connecting is refused.
+    let closed = std::net::TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let book = std::sync::Arc::new(AddressBook::new(vec![closed], closed));
+    let client = NetClient::start(ClientId::new(0), book).await.unwrap();
+    let err = client
+        .request(ObjectId::new(1), ProxyId::new(0))
+        .await
+        .unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
+    assert_eq!(client.in_flight(), 0, "request leaked its pending slot");
+    let err = client
+        .request_timeout(ObjectId::new(2), ProxyId::new(0), Duration::from_secs(1))
+        .await
+        .unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
     assert_eq!(client.in_flight(), 0);
 }
 

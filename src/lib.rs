@@ -4,7 +4,7 @@
 //! Sensitivity of Adaptive Distributed Caching"* (Kaiser, Tsui, Liu —
 //! ICDCS 2003): the self-organizing ADC proxy algorithm, the CARP-style
 //! hashing baseline, a deterministic discrete-event simulator, a
-//! Polygraph-like workload generator, a tokio TCP runtime, and the
+//! Polygraph-like workload generator, a TCP runtime, and the
 //! benchmark harness that regenerates every figure of the paper.
 //!
 //! This facade crate re-exports the whole workspace:
@@ -14,7 +14,7 @@
 //! * [`sim`] — the discrete-event simulator;
 //! * [`workload`] — Zipf, Polygraph-like streams, traces;
 //! * [`metrics`] — moving averages, series, summaries, CSV;
-//! * [`net`] — the tokio TCP deployment.
+//! * [`net`] — the TCP deployment.
 //!
 //! # Examples
 //!
