@@ -9,7 +9,8 @@
 //! by the pre-calendar-queue binary-heap event loop; the rewrite
 //! reproduced them exactly. `openloop_spans_micro.txt` covers the same
 //! trace under open-loop injection and the flow-span attribution of the
-//! sequential run.
+//! sequential run, and `schemes_micro.txt` the other five agent
+//! configurations `compare_schemes` runs.
 //!
 //! Regenerate after an *intentional* behavior change:
 //!
@@ -17,8 +18,10 @@
 //! ADC_BLESS_GOLDEN=1 cargo test -p adc-bench --test fig11_pinned
 //! ```
 
+use adc_baselines::{ConsistentRing, HashingProxy, HierarchyProxy, SoapProxy};
 use adc_bench::experiment::Experiment;
 use adc_bench::scale::Scale;
+use adc_core::{CachePolicy, ProxyId, UnlimitedAdcProxy};
 use adc_sim::{InjectionMode, SimReport, SimTime};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -168,4 +171,67 @@ fn openloop_and_span_counts_match_golden() {
         spans.to_json()
     );
     assert_golden("openloop_spans_micro.txt", &rendered);
+}
+
+/// The five `compare_schemes` rows `fig11_micro.txt` leaves out, built as
+/// that binary builds them: ADC's cache-everything LRU ablation,
+/// unlimited ADC, SOAP, consistent-hash routing and the caching tree.
+/// Each row also prints its summed per-proxy counters, so every
+/// `ProxyStats` field of every agent is pinned.
+#[test]
+fn schemes_micro_counts_match_golden() {
+    let experiment = Experiment::at_scale(Scale::Custom(0.002));
+    let trace = experiment.trace();
+    let n = experiment.proxies;
+    let cache = experiment.adc.cache_capacity;
+    let max_hops = experiment.adc.max_hops;
+    let ids = || (0..n).map(ProxyId::new);
+    let mut lru = experiment.adc.clone();
+    lru.policy = CachePolicy::LruAll;
+
+    let unlimited = ids()
+        .map(|i| UnlimitedAdcProxy::new(i, n, cache, max_hops))
+        .collect();
+    let soap = ids()
+        .map(|i| SoapProxy::new(i, n, 1_024, cache, max_hops))
+        .collect();
+    let consistent = ids()
+        .map(|i| HashingProxy::with_owner_map(i, ConsistentRing::new(ids(), 128), cache))
+        .collect();
+    let rows = [
+        ("adc_lru", experiment.run_adc_with_on(lru, &trace)),
+        (
+            "adc_unlimited",
+            experiment
+                .run_agents_on::<UnlimitedAdcProxy>(unlimited, &trace)
+                .0,
+        ),
+        (
+            "soap",
+            experiment.run_agents_on::<SoapProxy>(soap, &trace).0,
+        ),
+        (
+            "consistent",
+            experiment
+                .run_agents_on::<HashingProxy<ConsistentRing>>(consistent, &trace)
+                .0,
+        ),
+        (
+            "hierarchy",
+            experiment
+                .run_agents_on(HierarchyProxy::binary_tree(n, cache), &trace)
+                .0,
+        ),
+    ];
+    let rendered: Vec<String> = rows
+        .iter()
+        .map(|(name, report)| {
+            format!(
+                "{}cluster_stats = {:?}\n",
+                render(name, report),
+                report.cluster_stats()
+            )
+        })
+        .collect();
+    assert_golden("schemes_micro.txt", &rendered.join("\n"));
 }
