@@ -10,11 +10,11 @@
 //! information based on the LRU algorithm and forward the request directly
 //! to the requesting client, bypassing the first proxy."
 
-use crate::lru_cache::BoundedLru;
 use crate::owner::{Hrw, OwnerMap};
+use adc_core::tables::BoundedLru;
 use adc_core::{
     ActionSink, CacheAgent, CacheEvent, ClientId, NodeId, ObjectId, Probe, ProxyId, ProxyStats,
-    Reply, Request, RequestId, SimEvent, DEFAULT_OBJECT_SIZE,
+    Reply, Request, RequestId, SimEvent, Tally, DEFAULT_OBJECT_SIZE,
 };
 use rand::RngCore;
 use std::collections::BTreeMap;
@@ -30,10 +30,12 @@ pub struct HashingProxy<O> {
     owner_map: O,
     cache: BoundedLru,
     /// Requests this proxy forwarded to the origin, awaiting the reply,
-    /// mapped to the client the response must go to.
+    /// mapped to the client the response must go to. One slot per
+    /// request, not a hop stack: when a fault duplicate reaches the owner
+    /// too, the client is answered once and the second origin reply is
+    /// orphaned.
     pending: BTreeMap<RequestId, ClientId>,
-    stats: ProxyStats,
-    cache_events: Vec<CacheEvent>,
+    tally: Tally,
 }
 
 /// The paper's CARP baseline: HRW-hash routing with per-proxy LRU caches.
@@ -74,8 +76,7 @@ impl<O: OwnerMap> HashingProxy<O> {
             owner_map,
             cache: BoundedLru::new(cache_capacity),
             pending: BTreeMap::new(),
-            stats: ProxyStats::default(),
-            cache_events: Vec::new(),
+            tally: Tally::default(),
         }
     }
 
@@ -87,31 +88,6 @@ impl<O: OwnerMap> HashingProxy<O> {
     /// Number of requests awaiting an origin reply.
     pub fn pending_requests(&self) -> usize {
         self.pending.len()
-    }
-
-    fn store<P: Probe>(&mut self, object: ObjectId, probe: &mut P) {
-        if self.cache.contains(object) {
-            self.cache.touch(object);
-            return;
-        }
-        if let Some(evicted) = self.cache.insert(object) {
-            self.stats.cache_evictions += 1;
-            self.cache_events.push(CacheEvent::Evict(evicted));
-            if P::ENABLED {
-                probe.emit(SimEvent::CacheEvict {
-                    proxy: self.id.raw(),
-                    object: evicted.raw(),
-                });
-            }
-        }
-        self.stats.cache_insertions += 1;
-        self.cache_events.push(CacheEvent::Store(object));
-        if P::ENABLED {
-            probe.emit(SimEvent::CacheInsert {
-                proxy: self.id.raw(),
-                object: object.raw(),
-            });
-        }
     }
 }
 
@@ -127,87 +103,58 @@ impl<O: OwnerMap> CacheAgent for HashingProxy<O> {
         probe: &mut P,
         out: &mut ActionSink,
     ) {
-        self.stats.requests_received += 1;
-        let object = request.object;
-
-        if self.cache.contains(object) {
+        let (proxy, object) = (self.id.raw(), request.object.raw());
+        if self.cache.touch(request.object) {
             // Hit anywhere (first proxy or owner): answer the client
             // directly, bypassing any first-hop proxy.
-            self.cache.touch(object);
-            self.stats.local_hits += 1;
-            if P::ENABLED {
-                probe.emit(SimEvent::LocalHit {
-                    proxy: self.id.raw(),
-                    object: object.raw(),
-                });
-            }
+            self.tally
+                .record(probe, SimEvent::LocalHit { proxy, object });
             let reply = Reply::from_cache(&request, self.id, DEFAULT_OBJECT_SIZE);
             out.send(request.client, reply);
             return;
         }
 
-        let owner = self.owner_map.owner(object);
-        if owner == self.id {
+        let owner = self.owner_map.owner(request.object);
+        let to = if owner == self.id {
             // We are responsible but do not have it: fetch from the
             // origin and remember whom to answer.
-            self.stats.origin_this_miss += 1;
-            if P::ENABLED {
-                probe.emit(SimEvent::OriginThisMiss {
-                    proxy: self.id.raw(),
-                    object: object.raw(),
-                });
-            }
+            self.tally
+                .record(probe, SimEvent::OriginThisMiss { proxy, object });
             self.pending.insert(request.id, request.client);
-            let mut forwarded = request;
-            forwarded.sender = NodeId::Proxy(self.id);
-            forwarded.hops += 1;
-            out.send(NodeId::Origin, forwarded);
+            NodeId::Origin
         } else {
             // Route to the globally agreed owner.
-            self.stats.forwards_learned += 1;
-            if P::ENABLED {
-                probe.emit(SimEvent::ForwardLearned {
-                    proxy: self.id.raw(),
-                    object: object.raw(),
-                    to: owner.raw(),
-                });
-            }
-            let mut forwarded = request;
-            forwarded.sender = NodeId::Proxy(self.id);
-            forwarded.hops += 1;
-            out.send(owner, forwarded);
-        }
+            let to = owner.raw();
+            let event = SimEvent::ForwardLearned { proxy, object, to };
+            self.tally.record(probe, event);
+            NodeId::Proxy(owner)
+        };
+        let mut forwarded = request;
+        forwarded.sender = NodeId::Proxy(self.id);
+        forwarded.hops += 1;
+        out.send(to, forwarded);
     }
 
     fn on_reply<P: Probe>(&mut self, reply: Reply, probe: &mut P, out: &mut ActionSink) {
-        let client = match self.pending.remove(&reply.id) {
-            Some(c) => c,
-            None => {
-                self.stats.replies_orphaned += 1;
-                if P::ENABLED {
-                    probe.emit(SimEvent::ReplyOrphaned {
-                        proxy: self.id.raw(),
-                        object: reply.object.raw(),
-                    });
-                }
-                return;
-            }
+        let pending = self.pending.remove(&reply.id);
+        let Some(client) = self.tally.reply(probe, self.id, &reply, pending) else {
+            return;
         };
-        self.stats.replies_processed += 1;
         // Store the fetched object under LRU replacement, then answer the
         // client directly.
-        self.store(reply.object, probe);
+        let object = reply.object;
+        self.cache.admit(self.id, object, &mut self.tally, probe);
         let mut reply = reply;
         reply.resolver = Some(self.id);
         out.send(client, reply);
     }
 
     fn stats(&self) -> &ProxyStats {
-        &self.stats
+        self.tally.stats()
     }
 
     fn drain_cache_events(&mut self) -> Vec<CacheEvent> {
-        std::mem::take(&mut self.cache_events)
+        self.tally.drain()
     }
 
     fn cached_objects(&self) -> usize {
@@ -227,7 +174,7 @@ impl<O: OwnerMap> CacheAgent for HashingProxy<O> {
     fn reset(&mut self) {
         self.cache.clear();
         self.pending.clear();
-        self.cache_events.clear();
+        self.tally.drain();
     }
 }
 

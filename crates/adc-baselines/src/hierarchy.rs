@@ -7,13 +7,12 @@
 //! passing objects regardless of its future significance" behaviour the
 //! paper's selective caching argues against.
 
-use crate::lru_cache::BoundedLru;
+use adc_core::tables::BoundedLru;
 use adc_core::{
-    ActionSink, CacheAgent, CacheEvent, NodeId, ObjectId, Probe, ProxyId, ProxyStats, Reply,
-    Request, RequestId, SimEvent, DEFAULT_OBJECT_SIZE,
+    ActionSink, Backwarding, CacheAgent, CacheEvent, NodeId, ObjectId, Probe, ProxyId, ProxyStats,
+    Reply, Request, SimEvent, Tally, DEFAULT_OBJECT_SIZE,
 };
 use rand::RngCore;
-use std::collections::BTreeMap;
 
 /// One proxy in a caching hierarchy.
 #[derive(Debug)]
@@ -23,9 +22,9 @@ pub struct HierarchyProxy {
     /// the origin server).
     parent: Option<ProxyId>,
     cache: BoundedLru,
-    pending: BTreeMap<RequestId, Vec<NodeId>>,
-    stats: ProxyStats,
-    cache_events: Vec<CacheEvent>,
+    /// The hops every pending request's reply retraces down the tree.
+    pending: Backwarding,
+    tally: Tally,
 }
 
 impl HierarchyProxy {
@@ -40,9 +39,8 @@ impl HierarchyProxy {
             id,
             parent,
             cache: BoundedLru::new(cache_capacity),
-            pending: BTreeMap::new(),
-            stats: ProxyStats::default(),
-            cache_events: Vec::new(),
+            pending: Backwarding::new(),
+            tally: Tally::default(),
         }
     }
 
@@ -72,31 +70,6 @@ impl HierarchyProxy {
     pub fn pending_requests(&self) -> usize {
         self.pending.len()
     }
-
-    fn store<P: Probe>(&mut self, object: ObjectId, probe: &mut P) {
-        if self.cache.contains(object) {
-            self.cache.touch(object);
-            return;
-        }
-        if let Some(evicted) = self.cache.insert(object) {
-            self.stats.cache_evictions += 1;
-            self.cache_events.push(CacheEvent::Evict(evicted));
-            if P::ENABLED {
-                probe.emit(SimEvent::CacheEvict {
-                    proxy: self.id.raw(),
-                    object: evicted.raw(),
-                });
-            }
-        }
-        self.stats.cache_insertions += 1;
-        self.cache_events.push(CacheEvent::Store(object));
-        if P::ENABLED {
-            probe.emit(SimEvent::CacheInsert {
-                proxy: self.id.raw(),
-                object: object.raw(),
-            });
-        }
-    }
 }
 
 impl CacheAgent for HierarchyProxy {
@@ -111,96 +84,57 @@ impl CacheAgent for HierarchyProxy {
         probe: &mut P,
         out: &mut ActionSink,
     ) {
-        self.stats.requests_received += 1;
-        if self.cache.contains(request.object) {
-            self.cache.touch(request.object);
-            self.stats.local_hits += 1;
-            if P::ENABLED {
-                probe.emit(SimEvent::LocalHit {
-                    proxy: self.id.raw(),
-                    object: request.object.raw(),
-                });
-            }
+        let (proxy, object) = (self.id.raw(), request.object.raw());
+        if self.cache.touch(request.object) {
+            self.tally
+                .record(probe, SimEvent::LocalHit { proxy, object });
             let reply = Reply::from_cache(&request, self.id, DEFAULT_OBJECT_SIZE);
             out.send(request.sender, reply);
             return;
         }
-        self.pending
-            .entry(request.id)
-            .or_default()
-            .push(request.sender);
+        // A revisit (a fault duplicate) stacks another hop; the tree has
+        // no loops to detect.
+        self.pending.push(request.id, request.sender);
+        let to = match self.parent {
+            Some(parent) => {
+                let to = parent.raw();
+                let event = SimEvent::ForwardLearned { proxy, object, to };
+                self.tally.record(probe, event);
+                NodeId::Proxy(parent)
+            }
+            None => {
+                self.tally
+                    .record(probe, SimEvent::OriginThisMiss { proxy, object });
+                NodeId::Origin
+            }
+        };
         let mut forwarded = request;
         forwarded.sender = NodeId::Proxy(self.id);
         forwarded.hops += 1;
-        match self.parent {
-            Some(parent) => {
-                self.stats.forwards_learned += 1;
-                if P::ENABLED {
-                    probe.emit(SimEvent::ForwardLearned {
-                        proxy: self.id.raw(),
-                        object: forwarded.object.raw(),
-                        to: parent.raw(),
-                    });
-                }
-                out.send(parent, forwarded);
-            }
-            None => {
-                self.stats.origin_this_miss += 1;
-                if P::ENABLED {
-                    probe.emit(SimEvent::OriginThisMiss {
-                        proxy: self.id.raw(),
-                        object: forwarded.object.raw(),
-                    });
-                }
-                out.send(NodeId::Origin, forwarded);
-            }
-        }
+        out.send(to, forwarded);
     }
 
     fn on_reply<P: Probe>(&mut self, reply: Reply, probe: &mut P, out: &mut ActionSink) {
-        let prev_hop = {
-            let stack = match self.pending.get_mut(&reply.id) {
-                Some(s) => s,
-                None => {
-                    self.stats.replies_orphaned += 1;
-                    if P::ENABLED {
-                        probe.emit(SimEvent::ReplyOrphaned {
-                            proxy: self.id.raw(),
-                            object: reply.object.raw(),
-                        });
-                    }
-                    return;
-                }
-            };
-            #[expect(
-                clippy::expect_used,
-                reason = "stacks are removed when their last hop pops"
-            )]
-            let hop = stack.pop().expect("pending stacks are never empty");
-            if stack.is_empty() {
-                self.pending.remove(&reply.id);
-            }
-            hop
+        let Some(prev_hop) = self
+            .pending
+            .pop_reply(self.id, &reply, &mut self.tally, probe)
+        else {
+            return;
         };
-        // Reply-path events are emitted by store() below (CacheInsert /
-        // CacheEvict) and by the runner (RequestCompleted).
-        // adc-lint: allow(obs-coverage)
-        self.stats.replies_processed += 1;
         // Hierarchical caching: store every passing object.
-        self.store(reply.object, probe);
+        self.cache
+            .admit(self.id, reply.object, &mut self.tally, probe);
         let mut reply = reply;
-        if reply.resolver.is_none() {
-            reply.resolver = Some(self.id);
-        }
+        reply.resolver.get_or_insert(self.id);
         out.send(prev_hop, reply);
     }
 
     fn stats(&self) -> &ProxyStats {
-        &self.stats
+        self.tally.stats()
     }
 
     fn drain_cache_events(&mut self) -> Vec<CacheEvent> {
-        std::mem::take(&mut self.cache_events)
+        self.tally.drain()
     }
 
     fn cached_objects(&self) -> usize {
@@ -214,14 +148,14 @@ impl CacheAgent for HierarchyProxy {
     fn reset(&mut self) {
         self.cache.clear();
         self.pending.clear();
-        self.cache_events.clear();
+        self.tally.drain();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adc_core::{Action, ClientId, Message};
+    use adc_core::{Action, ClientId, Message, RequestId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -11,7 +11,8 @@
 //!   node stores all passing objects (the paper's other contrast class).
 //! * [`SoapProxy`] — the ADC authors' earlier per-category design
 //!   (§II.2), for lineage comparisons.
-//! * [`BoundedLru`] — the plain LRU object cache they all use.
+//! * [`BoundedLru`] — the plain LRU object cache they all use
+//!   (re-exported from `adc_core::tables`).
 //!
 //! All agents implement [`adc_core::CacheAgent`] and can be driven by the
 //! simulator or the TCP runtime interchangeably with ADC proxies.
@@ -46,12 +47,11 @@
 
 mod hashing_proxy;
 mod hierarchy;
-mod lru_cache;
 mod owner;
 mod soap;
 
+pub use adc_core::tables::BoundedLru;
 pub use hashing_proxy::{CarpProxy, HashingProxy};
 pub use hierarchy::HierarchyProxy;
-pub use lru_cache::BoundedLru;
 pub use owner::{ConsistentRing, Hrw, OwnerMap};
 pub use soap::SoapProxy;

@@ -9,27 +9,20 @@
 //! that passes — the paper's stated lesson from SOAP was precisely "the
 //! importance of selective caching".
 
-use crate::lru_cache::BoundedLru;
+use adc_core::tables::BoundedLru;
 use adc_core::{
-    ActionSink, CacheAgent, CacheEvent, NodeId, ObjectId, Probe, ProxyId, ProxyStats, Reply,
-    Request, RequestId, SimEvent, DEFAULT_OBJECT_SIZE,
+    ActionSink, CacheAgent, CacheEvent, ForwardingCore, Location, ObjectId, Probe, ProxyId,
+    ProxyStats, Reply, Request,
 };
-use rand::Rng;
 use rand::RngCore;
-use std::collections::BTreeMap;
 
 /// A SOAP-style proxy: per-category location learning + LRU caching.
 #[derive(Debug)]
 pub struct SoapProxy {
-    id: ProxyId,
-    peers: Vec<ProxyId>,
-    max_hops: u32,
+    core: ForwardingCore,
     /// Learned location per category; `None` until first observed.
     category_map: Vec<Option<ProxyId>>,
     cache: BoundedLru,
-    pending: BTreeMap<RequestId, Vec<NodeId>>,
-    stats: ProxyStats,
-    cache_events: Vec<CacheEvent>,
 }
 
 impl SoapProxy {
@@ -49,15 +42,11 @@ impl SoapProxy {
         assert!(id.raw() < num_proxies, "proxy id out of range");
         assert!(num_categories > 0, "need at least one category");
         assert!(max_hops > 0, "max_hops must be positive");
+        let peers = (0..num_proxies).map(ProxyId::new).collect();
         SoapProxy {
-            id,
-            peers: (0..num_proxies).map(ProxyId::new).collect(),
-            max_hops,
+            core: ForwardingCore::new(id, peers, max_hops),
             category_map: vec![None; num_categories],
             cache: BoundedLru::new(cache_capacity),
-            pending: BTreeMap::new(),
-            stats: ProxyStats::default(),
-            cache_events: Vec::new(),
         }
     }
 
@@ -70,36 +59,11 @@ impl SoapProxy {
     pub fn category_location(&self, category: usize) -> Option<ProxyId> {
         self.category_map.get(category).copied().flatten()
     }
-
-    fn store<P: Probe>(&mut self, object: ObjectId, probe: &mut P) {
-        if self.cache.contains(object) {
-            self.cache.touch(object);
-            return;
-        }
-        if let Some(evicted) = self.cache.insert(object) {
-            self.stats.cache_evictions += 1;
-            self.cache_events.push(CacheEvent::Evict(evicted));
-            if P::ENABLED {
-                probe.emit(SimEvent::CacheEvict {
-                    proxy: self.id.raw(),
-                    object: evicted.raw(),
-                });
-            }
-        }
-        self.stats.cache_insertions += 1;
-        self.cache_events.push(CacheEvent::Store(object));
-        if P::ENABLED {
-            probe.emit(SimEvent::CacheInsert {
-                proxy: self.id.raw(),
-                object: object.raw(),
-            });
-        }
-    }
 }
 
 impl CacheAgent for SoapProxy {
     fn proxy_id(&self) -> ProxyId {
-        self.id
+        self.core.id()
     }
 
     fn on_request<P: Probe>(
@@ -109,153 +73,35 @@ impl CacheAgent for SoapProxy {
         probe: &mut P,
         out: &mut ActionSink,
     ) {
-        self.stats.requests_received += 1;
-        let object = request.object;
-
-        if self.cache.contains(object) {
-            self.cache.touch(object);
-            self.stats.local_hits += 1;
-            if P::ENABLED {
-                probe.emit(SimEvent::LocalHit {
-                    proxy: self.id.raw(),
-                    object: object.raw(),
-                });
-            }
-            let reply = Reply::from_cache(&request, self.id, DEFAULT_OBJECT_SIZE);
-            out.send(request.sender, reply);
+        if self.cache.touch(request.object) {
+            self.core.hit(request, probe, out);
             return;
         }
-
-        let loop_detected = self.pending.contains_key(&request.id);
-        self.pending
-            .entry(request.id)
-            .or_default()
-            .push(request.sender);
-
-        let mut forwarded = request;
-        forwarded.sender = NodeId::Proxy(self.id);
-        forwarded.hops += 1;
-
-        let to = if loop_detected {
-            self.stats.origin_loops += 1;
-            if P::ENABLED {
-                probe.emit(SimEvent::LoopDetected {
-                    proxy: self.id.raw(),
-                    object: object.raw(),
-                });
-            }
-            NodeId::Origin
-        } else if request.hops >= self.max_hops {
-            self.stats.origin_max_hops += 1;
-            if P::ENABLED {
-                probe.emit(SimEvent::HopLimitHit {
-                    proxy: self.id.raw(),
-                    object: object.raw(),
-                    hops: request.hops,
-                });
-            }
-            NodeId::Origin
-        } else {
-            let category = self.category_of(object);
-            match self.category_map[category] {
-                Some(p) if p != self.id => {
-                    self.stats.forwards_learned += 1;
-                    if P::ENABLED {
-                        probe.emit(SimEvent::ForwardLearned {
-                            proxy: self.id.raw(),
-                            object: object.raw(),
-                            to: p.raw(),
-                        });
-                    }
-                    NodeId::Proxy(p)
-                }
-                Some(_) => {
-                    // We are responsible for the category but miss the
-                    // object: fetch from the origin.
-                    self.stats.origin_this_miss += 1;
-                    if P::ENABLED {
-                        probe.emit(SimEvent::OriginThisMiss {
-                            proxy: self.id.raw(),
-                            object: object.raw(),
-                        });
-                    }
-                    NodeId::Origin
-                }
-                None => {
-                    self.stats.forwards_random += 1;
-                    let i = rng.gen_range(0..self.peers.len());
-                    let to = self.peers[i];
-                    if P::ENABLED {
-                        probe.emit(SimEvent::ForwardRandom {
-                            proxy: self.id.raw(),
-                            object: object.raw(),
-                            to: to.raw(),
-                        });
-                    }
-                    NodeId::Proxy(to)
-                }
-            }
-        };
-        out.send(to, forwarded);
+        let (at, category) = (self.core.id(), self.category_of(request.object));
+        let category_map = &self.category_map;
+        let lookup = || category_map[category].map(|p| Location::from_proxy(p, at));
+        self.core.miss(request, lookup, rng, probe, out);
     }
 
     fn on_reply<P: Probe>(&mut self, reply: Reply, probe: &mut P, out: &mut ActionSink) {
-        let prev_hop = {
-            let stack = match self.pending.get_mut(&reply.id) {
-                Some(s) => s,
-                None => {
-                    self.stats.replies_orphaned += 1;
-                    if P::ENABLED {
-                        probe.emit(SimEvent::ReplyOrphaned {
-                            proxy: self.id.raw(),
-                            object: reply.object.raw(),
-                        });
-                    }
-                    return;
-                }
-            };
-            #[expect(
-                clippy::expect_used,
-                reason = "stacks are removed when their last hop pops"
-            )]
-            let hop = stack.pop().expect("pending stacks are never empty");
-            if stack.is_empty() {
-                self.pending.remove(&reply.id);
-            }
-            hop
-        };
-        self.stats.replies_processed += 1;
-
-        let mut reply = reply;
-        if reply.resolver.is_none() {
-            reply.resolver = Some(self.id);
-        }
-        #[expect(clippy::expect_used, reason = "a None resolver was just replaced")]
-        let resolver = reply.resolver.expect("resolver was just set");
-        if P::ENABLED && resolver != self.id {
-            probe.emit(SimEvent::BackwardAdoption {
-                proxy: self.id.raw(),
-                object: reply.object.raw(),
-                owner: resolver.raw(),
+        let (at, object) = (self.core.id(), reply.object);
+        let category = self.category_of(object);
+        let (category_map, cache) = (&mut self.category_map, &mut self.cache);
+        self.core
+            .reply(reply, probe, out, |location, tally, probe| {
+                category_map[category] = Some(location.resolve(at));
+                // SOAP lesson: no selectivity — cache every passing object.
+                cache.admit(at, object, tally, probe);
+                true
             });
-        }
-        let category = self.category_of(reply.object);
-        self.category_map[category] = Some(resolver);
-        // SOAP lesson: no selectivity — cache every passing object.
-        self.store(reply.object, probe);
-        if self.cache.contains(reply.object) && reply.cached_by.is_none() {
-            reply.resolver = Some(self.id);
-            reply.cached_by = Some(self.id);
-        }
-        out.send(prev_hop, reply);
     }
 
     fn stats(&self) -> &ProxyStats {
-        &self.stats
+        self.core.stats()
     }
 
     fn drain_cache_events(&mut self) -> Vec<CacheEvent> {
-        std::mem::take(&mut self.cache_events)
+        self.core.tally_mut().drain()
     }
 
     fn cached_objects(&self) -> usize {
@@ -269,7 +115,7 @@ impl CacheAgent for SoapProxy {
     fn owner_hint(&self, object: ObjectId) -> Option<ProxyId> {
         // SOAP learns one location per *category*, so its "owner" for an
         // object is whatever its category currently maps to.
-        self.category_map[self.category_of(object)]
+        self.category_location(self.category_of(object))
     }
 
     fn reset(&mut self) {
@@ -277,15 +123,14 @@ impl CacheAgent for SoapProxy {
             *slot = None;
         }
         self.cache.clear();
-        self.pending.clear();
-        self.cache_events.clear();
+        self.core.reset();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adc_core::{Action, ClientId, Message};
+    use adc_core::{Action, ClientId, Message, NodeId, RequestId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -375,7 +220,7 @@ mod tests {
 
     impl SoapProxy {
         fn pending_count_for_tests(&self) -> usize {
-            self.pending.len()
+            self.core.pending_requests()
         }
     }
 }

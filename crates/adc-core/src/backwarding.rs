@@ -1,11 +1,11 @@
-//! The backwarding store both ADC agents keep (§III.2 of the paper): for
-//! every request a proxy has forwarded and not yet answered, the stack of
-//! hops its reply must retrace.
+//! The backwarding store (§III.2 of the paper): for every request a
+//! proxy has forwarded and not yet answered, the stack of hops its reply
+//! must retrace. ADC, unlimited ADC, SOAP and the caching tree keep one.
 
 use crate::ids::{NodeId, ProxyId, RequestId};
 use crate::message::Reply;
-use crate::stats::ProxyStats;
-use adc_obs::{Probe, SimEvent};
+use crate::stats::Tally;
+use adc_obs::Probe;
 use std::collections::hash_map::Entry;
 #[expect(
     clippy::disallowed_types,
@@ -35,25 +35,24 @@ impl HopStack {
     }
 }
 
-/// Pending requests and their backwarding hops. Each call probes the map
-/// once, and a request that loops at most once never allocates.
-#[derive(Debug)]
-pub(crate) struct Backwarding {
+/// Pending requests and their backwarding hops, unwound last in, first
+/// out per request. Each call probes the map once, and a request that
+/// loops at most once never allocates.
+#[derive(Debug, Default)]
+pub struct Backwarding {
     #[expect(clippy::disallowed_types, reason = "keyed access only, never iterated")]
     pending: HashMap<RequestId, HopStack>,
 }
 
 impl Backwarding {
-    #[expect(clippy::disallowed_types, reason = "keyed access only, never iterated")]
-    pub(crate) fn new() -> Self {
-        Backwarding {
-            pending: HashMap::new(),
-        }
+    /// Creates an empty store.
+    pub fn new() -> Self {
+        Backwarding::default()
     }
 
     /// Records that `request` arrived from `hop`. Returns `true` when the
     /// request was already pending here: a forwarding loop.
-    pub(crate) fn push(&mut self, request: RequestId, hop: NodeId) -> bool {
+    pub fn push(&mut self, request: RequestId, hop: NodeId) -> bool {
         match self.pending.entry(request) {
             Entry::Occupied(mut stack) => {
                 stack.get_mut().push(hop);
@@ -66,27 +65,17 @@ impl Backwarding {
         }
     }
 
-    /// Pops the hop `reply` retraces from proxy `at`. A reply for a request
-    /// not pending here is orphaned: it is counted in `stats`, reported to
-    /// `probe`, and gets `None`.
-    pub(crate) fn pop_reply<P: Probe>(
+    /// Pops the hop `reply` retraces from proxy `at`, accounting for the
+    /// reply in `tally`: a match is a processed reply, and a reply for a
+    /// request not pending here is orphaned and gets `None`.
+    pub fn pop_reply<P: Probe>(
         &mut self,
         at: ProxyId,
         reply: &Reply,
-        stats: &mut ProxyStats,
+        tally: &mut Tally,
         probe: &mut P,
     ) -> Option<NodeId> {
-        let hop = self.pop(reply.id);
-        if hop.is_none() {
-            stats.replies_orphaned += 1;
-            if P::ENABLED {
-                probe.emit(SimEvent::ReplyOrphaned {
-                    proxy: at.raw(),
-                    object: reply.object.raw(),
-                });
-            }
-        }
-        hop
+        tally.reply(probe, at, reply, self.pop(reply.id))
     }
 
     fn pop(&mut self, request: RequestId) -> Option<NodeId> {
@@ -116,8 +105,13 @@ impl Backwarding {
     }
 
     /// Number of requests awaiting a reply.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.pending.len()
+    }
+
+    /// Returns `true` when no request awaits a reply.
+    pub fn is_empty(&self) -> bool {
+        self.pending.is_empty()
     }
 
     /// Number of hops stacked for `request`.
@@ -132,7 +126,7 @@ impl Backwarding {
     }
 
     /// Forgets every pending request.
-    pub(crate) fn clear(&mut self) {
+    pub fn clear(&mut self) {
         self.pending.clear();
     }
 }

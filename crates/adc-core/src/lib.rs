@@ -81,6 +81,7 @@ mod backwarding;
 mod config;
 mod entry;
 mod error;
+mod forwarding;
 mod ids;
 mod message;
 mod proxy;
@@ -90,14 +91,16 @@ pub mod tables;
 mod unlimited;
 
 pub use agent::{Action, ActionSink, CacheAgent, CacheEvent};
+pub use backwarding::Backwarding;
 pub use config::{AdcConfig, AdcConfigBuilder, AgingMode, CachePolicy};
 pub use entry::{TableEntry, Tick};
 pub use error::ConfigError;
+pub use forwarding::ForwardingCore;
 pub use ids::{ClientId, Location, NodeId, ObjectId, ProxyId, RequestId};
 pub use message::{Message, Reply, Request, ServedFrom};
 pub use proxy::{AdcProxy, DEFAULT_OBJECT_SIZE};
 pub use snapshot::{ProxySnapshot, SnapshotError};
-pub use stats::ProxyStats;
+pub use stats::{ProxyStats, Tally};
 pub use unlimited::UnlimitedAdcProxy;
 
 // Observability vocabulary, re-exported so agent implementors and

@@ -15,15 +15,13 @@
 //! with fixed memory.
 
 use crate::agent::{ActionSink, CacheAgent, CacheEvent};
-use crate::backwarding::Backwarding;
 use crate::entry::{TableEntry, Tick};
-use crate::ids::{Location, NodeId, ObjectId, ProxyId};
+use crate::forwarding::ForwardingCore;
+use crate::ids::{Location, ObjectId, ProxyId};
 use crate::message::{Reply, Request};
-use crate::proxy::DEFAULT_OBJECT_SIZE;
-use crate::stats::ProxyStats;
+use crate::stats::{ProxyStats, Tally};
 use crate::tables::OrderedTable;
 use adc_obs::{Probe, SimEvent, TableLevel};
-use rand::Rng;
 use rand::RngCore;
 #[expect(
     clippy::disallowed_types,
@@ -46,19 +44,19 @@ use std::collections::HashMap;
 /// ```
 #[derive(Debug)]
 pub struct UnlimitedAdcProxy {
-    id: ProxyId,
-    peers: Vec<ProxyId>,
-    max_hops: u32,
+    core: ForwardingCore,
+    store: UnlimitedStore,
+}
+
+/// What an unlimited ADC proxy learns and caches.
+#[derive(Debug)]
+struct UnlimitedStore {
     /// The unbounded object → entry map.
     #[expect(clippy::disallowed_types, reason = "keyed access only, never iterated")]
     mapping: HashMap<ObjectId, TableEntry>,
     /// Bounded selective caching table, same as the bounded design.
     cached: OrderedTable,
-    /// Backwarding hops of every pending request.
-    pending: Backwarding,
     local_time: Tick,
-    stats: ProxyStats,
-    cache_events: Vec<CacheEvent>,
 }
 
 impl UnlimitedAdcProxy {
@@ -73,36 +71,47 @@ impl UnlimitedAdcProxy {
         assert!(num_proxies > 0, "need at least one proxy");
         assert!(id.raw() < num_proxies, "proxy id out of range");
         assert!(max_hops > 0, "max_hops must be positive");
+        let peers = (0..num_proxies).map(ProxyId::new).collect();
         UnlimitedAdcProxy {
-            id,
-            peers: (0..num_proxies).map(ProxyId::new).collect(),
-            max_hops,
-            mapping: HashMap::new(),
-            cached: OrderedTable::new(cache_capacity),
-            pending: Backwarding::new(),
-            local_time: 0,
-            stats: ProxyStats::default(),
-            cache_events: Vec::new(),
+            core: ForwardingCore::new(id, peers, max_hops),
+            store: UnlimitedStore {
+                mapping: HashMap::new(),
+                cached: OrderedTable::new(cache_capacity),
+                local_time: 0,
+            },
         }
     }
 
     /// Current number of mapping entries — the unbounded memory cost the
     /// bounded three-table design exists to avoid.
     pub fn mapping_entries(&self) -> usize {
-        self.mapping.len() + self.cached.len()
+        self.store.mapping.len() + self.store.cached.len()
     }
 
     /// The proxy's local request-count clock.
     pub fn local_time(&self) -> Tick {
-        self.local_time
+        self.store.local_time
     }
 
     /// Number of requests awaiting replies.
     pub fn pending_requests(&self) -> usize {
-        self.pending.len()
+        self.core.pending_requests()
     }
+}
 
-    fn update_entry<P: Probe>(&mut self, object: ObjectId, location: Location, probe: &mut P) {
+impl UnlimitedStore {
+    /// Updates `object`'s entry at proxy `at`, admitting it to the caching
+    /// table when its average beats the worst cached one, and records the
+    /// store changes. Returns whether the object's data is held here
+    /// afterwards.
+    fn learn<P: Probe>(
+        &mut self,
+        at: ProxyId,
+        object: ObjectId,
+        location: Location,
+        tally: &mut Tally,
+        probe: &mut P,
+    ) -> bool {
         let now = self.local_time;
         // Cached entries refresh in place.
         if let Some(mut entry) = self.cached.remove(object) {
@@ -111,71 +120,60 @@ impl UnlimitedAdcProxy {
             }
             entry.location = location;
             self.cached.insert(entry);
-            return;
+            return true;
         }
-        match self.mapping.get_mut(&object) {
-            Some(entry) => {
-                if entry.last != now {
-                    entry.calc_average(now);
-                }
-                entry.location = location;
-                // Selective admission straight from the unbounded map.
-                if entry.has_average() && self.cached.admits(entry.average, now, true) {
-                    #[expect(clippy::expect_used, reason = "get_mut above proved membership")]
-                    let entry = self
-                        .mapping
-                        .remove(&object)
-                        .expect("entry was just borrowed");
-                    if self.cached.is_full() {
-                        #[expect(clippy::expect_used, reason = "is_full() implies non-empty")]
-                        let worst = self
-                            .cached
-                            .pop_worst()
-                            .expect("full caching table has a worst entry");
-                        self.stats.cache_evictions += 1;
-                        self.cache_events.push(CacheEvent::Evict(worst.object));
-                        if P::ENABLED {
-                            probe.emit(SimEvent::CacheEvict {
-                                proxy: self.id.raw(),
-                                object: worst.object.raw(),
-                            });
-                            probe.emit(SimEvent::TableMigration {
-                                proxy: self.id.raw(),
-                                object: worst.object.raw(),
-                                from: TableLevel::Caching,
-                                to: TableLevel::Multiple,
-                            });
-                        }
-                        self.mapping.insert(worst.object, worst);
-                    }
-                    self.stats.cache_insertions += 1;
-                    self.cache_events.push(CacheEvent::Store(object));
-                    if P::ENABLED {
-                        probe.emit(SimEvent::CacheInsert {
-                            proxy: self.id.raw(),
-                            object: object.raw(),
-                        });
-                        // The unbounded map plays the multiple-table's role.
-                        probe.emit(SimEvent::TableMigration {
-                            proxy: self.id.raw(),
-                            object: object.raw(),
-                            from: TableLevel::Multiple,
-                            to: TableLevel::Caching,
-                        });
-                    }
-                    self.cached.insert(entry);
-                }
-            }
-            None => {
-                // Unbounded growth: every new object gets an entry,
-                // forever.
-                self.mapping
-                    .insert(object, TableEntry::new(object, location, now));
-            }
+        let Some(entry) = self.mapping.get_mut(&object) else {
+            // Unbounded growth: every new object gets an entry, forever.
+            self.mapping
+                .insert(object, TableEntry::new(object, location, now));
+            return false;
+        };
+        if entry.last != now {
+            entry.calc_average(now);
         }
+        entry.location = location;
+        // Selective admission straight from the unbounded map.
+        if !(entry.has_average() && self.cached.admits(entry.average, now, true)) {
+            return false;
+        }
+        #[expect(clippy::expect_used, reason = "get_mut above proved membership")]
+        let entry = self
+            .mapping
+            .remove(&object)
+            .expect("entry was just borrowed");
+        let proxy = at.raw();
+        if self.cached.is_full() {
+            #[expect(clippy::expect_used, reason = "is_full() implies non-empty")]
+            let worst = self
+                .cached
+                .pop_worst()
+                .expect("full caching table has a worst entry");
+            let object = worst.object.raw();
+            tally.record(probe, SimEvent::CacheEvict { proxy, object });
+            let event = SimEvent::TableMigration {
+                proxy,
+                object,
+                from: TableLevel::Caching,
+                to: TableLevel::Multiple,
+            };
+            tally.record(probe, event);
+            self.mapping.insert(worst.object, worst);
+        }
+        let raw = object.raw();
+        tally.record(probe, SimEvent::CacheInsert { proxy, object: raw });
+        // The unbounded map plays the multiple-table's role.
+        let event = SimEvent::TableMigration {
+            proxy,
+            object: raw,
+            from: TableLevel::Multiple,
+            to: TableLevel::Caching,
+        };
+        tally.record(probe, event);
+        self.cached.insert(entry);
+        true
     }
 
-    fn lookup_location(&self, object: ObjectId) -> Option<Location> {
+    fn lookup(&self, object: ObjectId) -> Option<Location> {
         self.cached
             .get(object)
             .map(|e| e.location)
@@ -185,7 +183,7 @@ impl UnlimitedAdcProxy {
 
 impl CacheAgent for UnlimitedAdcProxy {
     fn proxy_id(&self) -> ProxyId {
-        self.id
+        self.core.id()
     }
 
     fn on_request<P: Probe>(
@@ -195,147 +193,54 @@ impl CacheAgent for UnlimitedAdcProxy {
         probe: &mut P,
         out: &mut ActionSink,
     ) {
-        self.local_time += 1;
-        self.stats.requests_received += 1;
+        self.store.local_time += 1;
         let object = request.object;
-
-        if self.cached.contains(object) {
-            self.stats.local_hits += 1;
-            if P::ENABLED {
-                probe.emit(SimEvent::LocalHit {
-                    proxy: self.id.raw(),
-                    object: object.raw(),
-                });
-            }
-            self.update_entry(object, Location::This, probe);
-            let reply = Reply::from_cache(&request, self.id, DEFAULT_OBJECT_SIZE);
-            out.send(request.sender, reply);
+        if !self.store.cached.contains(object) {
+            let store = &self.store;
+            self.core
+                .miss(request, || store.lookup(object), rng, probe, out);
             return;
         }
-
-        let loop_detected = self.pending.push(request.id, request.sender);
-
-        let mut forwarded = request;
-        forwarded.sender = NodeId::Proxy(self.id);
-        forwarded.hops += 1;
-
-        let to = if loop_detected {
-            self.stats.origin_loops += 1;
-            if P::ENABLED {
-                probe.emit(SimEvent::LoopDetected {
-                    proxy: self.id.raw(),
-                    object: object.raw(),
-                });
-            }
-            NodeId::Origin
-        } else if request.hops >= self.max_hops {
-            self.stats.origin_max_hops += 1;
-            if P::ENABLED {
-                probe.emit(SimEvent::HopLimitHit {
-                    proxy: self.id.raw(),
-                    object: object.raw(),
-                    hops: request.hops,
-                });
-            }
-            NodeId::Origin
-        } else {
-            match self.lookup_location(object) {
-                Some(Location::Remote(p)) => {
-                    self.stats.forwards_learned += 1;
-                    if P::ENABLED {
-                        probe.emit(SimEvent::ForwardLearned {
-                            proxy: self.id.raw(),
-                            object: object.raw(),
-                            to: p.raw(),
-                        });
-                    }
-                    NodeId::Proxy(p)
-                }
-                Some(Location::This) => {
-                    self.stats.origin_this_miss += 1;
-                    if P::ENABLED {
-                        probe.emit(SimEvent::OriginThisMiss {
-                            proxy: self.id.raw(),
-                            object: object.raw(),
-                        });
-                    }
-                    NodeId::Origin
-                }
-                None => {
-                    self.stats.forwards_random += 1;
-                    let i = rng.gen_range(0..self.peers.len());
-                    #[expect(clippy::indexing_slicing, reason = "i < peers.len() by gen_range")]
-                    let to = self.peers[i];
-                    if P::ENABLED {
-                        probe.emit(SimEvent::ForwardRandom {
-                            proxy: self.id.raw(),
-                            object: object.raw(),
-                            to: to.raw(),
-                        });
-                    }
-                    NodeId::Proxy(to)
-                }
-            }
-        };
-        out.send(to, forwarded);
+        let at = self.core.id();
+        self.core.hit(request, probe, out);
+        self.store
+            .learn(at, object, Location::This, self.core.tally_mut(), probe);
     }
 
     fn on_reply<P: Probe>(&mut self, reply: Reply, probe: &mut P, out: &mut ActionSink) {
-        let Some(prev_hop) = self
-            .pending
-            .pop_reply(self.id, &reply, &mut self.stats, probe)
-        else {
-            return;
-        };
-        self.stats.replies_processed += 1;
-
-        let mut reply = reply;
-        if reply.resolver.is_none() {
-            reply.resolver = Some(self.id);
-        }
-        #[expect(clippy::expect_used, reason = "a None resolver was just replaced")]
-        let resolver = reply.resolver.expect("resolver was just set");
-        if P::ENABLED && resolver != self.id {
-            probe.emit(SimEvent::BackwardAdoption {
-                proxy: self.id.raw(),
-                object: reply.object.raw(),
-                owner: resolver.raw(),
+        let (at, object) = (self.core.id(), reply.object);
+        let store = &mut self.store;
+        self.core
+            .reply(reply, probe, out, |location, tally, probe| {
+                store.learn(at, object, location, tally, probe)
             });
-        }
-        self.update_entry(reply.object, Location::from_proxy(resolver, self.id), probe);
-
-        if self.cached.contains(reply.object) && reply.cached_by.is_none() {
-            reply.resolver = Some(self.id);
-            reply.cached_by = Some(self.id);
-        }
-        out.send(prev_hop, reply);
     }
 
     fn stats(&self) -> &ProxyStats {
-        &self.stats
+        self.core.stats()
     }
 
     fn drain_cache_events(&mut self) -> Vec<CacheEvent> {
-        std::mem::take(&mut self.cache_events)
+        self.core.tally_mut().drain()
     }
 
     fn cached_objects(&self) -> usize {
-        self.cached.len()
+        self.store.cached.len()
     }
 
     fn is_cached(&self, object: ObjectId) -> bool {
-        self.cached.contains(object)
+        self.store.cached.contains(object)
     }
 
     fn owner_hint(&self, object: ObjectId) -> Option<ProxyId> {
-        self.lookup_location(object).map(|l| l.resolve(self.id))
+        let at = self.core.id();
+        self.store.lookup(object).map(|l| l.resolve(at))
     }
 
     fn reset(&mut self) {
-        self.mapping.clear();
-        self.cached.clear();
-        self.pending.clear();
-        self.cache_events.clear();
+        self.store.mapping.clear();
+        self.store.cached.clear();
+        self.core.reset();
     }
 }
 
@@ -343,7 +248,7 @@ impl CacheAgent for UnlimitedAdcProxy {
 mod tests {
     use super::*;
     use crate::agent::Action;
-    use crate::ids::{ClientId, RequestId};
+    use crate::ids::{ClientId, NodeId, RequestId};
     use crate::message::Message;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -420,7 +325,7 @@ mod tests {
         assert!(p.is_cached(ObjectId::new(2)));
         assert!(!p.is_cached(ObjectId::new(1)));
         // Object 1's entry (and learned location) survives in the map.
-        assert!(p.lookup_location(ObjectId::new(1)).is_some());
+        assert!(p.store.lookup(ObjectId::new(1)).is_some());
         assert_eq!(p.stats().cache_evictions, 1);
     }
 
@@ -433,8 +338,8 @@ mod tests {
             resolve(&mut p, &mut rng, seq, seq % 7);
         }
         for o in 0..7u64 {
-            let in_cache = p.cached.contains(ObjectId::new(o));
-            let in_map = p.mapping.contains_key(&ObjectId::new(o));
+            let in_cache = p.store.cached.contains(ObjectId::new(o));
+            let in_map = p.store.mapping.contains_key(&ObjectId::new(o));
             assert!(!(in_cache && in_map), "object {o} in both structures");
             assert!(in_cache || in_map, "object {o} lost entirely");
         }

@@ -1,10 +1,9 @@
 //! Workspace-local static analysis for the ADC reproduction.
 //!
 //! `adc-lint` is a zero-dependency, tidy-style line/token analyzer for
-//! the invariants no compiler checks: probe coverage for stats and
-//! profiler counters, shard safety on the hot path, wall-clock and
-//! environment reads reachable from the simulator in adc-obs and
-//! adc-metrics, atomic-ordering pairing in the barrier protocol,
+//! the invariants no compiler checks: shard safety on the hot path,
+//! wall-clock and environment reads reachable from the simulator in
+//! adc-obs and adc-metrics, atomic-ordering pairing in the barrier protocol,
 //! exhaustive event dispatch, and metric and segment names that agree.
 //! Everything rustc or clippy already enforces (determinism sinks in the
 //! four deterministic crates, panics, float equality, lossy casts,
@@ -490,8 +489,10 @@ mod tests {
     #[test]
     fn allow_list_suppresses_multiple_rules() {
         let r = report_for(
-            "struct S { c: RefCell<u64> } // one owner; adc-lint: allow(shard-safety)\n\
-             fn t(s: &mut S) { s.c = RefCell::new(0); s.stats.hits += 1; } // adc-lint: allow(shard-safety, obs-coverage)",
+            "pub enum SimEvent { A { x: u8 }, B { x: u8 }, C { x: u8 } }\n\
+             fn all() -> [SimEvent; 3] { [SimEvent::A { x: 0 }, SimEvent::B { x: 0 }, SimEvent::C { x: 0 }] }\n\
+             struct S { c: RefCell<u64> } // one owner; adc-lint: allow(shard-safety)\n\
+             fn t(s: &mut S, e: SimEvent) { s.c = RefCell::new(0); match e { SimEvent::A { .. } => {} SimEvent::B { .. } => {} _ => {} } } // adc-lint: allow(shard-safety, probe-exhaustiveness)",
         );
         assert!(r.is_clean(), "findings: {:?}", r.findings);
         assert_eq!(r.suppressions_line, 3);

@@ -28,12 +28,6 @@ pub struct RuleInfo {
 /// and the JSON rule count describe the whole contract.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        id: "obs-coverage",
-        severity: Severity::Warning,
-        summary: "ProxyStats, metrics-registry, or span/shard-profile counter mutation with no Probe emission nearby",
-        scope: "adc-core, adc-baselines (stats/registry); adc-sim, adc-obs (profiler counters) — library, non-test",
-    },
-    RuleInfo {
         id: "shard-safety",
         severity: Severity::Error,
         summary: "static mut, thread locals, unsynchronized interior mutability, or (hot path only) per-window thread spawns in shard-parallel code",
@@ -84,27 +78,7 @@ pub fn is_known_rule(id: &str) -> bool {
 /// The crates whose `lib.rs` denies clippy's `disallowed_methods` and
 /// `disallowed_types` (the sinks listed in the root `clippy.toml`).
 const DETERMINISTIC_CRATES: &[&str] = &["adc-core", "adc-sim", "adc-workload", "adc-baselines"];
-const OBS_CRATES: &[&str] = &["adc-core", "adc-baselines"];
-// The span recorder (adc-obs) and the shard-execution profiler
-// (adc-sim) keep latency-attribution and wall-clock accumulators that
-// the golden files never see. A new counter on that surface must
-// either sit next to the probe dispatch that drives it or carry an
-// explicit allow naming the reconciliation (sum check, occupancy
-// total, ...) that keeps it honest. Field names, not receiver names,
-// identify the surface so refactors of the holder struct keep the
-// rule attached.
-const PROFILE_CRATES: &[&str] = &["adc-sim", "adc-obs"];
-const PROFILE_COUNTER_TOKENS: &[&str] = &[
-    "drain_ns",
-    "busy_ns",
-    "wait_ns",
-    "slices_dropped",
-    "seg_total_us",
-    "attributed_us",
-    "total_us",
-    "sum_check_failures",
-    "unmatched_completions",
-];
+
 /// Per-window hot-path files for the shard-safety rule. pool.rs is
 /// deliberately absent: it is the one legitimate thread-creation site
 /// (its workers persist for the whole run), while code listed here runs
@@ -129,10 +103,7 @@ pub type SemanticRule = fn(&SemanticCtx, &mut Vec<Finding>);
 
 /// The line-oriented rules, in catalog order, keyed by id so the
 /// engine can time and count them individually.
-pub const LINE_RULES: &[(&str, LineRule)] = &[
-    ("obs-coverage", obs_coverage),
-    ("shard-safety", shard_safety),
-];
+pub const LINE_RULES: &[(&str, LineRule)] = &[("shard-safety", shard_safety)];
 
 /// The token/symbol-level rules: each runs once over the whole scanned
 /// set (they need cross-file context — a call graph, an enum universe,
@@ -198,10 +169,6 @@ fn code_view(toks: &[Tok]) -> Vec<&Tok> {
     toks.iter().filter(|t| t.kind != TokKind::Comment).collect()
 }
 
-fn in_scope(file: &SourceFile, crates: &[&str]) -> bool {
-    file.is_lib && crates.contains(&file.krate.as_str())
-}
-
 fn push(
     out: &mut Vec<Finding>,
     rule: &'static str,
@@ -244,68 +211,6 @@ fn contains_token(code: &str, tok: &str) -> bool {
 
 fn is_hot_path(file: &SourceFile) -> bool {
     HOT_PATH_FILES.contains(&file.rel.as_str())
-}
-
-fn obs_coverage(file: &SourceFile, out: &mut Vec<Finding>) {
-    let stats_scope = in_scope(file, OBS_CRATES);
-    let profile_scope = in_scope(file, PROFILE_CRATES);
-    if !stats_scope && !profile_scope {
-        return;
-    }
-    for (i, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        let stats_mutation =
-            stats_scope && line.code.contains("stats.") && line.code.contains("+=");
-        // Registry mutations in the hot path are held to the same
-        // standard: counters the simulator cannot reconcile against a
-        // SimEvent stream drift silently.
-        let registry_mutation = stats_scope
-            && (line.code.contains(".counter_add(") || line.code.contains(".histogram_record("));
-        // Span/shard-profile accumulators drift the same way, so their
-        // mutations need the same witness (or an explicit allow stating
-        // what reconciles them instead).
-        let profile_mutation = profile_scope
-            && line.code.contains("+=")
-            && PROFILE_COUNTER_TOKENS
-                .iter()
-                .any(|t| contains_token(&line.code, t));
-        if !(stats_mutation || registry_mutation || profile_mutation) {
-            continue;
-        }
-        let lo = i.saturating_sub(10);
-        let hi = (i + 10).min(file.lines.len() - 1);
-        let covered = file.lines[lo..=hi]
-            .iter()
-            .any(|l| l.code.contains(".emit(") || l.code.contains("P::ENABLED"));
-        if !covered {
-            let (what, fix) = if stats_mutation {
-                (
-                    "ProxyStats counter",
-                    "emit a SimEvent so adc-obs reconciliation stays honest",
-                )
-            } else if registry_mutation {
-                (
-                    "metrics registry family",
-                    "emit a SimEvent so adc-obs reconciliation stays honest",
-                )
-            } else {
-                (
-                    "span/shard-profile counter",
-                    "keep it next to the probe dispatch that drives it, or add an \
-                     explicit allow naming the check that reconciles it",
-                )
-            };
-            push(
-                out,
-                "obs-coverage",
-                file,
-                i,
-                format!("{what} mutated with no Probe emission within 10 lines; {fix}"),
-            );
-        }
-    }
 }
 
 /// Shared-state constructs the sharded executor's `Send` contract cannot
@@ -1117,41 +1022,6 @@ mod tests {
         assert_eq!(snake_head("client_wait"), "client_wait");
         assert_eq!(snake_head("{\"trace_id\":1}"), "");
         assert_eq!(snake_head("Total"), "");
-    }
-
-    #[test]
-    fn obs_coverage_needs_probe_near_counter() {
-        let bad = lib("adc-core", "fn t(&mut self) { self.stats.hits += 1; }");
-        assert!(rules_of(&bad).contains(&"obs-coverage"));
-        let ok = lib(
-            "adc-core",
-            "fn t(&mut self) {\n self.stats.hits += 1;\n if P::ENABLED {\n }\n}",
-        );
-        assert!(!rules_of(&ok).contains(&"obs-coverage"));
-    }
-
-    #[test]
-    fn obs_coverage_extends_to_profiler_counters() {
-        // Profiler-surface counters in adc-sim/adc-obs trigger the rule.
-        let bad = lib("adc-sim", "fn t(&mut self) { self.prof.drain_ns += 1; }");
-        assert!(rules_of(&bad).contains(&"obs-coverage"));
-        let obs = lib("adc-obs", "fn t(&mut self) { self.attributed_us += 1; }");
-        assert!(rules_of(&obs).contains(&"obs-coverage"));
-        // An ordinary accumulator in the same crate is not the surface.
-        let plain = lib("adc-sim", "fn t(&mut self) { self.windows += 1; }");
-        assert!(!rules_of(&plain).contains(&"obs-coverage"));
-        // Token boundaries: `live_total_us` is a different identifier.
-        let other = lib("adc-sim", "fn t(&mut self) { self.live_total_us += 1; }");
-        assert!(!rules_of(&other).contains(&"obs-coverage"));
-        // A probe dispatch within the window covers the mutation.
-        let ok = lib(
-            "adc-sim",
-            "fn t(&mut self, p: &mut P) {\n self.prof.drain_ns += 1;\n p.emit(ev);\n}",
-        );
-        assert!(!rules_of(&ok).contains(&"obs-coverage"));
-        // Stats/registry triggers stay scoped to the agent crates.
-        let sim_stats = lib("adc-sim", "fn t(&mut self) { self.stats.hits += 1; }");
-        assert!(!rules_of(&sim_stats).contains(&"obs-coverage"));
     }
 
     #[test]

@@ -35,22 +35,6 @@ fn rules_hit(report: &Report) -> Vec<&str> {
 /// barrier-protocol files).
 const CASES: &[(&str, &str, &str, &str, &str)] = &[
     (
-        "obs-coverage",
-        "obs_coverage_bad.rs",
-        "obs_coverage_ok.rs",
-        "adc-core",
-        "crates/adc-core/src/fixture.rs",
-    ),
-    // The same rule also guards the profiler/span counter surface in
-    // adc-sim and adc-obs, with its own fixtures.
-    (
-        "obs-coverage",
-        "obs_coverage_profile_bad.rs",
-        "obs_coverage_profile_ok.rs",
-        "adc-sim",
-        "crates/adc-sim/src/fixture.rs",
-    ),
-    (
         "shard-safety",
         "shard_safety_bad.rs",
         "shard_safety_ok.rs",
@@ -201,10 +185,10 @@ fn workspace_root() -> PathBuf {
 /// allow none. Counts may fall, never rise: lower a ceiling when a
 /// suppression goes away, and raise one only with the same review the
 /// new suppression itself needs.
-const SUPPRESSION_CEILINGS: &[(&str, usize)] = &[("obs-coverage", 9), ("probe-exhaustiveness", 2)];
+const SUPPRESSION_CEILINGS: &[(&str, usize)] = &[("probe-exhaustiveness", 2)];
 
 /// Ceiling on the suppression total, line and file scope together.
-const SUPPRESSION_TOTAL_CEILING: usize = 11;
+const SUPPRESSION_TOTAL_CEILING: usize = 2;
 
 /// Per-lint ceilings on `#[expect(...)]` and `#![expect(...)]` sites in
 /// library code, one count per lint an attribute names; lints not listed
@@ -214,9 +198,9 @@ const EXPECT_CEILINGS: &[(&str, usize)] = &[
     ("clippy::cast_possible_truncation", 14),
     ("clippy::cast_precision_loss", 3),
     ("clippy::disallowed_methods", 5),
-    ("clippy::disallowed_types", 22),
-    ("clippy::expect_used", 21),
-    ("clippy::indexing_slicing", 33),
+    ("clippy::disallowed_types", 21),
+    ("clippy::expect_used", 16),
+    ("clippy::indexing_slicing", 32),
     ("unsafe_code", 1),
 ];
 

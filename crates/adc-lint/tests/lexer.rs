@@ -89,7 +89,7 @@ fn lexer_agrees_with_line_scanner_on_every_fixture() {
         let text = fs::read_to_string(path).expect("read source");
         assert_agreement(&text, &path.display().to_string());
     }
-    assert!(fixtures >= 18, "fixture corpus shrank to {fixtures} files");
+    assert!(fixtures >= 14, "fixture corpus shrank to {fixtures} files");
     assert!(
         entries.len() - fixtures >= 100,
         "workspace corpus shrank to {} files",

@@ -36,7 +36,7 @@
 // The recorder IS the probe: every counter in this file is mutated
 // inside (or on behalf of) its own `Probe::emit` dispatch, and the
 // per-flow sum self-check plus the prop_spans suite reconcile the
-// aggregates. adc-lint: allow-file(obs-coverage)
+// aggregates.
 
 use crate::event::SimEvent;
 use crate::probe::Probe;

@@ -391,6 +391,9 @@ impl<A: CacheAgent, S: RngCore> Proxies<A, S> {
                     }
                     Message::Reply(rep) => agent.on_reply(rep, probe, &mut self.sink),
                 }
+                // The simulator tracks object ids only, so it drops the
+                // store changes a payload-holding runtime would apply.
+                drop(agent.drain_cache_events());
             }
             (NodeId::Origin, Message::Request(req)) => {
                 // The origin always resolves; reply to the proxy that

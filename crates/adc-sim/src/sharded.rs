@@ -399,7 +399,7 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
         if let Some(prof) = self.prof.as_mut() {
             // Wall-clock profiler accounting sits deliberately outside
             // the SimEvent stream; the occupancy-sum identity test
-            // reconciles it. adc-lint: allow(obs-coverage)
+            // reconciles it.
             prof.drain_ns += dur.as_nanos() as u64;
             prof.windows += 1;
             prof.events += drained;
@@ -414,7 +414,6 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
                     });
                 } else {
                     // Trace cap hit; counted so the report says so.
-                    // adc-lint: allow(obs-coverage)
                     prof.slices_dropped += 1;
                 }
             }
@@ -950,11 +949,11 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                         let t0 = Instant::now();
                         let t = pool.run_window_timed(window_end, active);
                         // Wall-clock split from the pool, outside the
-                        // SimEvent stream. adc-lint: allow(obs-coverage)
+                        // SimEvent stream.
                         cp.busy_ns += t.busy_ns;
-                        cp.wait_ns += t.wait_ns; // adc-lint: allow(obs-coverage)
-                                                 // The wait slice starts where the coordinator's
-                                                 // own claim share ended.
+                        cp.wait_ns += t.wait_ns;
+                        // The wait slice starts where the coordinator's
+                        // own claim share ended.
                         let wait_us = t.wait_ns / 1_000;
                         if wait_us > 0 {
                             if cp.wait_slices.len() < ShardProfile::MAX_SLICES {
@@ -969,7 +968,7 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                                 });
                             } else {
                                 // Trace cap hit; counted so the report
-                                // says so. adc-lint: allow(obs-coverage)
+                                // says so.
                                 cp.slices_dropped += 1;
                             }
                         }
@@ -989,7 +988,7 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                     shard.drain_window(window_end);
                 }
                 if let (Some(cp), Some(t0)) = (coord_prof.as_mut(), t0) {
-                    // Wall clock only. adc-lint: allow(obs-coverage)
+                    // Wall clock only.
                     cp.busy_ns += t0.elapsed().as_nanos() as u64;
                 }
             }
@@ -1097,7 +1096,6 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
             profile.window_occupancy.merge(&sp.occupancy);
             profile.slices.append(&mut sp.slices);
             // Fold of per-shard caps into the report total.
-            // adc-lint: allow(obs-coverage)
             profile.slices_dropped += sp.slices_dropped;
         }
         profile
