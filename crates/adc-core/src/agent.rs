@@ -110,7 +110,10 @@ impl ActionSink {
 
 /// A change to the agent's object store that the runtime must mirror when
 /// it manages real object payloads (the TCP runtime does; the simulator
-/// tracks IDs only).
+/// tracks IDs only and drops them). Each one is queued by the
+/// [`SimEvent::CacheInsert`](adc_obs::SimEvent::CacheInsert) or
+/// [`SimEvent::CacheEvict`](adc_obs::SimEvent::CacheEvict) that records
+/// the change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheEvent {
     /// The object's data should now be stored locally.
@@ -127,11 +130,13 @@ pub enum CacheEvent {
 /// actions. The RNG is injected so a run is a pure function of its seeds.
 ///
 /// Both handlers are generic over a [`Probe`] receiving typed
-/// [`SimEvent`](adc_obs::SimEvent)s. Emission sites are guarded by
-/// `P::ENABLED`, an associated constant, so driving an agent with the
-/// default [`NullProbe`] monomorphizes every probe hook away — the
-/// disabled path compiles to the unobserved code. The trait is therefore
-/// not object-safe; runtimes are generic over their agent type.
+/// [`SimEvent`](adc_obs::SimEvent)s. Agents record every decision
+/// through [`Tally::record`](crate::Tally::record), whose one emission
+/// site is guarded by `P::ENABLED`, an associated constant, so driving
+/// an agent with the default [`NullProbe`] monomorphizes every probe
+/// hook away — the disabled path compiles to the unobserved code. The
+/// trait is therefore not object-safe; runtimes are generic over their
+/// agent type.
 pub trait CacheAgent {
     /// This agent's proxy identity.
     fn proxy_id(&self) -> ProxyId;
@@ -191,9 +196,12 @@ pub trait CacheAgent {
     /// Counters accumulated so far.
     fn stats(&self) -> &ProxyStats;
 
-    /// Drains cache store/evict events accumulated since the last call.
-    /// Runtimes that hold real payloads apply these to their byte store;
-    /// the simulator may ignore them.
+    /// Drains cache store/evict events accumulated since the last call,
+    /// oldest first. Runtimes drain after every
+    /// [`on_request`](CacheAgent::on_request) and
+    /// [`on_reply`](CacheAgent::on_reply): one that holds real payloads
+    /// applies them to its byte store, and the simulator, which tracks
+    /// ids only, drops them.
     fn drain_cache_events(&mut self) -> Vec<CacheEvent>;
 
     /// Number of objects currently cached.

@@ -1,5 +1,11 @@
 //! The typed simulation-event taxonomy.
 //!
+//! Every decision an agent makes is one event: `adc-core`'s `Tally`
+//! folds it into the agent's `ProxyStats`, queues the store change it
+//! names and hands it to the probe in one call, so the counters are a
+//! view of this stream. The simulator adds the flow events
+//! ([`SimEvent::RequestInjected`], [`SimEvent::RequestCompleted`]).
+//!
 //! Events use **raw identifiers** (`u32` proxies/clients, `u64` objects)
 //! rather than the `adc-core` newtypes: this crate sits *below* `adc-core`
 //! in the dependency graph (the agent trait takes a [`Probe`] parameter),
@@ -45,9 +51,10 @@ impl fmt::Display for TableLevel {
 
 /// One structured event emitted by an agent or the simulator runner.
 ///
-/// Each variant mirrors exactly one counter increment or state change in
-/// the ADC algorithm, so a run's event stream reconciles with its
-/// `ProxyStats` totals (there is a property test pinning this).
+/// Each variant is exactly one decision or state change in the ADC
+/// algorithm; `ProxyStats::fold` in `adc-core` defines which counter it
+/// moves, so a run's event stream reconciles with its `ProxyStats`
+/// totals (a property test pins this for every agent).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimEvent {
     /// A workload request entered the system.

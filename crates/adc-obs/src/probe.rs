@@ -1,10 +1,12 @@
 //! The zero-cost probe abstraction.
 //!
 //! Agents and runtimes are generic over a [`Probe`]; every emission site
-//! is guarded by `if P::ENABLED { probe.emit(...) }`. Because `ENABLED`
-//! is an associated *constant*, monomorphization over [`NullProbe`]
-//! deletes both the branch and the event construction — the disabled
-//! path compiles to exactly the pre-observability code.
+//! is guarded by `if P::ENABLED { probe.emit(...) }`. Agents have one
+//! such site, `adc-core`'s `Tally::record`, which every decision passes
+//! through; the simulator's flow events have their own. Because
+//! `ENABLED` is an associated *constant*, monomorphization over
+//! [`NullProbe`] deletes both the branch and the event construction —
+//! the disabled path compiles to exactly the unobserved code.
 
 use crate::event::{EventKind, SimEvent};
 
