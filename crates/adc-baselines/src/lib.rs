@@ -31,19 +31,25 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-// Lint levels of DESIGN.md §8; the disallowed method and type lists
-// live in the root clippy.toml. Unit tests may compare floats exactly.
+// Lint levels of DESIGN.md §8; the disallowed method, type and macro
+// lists live in the root clippy.toml. Unit tests may compare floats
+// exactly and match one remaining variant with `_`.
 #![deny(
     unsafe_code,
+    clippy::disallowed_macros,
     clippy::disallowed_methods,
     clippy::disallowed_types,
+    clippy::wildcard_enum_match_arm,
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::print_stdout,
     clippy::dbg_macro,
     clippy::allow_attributes_without_reason
 )]
-#![cfg_attr(not(test), deny(clippy::float_cmp))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::float_cmp, clippy::match_wildcard_for_single_variants)
+)]
 
 mod hashing_proxy;
 mod hierarchy;

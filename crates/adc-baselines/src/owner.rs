@@ -80,7 +80,7 @@ impl OwnerMap for Hrw {
 }
 
 /// Consistent hashing on a ring with virtual nodes (Karger et al.,
-/// the paper's reference [13]).
+/// the paper's reference \[13\]).
 #[derive(Debug, Clone)]
 pub struct ConsistentRing {
     ring: BTreeMap<u64, ProxyId>,

@@ -67,7 +67,7 @@ impl NodeTrace {
 /// Totals for one segment kind across the merged spans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentTotal {
-    /// The segment kind (named by the shared `segment_names` consts).
+    /// The segment kind (spelled by [`SegmentKind::name`]).
     pub kind: SegmentKind,
     /// Spans of this kind.
     pub count: u64,

@@ -154,7 +154,7 @@ impl NodeId {
     pub fn as_proxy(self) -> Option<ProxyId> {
         match self {
             NodeId::Proxy(p) => Some(p),
-            _ => None,
+            NodeId::Client(_) | NodeId::Origin => None,
         }
     }
 

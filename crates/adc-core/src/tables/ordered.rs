@@ -168,7 +168,7 @@ impl OrderedTable {
     /// the table at time `now`.
     ///
     /// Admission is automatic while the table has room; once full, the
-    /// candidate "[has] to have a lower average value than the worst case
+    /// candidate "\[has\] to have a lower average value than the worst case
     /// currently residing in the table". With `aged == true` the worst
     /// entry's threshold is its aged average.
     pub fn admits(&self, average: Tick, now: Tick, aged: bool) -> bool {

@@ -1,13 +1,13 @@
 //! A hand-rolled Rust lexer producing a flat token stream with byte
 //! spans and line numbers.
 //!
-//! This is the token layer the symbol index and call graph build on. It
-//! understands exactly as much Rust as the workspace's rules need:
-//! nested block comments, normal/byte/raw string literals, char
-//! literals vs lifetimes (`'a'` vs `'a`), numeric literals, identifiers
-//! and keywords (not distinguished here), and punctuation — with `::`,
-//! `=>` and `->` kept as single tokens because the indexer keys on
-//! them. It is *not* a conformant Rust lexer: float forms like `1e9`
+//! This is the token layer the `atomic-ordering` rule and the
+//! workspace's `#[expect]` counter read. It understands exactly as much
+//! Rust as they need: nested block comments, normal/byte/raw string
+//! literals, char literals vs lifetimes (`'a'` vs `'a`), numeric
+//! literals, identifiers and keywords (not distinguished here), and
+//! punctuation — with `::`, `=>` and `->` kept as single tokens. It is
+//! *not* a conformant Rust lexer: float forms like `1e9`
 //! lex as one `Num` token only by accident of the alphanumeric run, and
 //! exotic literals (C strings, raw identifiers) are out of scope. Every
 //! token carries its exact byte span in the input, so the differential

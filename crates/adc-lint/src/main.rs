@@ -5,14 +5,14 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-adc-lint — workspace invariant checks that rustc and clippy do not have
+adc-lint — the workspace invariant check that rustc and clippy do not have
 
 USAGE:
     adc-lint [OPTIONS]
 
 OPTIONS:
     --root <DIR>    Workspace root (default: auto-detected from cwd)
-    --check         Exit 1 when any finding survives suppression
+    --check         Exit 1 on any finding
     --json          Emit the machine-readable report instead of text
     --list-rules    Print the rule catalog and exit
     -h, --help      Show this help
@@ -48,10 +48,9 @@ fn main() -> ExitCode {
     }
 
     if list_rules {
-        println!("{:<15} {:<8} summary", "rule", "severity");
         for r in adc_lint::rules::RULES {
-            println!("{:<15} {:<8} {}", r.id, r.severity.label(), r.summary);
-            println!("{:<24} scope: {}", "", r.scope);
+            println!("{:<15} {}", r.id, r.summary);
+            println!("{:<15} scope: {}", "", r.scope);
         }
         return ExitCode::SUCCESS;
     }

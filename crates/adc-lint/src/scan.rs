@@ -4,9 +4,9 @@
 //! model (in the spirit of rust-lang's `tidy`) that strips string-literal
 //! and comment *contents* out of the "code" view of each line, tracks
 //! which lines belong to `#[cfg(test)]` items, and records every comment
-//! so rules can check for suppressions and justification comments. That
-//! is enough precision for the workspace's rule set while keeping the
-//! crate dependency-free and fast.
+//! so the rule can check for justification comments. That is enough
+//! precision for the workspace's rule while keeping the crate
+//! dependency-free and fast.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -27,18 +27,6 @@ pub struct SourceLine {
     pub in_test: bool,
 }
 
-impl SourceLine {
-    /// Whether the line carries any non-comment code.
-    pub fn has_code(&self) -> bool {
-        !self.code.trim().is_empty()
-    }
-
-    /// Whether the line's comment is a doc comment (`///` or `//!`).
-    pub fn is_doc_comment(&self) -> bool {
-        self.comment.starts_with("///") || self.comment.starts_with("//!")
-    }
-}
-
 /// One scanned `.rs` file plus the workspace context rules need.
 #[derive(Debug)]
 pub struct SourceFile {
@@ -55,9 +43,8 @@ pub struct SourceFile {
 
 /// Walks `root/crates/*/src` and `root/crates/*/tests` and returns
 /// every `.rs` file, sorted by relative path so output and JSON are
-/// stable across platforms. Integration-test files scan as non-library
-/// (`is_lib == false`), so only the rules that opt into test code (the
-/// metric-name agreement check, suppression handling) see them.
+/// stable across platforms. Integration-test files and binaries scan as
+/// non-library (`is_lib == false`).
 pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<SourceFile>> {
     let crates_dir = root.join("crates");
     let mut files = Vec::new();
@@ -308,7 +295,7 @@ mod tests {
         let f = parse("let x = \"HashMap in a string\"; // HashMap in a comment\nlet y = 1;");
         assert!(!f.lines[0].code.contains("HashMap"));
         assert!(f.lines[0].comment.contains("HashMap"));
-        assert!(f.lines[0].has_code());
+        assert!(f.lines[0].code.contains("let x ="));
     }
 
     #[test]
@@ -341,8 +328,8 @@ mod tests {
     #[test]
     fn doc_comments_are_comments() {
         let f = parse("/// docs with unwrap()\npub fn g() {}");
-        assert!(!f.lines[0].has_code());
-        assert!(f.lines[0].is_doc_comment());
+        assert!(f.lines[0].code.trim().is_empty());
+        assert!(f.lines[0].comment.starts_with("///"));
     }
 
     #[test]

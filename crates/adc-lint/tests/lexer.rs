@@ -3,8 +3,8 @@
 //! The v1 line scanner (`scan::parse_source`) and the v2 lexer
 //! (`lex::lex`) classify the same byte stream independently — the
 //! scanner into per-line code/comment views, the lexer into spanned
-//! tokens. The differential test pins them to each other over every
-//! rule fixture and every workspace file the lint scans; the property
+//! tokens. The differential test pins them to each other over both
+//! rule fixtures and every workspace file the lint scans; the property
 //! test drives the lexer over generated
 //! Rust-ish snippets with a deterministic PRNG (no proptest dependency)
 //! and checks the structural invariants that every downstream pass
@@ -67,7 +67,7 @@ fn assert_agreement(text: &str, label: &str) {
     );
 }
 
-/// Every fixture — the corpus the line rules are pinned to — and every
+/// Every fixture — the corpus the rule is pinned to — and every
 /// workspace file `adc-lint` scans must classify identically under both
 /// implementations.
 #[test]
@@ -89,7 +89,7 @@ fn lexer_agrees_with_line_scanner_on_every_fixture() {
         let text = fs::read_to_string(path).expect("read source");
         assert_agreement(&text, &path.display().to_string());
     }
-    assert!(fixtures >= 14, "fixture corpus shrank to {fixtures} files");
+    assert!(fixtures >= 2, "fixture corpus shrank to {fixtures} files");
     assert!(
         entries.len() - fixtures >= 100,
         "workspace corpus shrank to {} files",

@@ -4,8 +4,8 @@
 //! examples: the 5000-request [`MovingAverage`] from the paper's figures,
 //! sampled [`Series`] for plotting, streaming [`Summary`] statistics,
 //! [`Histogram`]s, tiny CSV export helpers (see [`csv`]), and the
-//! per-proxy metric [`Registry`] with Prometheus text exposition (see
-//! [`registry`]).
+//! per-proxy metric [`Registry`], keyed by the closed set of metric
+//! [`Family`] names, with Prometheus text exposition (see [`registry`]).
 //!
 //! # Examples
 //!
@@ -28,17 +28,27 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-// Lint levels of DESIGN.md §8. Unit tests may compare floats exactly.
+// Lint levels of DESIGN.md §8; the disallowed method, type and macro
+// lists live in the root clippy.toml. Unit tests may compare floats
+// exactly and match one remaining variant with `_`.
 #![deny(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::wildcard_enum_match_arm,
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::print_stdout,
     clippy::dbg_macro,
     clippy::allow_attributes_without_reason
 )]
-#![cfg_attr(not(test), deny(clippy::float_cmp))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::float_cmp, clippy::match_wildcard_for_single_variants)
+)]
 
 pub mod csv;
+mod family;
 mod histogram;
 mod moving;
 mod quantile;
@@ -47,6 +57,7 @@ mod series;
 mod summary;
 mod text;
 
+pub use family::Family;
 pub use histogram::Histogram;
 pub use moving::MovingAverage;
 pub use quantile::P2Quantile;

@@ -1,7 +1,7 @@
 //! Per-proxy metric registry with wire-scrapable exposition.
 //!
-//! Families of [`Counter`]s, [`Gauge`]s and [`Log2Histogram`]s keyed by
-//! `(metric name, proxy id)`. Everything about the registry is
+//! Counters, gauges and [`Log2Histogram`]s keyed by
+//! `(`[`Family`]`, proxy id)`. Everything about the registry is
 //! deterministic: storage is ordered ([`std::collections::BTreeMap`]),
 //! iteration and [`Registry::snapshot`] walk keys in sorted order, and
 //! [`Registry::merge`] is a pure element-wise fold — so per-proxy
@@ -21,19 +21,20 @@
 //! # Examples
 //!
 //! ```
-//! use adc_metrics::{Log2Histogram, Registry};
+//! use adc_metrics::{Family, Registry};
 //!
 //! let mut shard_a = Registry::new();
 //! let mut shard_b = Registry::new();
-//! shard_a.counter_add("adc_local_hits_total", 0, 3);
-//! shard_b.counter_add("adc_local_hits_total", 0, 4);
-//! shard_a.histogram_record("adc_hops", 0, 2);
-//! shard_b.histogram_record("adc_hops", 0, 9);
+//! shard_a.counter_add(Family::LOCAL_HITS, 0, 3);
+//! shard_b.counter_add(Family::LOCAL_HITS, 0, 4);
+//! shard_a.histogram_record(Family::HOPS, 0, 2);
+//! shard_b.histogram_record(Family::HOPS, 0, 9);
 //! shard_a.merge(&shard_b);
-//! assert_eq!(shard_a.counter("adc_local_hits_total", 0), 7);
-//! assert_eq!(shard_a.histogram("adc_hops", 0).unwrap().count(), 2);
+//! assert_eq!(shard_a.counter(Family::LOCAL_HITS, 0), 7);
+//! assert_eq!(shard_a.histogram(Family::HOPS, 0).unwrap().count(), 2);
 //! ```
 
+use crate::Family;
 use std::collections::BTreeMap;
 
 /// Proxy-id slot for cluster-wide (not per-proxy) metric values; rendered
@@ -155,15 +156,15 @@ impl Log2Histogram {
     }
 }
 
-/// Key of one metric value: family name plus proxy id.
-pub type MetricKey = (&'static str, u32);
+/// Key of one metric value: family plus proxy id.
+pub type MetricKey = (Family, u32);
 
 /// Deterministic families of counters, gauges and log2 histograms keyed
-/// by `(metric, proxy_id)`.
+/// by `(family, proxy_id)`.
 ///
-/// Names are `&'static str` so hot-path updates never allocate; sorted
-/// iteration falls out of the ordered map. See the module docs for the
-/// merge guarantees.
+/// A [`Family`] is a `&'static str` underneath, so hot-path updates never
+/// allocate; iteration in family-name order falls out of the ordered
+/// map. See the module docs for the merge guarantees.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
     counters: BTreeMap<MetricKey, u64>,
@@ -177,59 +178,59 @@ impl Registry {
         Registry::default()
     }
 
-    /// Adds `delta` to the counter `(metric, proxy)`, creating it at zero.
-    pub fn counter_add(&mut self, metric: &'static str, proxy: u32, delta: u64) {
-        *self.counters.entry((metric, proxy)).or_insert(0) += delta;
+    /// Adds `delta` to the counter `(family, proxy)`, creating it at zero.
+    pub fn counter_add(&mut self, family: Family, proxy: u32, delta: u64) {
+        *self.counters.entry((family, proxy)).or_insert(0) += delta;
     }
 
-    /// Current value of the counter `(metric, proxy)` (0 when absent).
-    pub fn counter(&self, metric: &'static str, proxy: u32) -> u64 {
-        self.counters.get(&(metric, proxy)).copied().unwrap_or(0)
+    /// Current value of the counter `(family, proxy)` (0 when absent).
+    pub fn counter(&self, family: Family, proxy: u32) -> u64 {
+        self.counters.get(&(family, proxy)).copied().unwrap_or(0)
     }
 
-    /// Sets the gauge `(metric, proxy)`.
-    pub fn gauge_set(&mut self, metric: &'static str, proxy: u32, value: i64) {
-        self.gauges.insert((metric, proxy), value);
+    /// Sets the gauge `(family, proxy)`.
+    pub fn gauge_set(&mut self, family: Family, proxy: u32, value: i64) {
+        self.gauges.insert((family, proxy), value);
     }
 
-    /// Adds `delta` (possibly negative) to the gauge `(metric, proxy)`,
+    /// Adds `delta` (possibly negative) to the gauge `(family, proxy)`,
     /// creating it at zero.
-    pub fn gauge_add(&mut self, metric: &'static str, proxy: u32, delta: i64) {
-        *self.gauges.entry((metric, proxy)).or_insert(0) += delta;
+    pub fn gauge_add(&mut self, family: Family, proxy: u32, delta: i64) {
+        *self.gauges.entry((family, proxy)).or_insert(0) += delta;
     }
 
-    /// Current value of the gauge `(metric, proxy)` (0 when absent).
-    pub fn gauge(&self, metric: &'static str, proxy: u32) -> i64 {
-        self.gauges.get(&(metric, proxy)).copied().unwrap_or(0)
+    /// Current value of the gauge `(family, proxy)` (0 when absent).
+    pub fn gauge(&self, family: Family, proxy: u32) -> i64 {
+        self.gauges.get(&(family, proxy)).copied().unwrap_or(0)
     }
 
-    /// Records `value` into the histogram `(metric, proxy)`, creating it
+    /// Records `value` into the histogram `(family, proxy)`, creating it
     /// empty.
-    pub fn histogram_record(&mut self, metric: &'static str, proxy: u32, value: u64) {
+    pub fn histogram_record(&mut self, family: Family, proxy: u32, value: u64) {
         self.histograms
-            .entry((metric, proxy))
+            .entry((family, proxy))
             .or_default()
             .record(value);
     }
 
-    /// The histogram `(metric, proxy)`, if any value was recorded.
-    pub fn histogram(&self, metric: &'static str, proxy: u32) -> Option<&Log2Histogram> {
-        self.histograms.get(&(metric, proxy))
+    /// The histogram `(family, proxy)`, if any value was recorded.
+    pub fn histogram(&self, family: Family, proxy: u32) -> Option<&Log2Histogram> {
+        self.histograms.get(&(family, proxy))
     }
 
-    /// Iterates counters in sorted `(metric, proxy)` order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u32, u64)> + '_ {
-        self.counters.iter().map(|(&(m, p), &v)| (m, p, v))
+    /// Iterates counters in sorted `(family, proxy)` order.
+    pub fn counters(&self) -> impl Iterator<Item = (Family, u32, u64)> + '_ {
+        self.counters.iter().map(|(&(f, p), &v)| (f, p, v))
     }
 
-    /// Iterates gauges in sorted `(metric, proxy)` order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, u32, i64)> + '_ {
-        self.gauges.iter().map(|(&(m, p), &v)| (m, p, v))
+    /// Iterates gauges in sorted `(family, proxy)` order.
+    pub fn gauges(&self) -> impl Iterator<Item = (Family, u32, i64)> + '_ {
+        self.gauges.iter().map(|(&(f, p), &v)| (f, p, v))
     }
 
-    /// Iterates histograms in sorted `(metric, proxy)` order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, u32, &Log2Histogram)> + '_ {
-        self.histograms.iter().map(|(&(m, p), h)| (m, p, h))
+    /// Iterates histograms in sorted `(family, proxy)` order.
+    pub fn histograms(&self) -> impl Iterator<Item = (Family, u32, &Log2Histogram)> + '_ {
+        self.histograms.iter().map(|(&(f, p), h)| (f, p, h))
     }
 
     /// Proxy ids (excluding [`CLUSTER`]) that appear in any family, in
@@ -251,14 +252,14 @@ impl Registry {
     /// Folds every family of `other` into `self`: counters add, gauges
     /// add, histograms merge element-wise (exactly).
     pub fn merge(&mut self, other: &Registry) {
-        for (&(m, p), &v) in &other.counters {
-            *self.counters.entry((m, p)).or_insert(0) += v;
+        for (&key, &v) in &other.counters {
+            *self.counters.entry(key).or_insert(0) += v;
         }
-        for (&(m, p), &v) in &other.gauges {
-            *self.gauges.entry((m, p)).or_insert(0) += v;
+        for (&key, &v) in &other.gauges {
+            *self.gauges.entry(key).or_insert(0) += v;
         }
-        for (&(m, p), h) in &other.histograms {
-            self.histograms.entry((m, p)).or_default().merge(h);
+        for (&key, h) in &other.histograms {
+            self.histograms.entry(key).or_default().merge(h);
         }
     }
 
@@ -279,39 +280,31 @@ impl Registry {
         merged
     }
 
-    /// An owned, sorted, render-ready copy of every family.
+    /// An owned, render-ready copy of every family, sorted by family
+    /// name, then proxy.
     pub fn snapshot(&self) -> RegistrySnapshot {
         RegistrySnapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(&(m, p), &v)| (m.to_string(), p, v))
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|(&(m, p), &v)| (m.to_string(), p, v))
-                .collect(),
+            counters: self.counters().collect(),
+            gauges: self.gauges().collect(),
             histograms: self
-                .histograms
-                .iter()
-                .map(|(&(m, p), h)| (m.to_string(), p, h.clone()))
+                .histograms()
+                .map(|(f, p, h)| (f, p, h.clone()))
                 .collect(),
         }
     }
 }
 
-/// An owned snapshot of a [`Registry`], sorted by `(metric, proxy)` —
+/// An owned snapshot of a [`Registry`], sorted by `(family, proxy)` —
 /// what crosses thread/process boundaries and what the exposition
 /// renders.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegistrySnapshot {
-    /// `(metric, proxy, value)` counter triples, sorted.
-    pub counters: Vec<(String, u32, u64)>,
-    /// `(metric, proxy, value)` gauge triples, sorted.
-    pub gauges: Vec<(String, u32, i64)>,
-    /// `(metric, proxy, histogram)` triples, sorted.
-    pub histograms: Vec<(String, u32, Log2Histogram)>,
+    /// `(family, proxy, value)` counter triples, sorted.
+    pub counters: Vec<(Family, u32, u64)>,
+    /// `(family, proxy, value)` gauge triples, sorted.
+    pub gauges: Vec<(Family, u32, i64)>,
+    /// `(family, proxy, histogram)` triples, sorted.
+    pub histograms: Vec<(Family, u32, Log2Histogram)>,
 }
 
 /// Writes the `proxy` label, mapping the [`CLUSTER`] slot to `"all"`.
@@ -374,45 +367,48 @@ impl RegistrySnapshot {
     /// cumulative `_bucket{le=...}` / `_sum` / `_count` series.
     ///
     /// Output is deterministic: families and samples appear in sorted
-    /// `(metric, proxy)` order, so two same-seed runs render identical
+    /// `(family, proxy)` order, so two same-seed runs render identical
     /// text.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
-        let mut last_family = "";
-        for (metric, proxy, value) in &self.counters {
-            if metric != last_family {
+        let mut last_family = None;
+        for &(family, proxy, value) in &self.counters {
+            let metric = family.name();
+            if last_family != Some(family) {
                 out.push_str("# TYPE ");
                 out.push_str(metric);
                 out.push_str(" counter\n");
-                last_family = metric;
+                last_family = Some(family);
             }
             out.push_str(metric);
-            push_proxy_label(&mut out, *proxy);
+            push_proxy_label(&mut out, proxy);
             out.push(' ');
             out.push_str(&value.to_string());
             out.push('\n');
         }
-        let mut last_family = "";
-        for (metric, proxy, value) in &self.gauges {
-            if metric != last_family {
+        let mut last_family = None;
+        for &(family, proxy, value) in &self.gauges {
+            let metric = family.name();
+            if last_family != Some(family) {
                 out.push_str("# TYPE ");
                 out.push_str(metric);
                 out.push_str(" gauge\n");
-                last_family = metric;
+                last_family = Some(family);
             }
             out.push_str(metric);
-            push_proxy_label(&mut out, *proxy);
+            push_proxy_label(&mut out, proxy);
             out.push(' ');
             out.push_str(&value.to_string());
             out.push('\n');
         }
-        let mut last_family = "";
-        for (metric, proxy, h) in &self.histograms {
-            if metric != last_family {
+        let mut last_family = None;
+        for (family, proxy, h) in &self.histograms {
+            let metric = family.name();
+            if last_family != Some(*family) {
                 out.push_str("# TYPE ");
                 out.push_str(metric);
                 out.push_str(" histogram\n");
-                last_family = metric;
+                last_family = Some(*family);
             }
             push_histogram_lines(&mut out, metric, *proxy, h);
         }
@@ -573,26 +569,30 @@ mod tests {
 
     #[test]
     fn registry_families_are_sorted_and_mergeable() {
+        let (a, b) = (Family::CACHE_EVICTS, Family::LOCAL_HITS);
         let mut r = Registry::new();
-        r.counter_add("b_total", 1, 2);
-        r.counter_add("a_total", 3, 1);
-        r.counter_add("a_total", 0, 5);
-        r.gauge_set("occ", 0, 7);
-        r.gauge_add("occ", 0, -2);
-        r.histogram_record("hops", 2, 4);
-        let order: Vec<(&str, u32)> = r.counters().map(|(m, p, _)| (m, p)).collect();
-        assert_eq!(order, vec![("a_total", 0), ("a_total", 3), ("b_total", 1)]);
-        assert_eq!(r.gauge("occ", 0), 5);
+        r.counter_add(b, 1, 2);
+        r.counter_add(a, 3, 1);
+        r.counter_add(a, 0, 5);
+        r.gauge_set(Family::CACHED_OBJECTS, 0, 7);
+        r.gauge_add(Family::CACHED_OBJECTS, 0, -2);
+        r.histogram_record(Family::HOPS, 2, 4);
+        let order: Vec<(Family, u32)> = r.counters().map(|(f, p, _)| (f, p)).collect();
+        assert_eq!(order, vec![(a, 0), (a, 3), (b, 1)]);
+        assert_eq!(r.gauge(Family::CACHED_OBJECTS, 0), 5);
         assert_eq!(r.proxies(), vec![0, 1, 2, 3]);
 
         let mut other = Registry::new();
-        other.counter_add("a_total", 0, 1);
-        other.gauge_add("occ", 0, 1);
-        other.histogram_record("hops", 2, 4);
+        other.counter_add(a, 0, 1);
+        other.gauge_add(Family::CACHED_OBJECTS, 0, 1);
+        other.histogram_record(Family::HOPS, 2, 4);
         r.merge(&other);
-        assert_eq!(r.counter("a_total", 0), 6);
-        assert_eq!(r.gauge("occ", 0), 6);
-        assert_eq!(r.histogram("hops", 2).map(Log2Histogram::count), Some(2));
+        assert_eq!(r.counter(a, 0), 6);
+        assert_eq!(r.gauge(Family::CACHED_OBJECTS, 0), 6);
+        assert_eq!(
+            r.histogram(Family::HOPS, 2).map(Log2Histogram::count),
+            Some(2)
+        );
     }
 
     #[test]
@@ -603,13 +603,13 @@ mod tests {
         let mut shards = [Registry::new(), Registry::new(), Registry::new()];
         for i in 0..300u64 {
             let proxy = (i % 5) as u32; // 5 proxies round-robin
-            whole.counter_add("adc_local_hits_total", proxy, 1);
-            whole.histogram_record("adc_hops", proxy, i % 9);
-            whole.gauge_add("adc_cached_objects", proxy, 1);
+            whole.counter_add(Family::LOCAL_HITS, proxy, 1);
+            whole.histogram_record(Family::HOPS, proxy, i % 9);
+            whole.gauge_add(Family::CACHED_OBJECTS, proxy, 1);
             let s = &mut shards[(i % 3) as usize]; // shard by index
-            s.counter_add("adc_local_hits_total", proxy, 1);
-            s.histogram_record("adc_hops", proxy, i % 9);
-            s.gauge_add("adc_cached_objects", proxy, 1);
+            s.counter_add(Family::LOCAL_HITS, proxy, 1);
+            s.histogram_record(Family::HOPS, proxy, i % 9);
+            s.gauge_add(Family::CACHED_OBJECTS, proxy, 1);
         }
         let merged = Registry::merge_all(shards.iter());
         assert_eq!(merged, whole);
@@ -626,12 +626,12 @@ mod tests {
     #[test]
     fn snapshot_renders_valid_prometheus() {
         let mut r = Registry::new();
-        r.counter_add("adc_local_hits_total", 0, 3);
-        r.counter_add("adc_local_hits_total", 1, 4);
-        r.counter_add("adc_requests_injected_total", CLUSTER, 7);
-        r.gauge_set("adc_cached_objects", 0, 12);
-        r.histogram_record("adc_hops", 0, 2);
-        r.histogram_record("adc_hops", 0, 5);
+        r.counter_add(Family::LOCAL_HITS, 0, 3);
+        r.counter_add(Family::LOCAL_HITS, 1, 4);
+        r.counter_add(Family::REQUESTS_INJECTED, CLUSTER, 7);
+        r.gauge_set(Family::CACHED_OBJECTS, 0, 12);
+        r.histogram_record(Family::HOPS, 0, 2);
+        r.histogram_record(Family::HOPS, 0, 5);
         let text = r.snapshot().to_prometheus();
         validate_prometheus(&text).expect("renderer output must validate");
         assert!(text.contains("# TYPE adc_local_hits_total counter"));
@@ -649,10 +649,10 @@ mod tests {
         let build = |order_flip: bool| {
             let mut r = Registry::new();
             let (a, b) = if order_flip { (1, 0) } else { (0, 1) };
-            r.counter_add("x_total", a, 1);
-            r.counter_add("x_total", b, 2);
-            r.histogram_record("h", a, 3);
-            r.histogram_record("h", b, 3);
+            r.counter_add(Family::LOCAL_HITS, a, 1);
+            r.counter_add(Family::LOCAL_HITS, b, 2);
+            r.histogram_record(Family::HOPS, a, 3);
+            r.histogram_record(Family::HOPS, b, 3);
             r.snapshot().to_prometheus()
         };
         // Same content inserted in a different order renders identically
@@ -660,8 +660,8 @@ mod tests {
         // insertion order.
         let x = build(false);
         let y = build(true);
-        assert_eq!(x.matches("x_total{proxy=\"0\"}").count(), 1);
-        assert_eq!(y.matches("x_total{proxy=\"0\"}").count(), 1);
+        assert_eq!(x.matches("adc_local_hits_total{proxy=\"0\"}").count(), 1);
+        assert_eq!(y.matches("adc_local_hits_total{proxy=\"0\"}").count(), 1);
     }
 
     #[test]

@@ -124,7 +124,7 @@ fn is_peer_death_signal(e: &io::Error) -> bool {
 /// Like [`drive_workload`] but with live-tracing plumbing: the client
 /// records root spans, consecutive per-proxy failures (timeouts or
 /// connection errors) trip a peer-death watchdog (threshold
-/// [`PEER_DEATH_THRESHOLD`]) that reroutes around the dead proxy, and —
+/// `PEER_DEATH_THRESHOLD`, 3) that reroutes around the dead proxy, and —
 /// when `flight` is given — each death dumps the proxy's post-mortem
 /// from the shared in-process handles.
 ///

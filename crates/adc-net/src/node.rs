@@ -9,8 +9,7 @@ use adc_core::{
     Action, ActionSink, CacheAgent, CacheEvent, Message, NodeId, NullProbe, ObjectId, Probe,
     ProxyId, ProxyStats, Reply, Request,
 };
-use adc_metrics::Registry;
-use adc_obs::metrics as families;
+use adc_metrics::{Family, Registry};
 use adc_obs::SegmentKind;
 use adc_workload::SizeModel;
 use bytes::Bytes;
@@ -23,25 +22,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Metric families only the network layer emits — counters with no
-/// simulator-side equivalent in [`adc_obs::metrics`]. Kept as consts so
-/// `adc-lint`'s metric-name agreement check can hold every exposition
-/// site and test to one spelling.
-pub mod net_families {
-    /// Requests a proxy accepted off the wire (client or peer).
-    pub const REQUESTS_RECEIVED: &str = "adc_requests_received_total";
-    /// Replies a proxy matched to a pending request and processed.
-    pub const REPLIES_PROCESSED: &str = "adc_replies_processed_total";
-    /// Requests the origin server answered over its lifetime.
-    pub const ORIGIN_REQUESTS: &str = "adc_origin_requests_total";
-    /// Spans the node's tracer recorded over its lifetime (kept or
-    /// dropped).
-    pub const TRACE_SPANS: &str = "adc_net_trace_spans_total";
-    /// Spans the node's tracer lost: ring overwrites plus
-    /// pending-table overflow.
-    pub const TRACE_DROPPED: &str = "adc_net_trace_dropped_total";
-}
 
 /// One outgoing transmission produced by a frame: the action, the body
 /// bytes to attach to replies, and the trace context for the wire
@@ -137,8 +117,8 @@ impl<A: CacheAgent + Send + 'static> ProxyNode<A> {
 
     /// Marks the node dead: every connection loop stops serving at its
     /// next frame and new connections are refused. Existing blocked
-    /// accepts need one wake-up connection — [`Cluster::kill_proxy`]
-    /// [crate::Cluster::kill_proxy] handles that.
+    /// accepts need one wake-up connection —
+    /// [`Cluster::kill_proxy`][crate::Cluster::kill_proxy] handles that.
     pub fn kill(&self) {
         self.alive.store(false, Ordering::Relaxed);
     }
@@ -465,25 +445,25 @@ pub fn render_node_metrics(
 ) -> String {
     let p = proxy.raw();
     let mut reg = Registry::new();
-    reg.counter_add(net_families::REQUESTS_RECEIVED, p, stats.requests_received);
-    reg.counter_add(families::LOCAL_HITS, p, stats.local_hits);
-    reg.counter_add(families::FORWARDS_LEARNED, p, stats.forwards_learned);
-    reg.counter_add(families::FORWARDS_RANDOM, p, stats.forwards_random);
-    reg.counter_add(families::LOOPS_DETECTED, p, stats.origin_loops);
-    reg.counter_add(families::HOP_LIMIT, p, stats.origin_max_hops);
-    reg.counter_add(families::ORIGIN_THIS_MISS, p, stats.origin_this_miss);
-    reg.counter_add(net_families::REPLIES_PROCESSED, p, stats.replies_processed);
-    reg.counter_add(families::REPLIES_ORPHANED, p, stats.replies_orphaned);
-    reg.counter_add(families::CACHE_INSERTS, p, stats.cache_insertions);
-    reg.counter_add(families::CACHE_EVICTS, p, stats.cache_evictions);
+    reg.counter_add(Family::REQUESTS_RECEIVED, p, stats.requests_received);
+    reg.counter_add(Family::LOCAL_HITS, p, stats.local_hits);
+    reg.counter_add(Family::FORWARDS_LEARNED, p, stats.forwards_learned);
+    reg.counter_add(Family::FORWARDS_RANDOM, p, stats.forwards_random);
+    reg.counter_add(Family::LOOPS_DETECTED, p, stats.origin_loops);
+    reg.counter_add(Family::HOP_LIMIT, p, stats.origin_max_hops);
+    reg.counter_add(Family::ORIGIN_THIS_MISS, p, stats.origin_this_miss);
+    reg.counter_add(Family::REPLIES_PROCESSED, p, stats.replies_processed);
+    reg.counter_add(Family::REPLIES_ORPHANED, p, stats.replies_orphaned);
+    reg.counter_add(Family::CACHE_INSERTS, p, stats.cache_insertions);
+    reg.counter_add(Family::CACHE_EVICTS, p, stats.cache_evictions);
     reg.gauge_set(
-        families::CACHED_OBJECTS,
+        Family::CACHED_OBJECTS,
         p,
         i64::try_from(stored_objects).unwrap_or(i64::MAX),
     );
     if let Some(trace) = trace {
-        reg.counter_add(net_families::TRACE_SPANS, p, trace.recorded);
-        reg.counter_add(net_families::TRACE_DROPPED, p, trace.dropped);
+        reg.counter_add(Family::NET_TRACE_SPANS, p, trace.recorded);
+        reg.counter_add(Family::NET_TRACE_DROPPED, p, trace.dropped);
     }
     reg.snapshot().to_prometheus()
 }
@@ -581,7 +561,7 @@ impl OriginServer {
             let answer = match frame {
                 Frame::MetricsRequest => {
                     let total = self.served.load(Ordering::Relaxed);
-                    let family = net_families::ORIGIN_REQUESTS;
+                    let family = Family::ORIGIN_REQUESTS.name();
                     let text = format!("# TYPE {family} counter\n{family} {total}\n");
                     Frame::MetricsResponse(Bytes::from(text.into_bytes()))
                 }

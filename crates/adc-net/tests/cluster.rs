@@ -182,7 +182,7 @@ async fn carp_cluster_over_tcp_routes_to_owner() {
     assert_eq!(holders, 1);
 }
 
-use adc_metrics::sample_value;
+use adc_metrics::{sample_value, Family};
 
 #[tokio::test]
 async fn scraped_metrics_validate_and_reconcile_with_stats() {
@@ -200,17 +200,20 @@ async fn scraped_metrics_validate_and_reconcile_with_stats() {
             .unwrap_or_else(|e| panic!("proxy {p} exposition invalid: {e}"));
         let stats = cluster.proxy_stats(ProxyId::new(p));
         assert_eq!(
-            sample_value(&text, "adc_requests_received_total", p),
+            sample_value(&text, Family::REQUESTS_RECEIVED.name(), p),
             Some(stats.requests_received),
             "proxy {p} request counter drifted from its stats snapshot"
         );
         assert_eq!(
-            sample_value(&text, "adc_local_hits_total", p),
+            sample_value(&text, Family::LOCAL_HITS.name(), p),
             Some(stats.local_hits),
         );
         // The exposed gauge mirrors the live byte store.
         let stored = cluster.proxies[p as usize].stored_objects() as u64;
-        assert_eq!(sample_value(&text, "adc_cached_objects", p), Some(stored));
+        assert_eq!(
+            sample_value(&text, Family::CACHED_OBJECTS.name(), p),
+            Some(stored)
+        );
     }
 }
 
@@ -227,7 +230,7 @@ async fn origin_scrape_counts_served_requests() {
     }
     let text = cluster.origin_metrics_text().await.unwrap();
     adc_metrics::validate_prometheus(&text).unwrap();
-    let served = adc_metrics::sample(&text, "adc_origin_requests_total")
+    let served = adc_metrics::sample(&text, Family::ORIGIN_REQUESTS.name())
         .expect("origin exposition missing its request counter");
     assert_eq!(served, 10);
 }
@@ -243,7 +246,7 @@ async fn scrape_does_not_disturb_request_traffic() {
             .unwrap();
         // Interleave a scrape between requests on a fresh connection.
         let text = cluster.metrics_text(ProxyId::new(0)).await.unwrap();
-        assert!(text.contains("adc_requests_received_total"));
+        assert!(text.contains(Family::REQUESTS_RECEIVED.name()));
     }
     assert_eq!(client.in_flight(), 0);
     // Proxy-to-proxy forwards also count, so at least the 5 client entries.
@@ -362,9 +365,9 @@ async fn trace_drop_counter_reconciles_metrics_with_the_ring() {
     }
     let text = cluster.metrics_text(ProxyId::new(0)).await.unwrap();
     adc_metrics::validate_prometheus(&text).unwrap();
-    let dropped_metric = sample_value(&text, "adc_net_trace_dropped_total", 0)
+    let dropped_metric = sample_value(&text, Family::NET_TRACE_DROPPED.name(), 0)
         .expect("traced node exposes its drop counter");
-    let spans_metric = sample_value(&text, "adc_net_trace_spans_total", 0)
+    let spans_metric = sample_value(&text, Family::NET_TRACE_SPANS.name(), 0)
         .expect("traced node exposes its span counter");
     // Block-scope the guard: clippy's await_holding_lock is lexical and
     // ignores an explicit drop before the awaits below.
@@ -385,7 +388,13 @@ async fn trace_drop_counter_reconciles_metrics_with_the_ring() {
     // An untraced cluster exposes no trace families at all.
     let untraced = Cluster::spawn_adc(2, small_config()).await.unwrap();
     let text = untraced.metrics_text(ProxyId::new(0)).await.unwrap();
-    assert!(!text.contains("adc_net_trace_dropped_total"));
+    assert!(text.contains(Family::REQUESTS_RECEIVED.name()));
+    for family in [Family::NET_TRACE_SPANS, Family::NET_TRACE_DROPPED] {
+        assert!(
+            !text.contains(family.name()),
+            "untraced node exposes {family:?}"
+        );
+    }
 }
 
 #[tokio::test]
@@ -453,7 +462,7 @@ async fn killed_proxy_trips_the_watchdog_and_dumps_a_postmortem() {
     }
     assert!(lines[0].contains("\"node\":1"));
     assert!(lines[0].contains("consecutive timeouts"));
-    assert!(lines[0].contains("adc_requests_received_total"));
+    assert!(lines[0].contains(Family::REQUESTS_RECEIVED.name()));
     assert!(lines.len() > 1, "warmed proxy dumps its recent spans");
 
     // The dead proxy is skipped by later trace sweeps instead of

@@ -56,11 +56,13 @@ pub fn to_chrome_trace(events: &[(u64, SimEvent)]) -> String {
     // track per bare tid.
     let mut clients: Vec<u32> = Vec::new();
     let mut proxies: Vec<u32> = Vec::new();
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "deliberately binary: the two request-flow variants get client lanes, \
+                  every other variant classifies by its proxy, so a new variant lands in \
+                  the proxy lane, where agent-side events belong"
+    )]
     for (_, event) in events {
-        // Deliberately binary: the two request-flow variants get client
-        // lanes, every other variant classifies by its proxy — a new
-        // variant lands in the proxy lane, which is where agent-side
-        // events belong. adc-lint: allow(probe-exhaustiveness)
         match *event {
             SimEvent::RequestInjected { client, .. }
             | SimEvent::RequestCompleted { client, .. } => clients.push(client),
@@ -86,12 +88,14 @@ pub fn to_chrome_trace(events: &[(u64, SimEvent)]) -> String {
         let _ = write!(name, "proxy {proxy}");
         push_thread_meta(&mut out, 1, proxy, &name);
     }
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "only completions render as spans; the fallback arm emits an instant \
+                  named via `kind().name()` with the full JSONL payload as args, so a new \
+                  variant shows up in traces automatically"
+    )]
     for &(t, ref event) in events {
         out.push(',');
-        // Only completions render as spans; the fallback arm emits an
-        // instant named via `kind().name()` with the full JSONL payload
-        // as args, so a new variant shows up in traces automatically.
-        // adc-lint: allow(probe-exhaustiveness)
         match *event {
             // Injections are represented by the span start of the matching
             // completion; emit nothing separate to keep traces compact.

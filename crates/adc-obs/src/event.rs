@@ -387,7 +387,7 @@ mod tests {
             },
         ];
         assert_eq!(events.len(), EventKind::COUNT);
-        let mut names = std::collections::HashSet::new();
+        let mut names = std::collections::BTreeSet::new();
         for (event, kind) in events.iter().zip(EventKind::ALL) {
             assert_eq!(event.kind(), kind);
             assert_eq!(event.object(), 3);

@@ -11,15 +11,24 @@
 //! ids instead of the core newtypes.
 
 #![warn(missing_docs, unreachable_pub)]
-// Lint levels of DESIGN.md §8. Unit tests may compare floats exactly.
+// Lint levels of DESIGN.md §8; the disallowed method, type and macro
+// lists live in the root clippy.toml. Unit tests may compare floats
+// exactly and match one remaining variant with `_`.
 #![deny(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::wildcard_enum_match_arm,
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::print_stdout,
     clippy::dbg_macro,
     clippy::allow_attributes_without_reason
 )]
-#![cfg_attr(not(test), deny(clippy::float_cmp))]
+#![cfg_attr(
+    not(test),
+    deny(clippy::float_cmp, clippy::match_wildcard_for_single_variants)
+)]
 
 pub mod chrome;
 pub mod convergence;

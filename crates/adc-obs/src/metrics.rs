@@ -1,8 +1,9 @@
 //! Folding the event stream into per-proxy metric families.
 //!
 //! [`MetricsProbe`] is a [`Probe`] that turns the 13 [`SimEvent`]
-//! variants into named counter/gauge/histogram families in an
-//! [`adc_metrics::Registry`], keyed by proxy id: hops-to-resolution and
+//! variants into counter/gauge/histogram families (each a
+//! [`Family`] const) in an [`adc_metrics::Registry`], keyed by proxy
+//! id: hops-to-resolution and
 //! resolution-latency histograms, forward/loop/origin-terminate
 //! counters, and live table-occupancy gauges whose distribution is
 //! additionally sampled into histograms on the convergence cadence
@@ -22,58 +23,16 @@
 use crate::event::{SimEvent, TableLevel};
 use crate::probe::Probe;
 use adc_metrics::registry::CLUSTER;
-use adc_metrics::{Registry, RegistrySnapshot};
+use adc_metrics::{Family, Registry, RegistrySnapshot};
 use std::collections::BTreeMap;
-
-/// Requests served from a proxy's local store, per serving proxy.
-pub const LOCAL_HITS: &str = "adc_local_hits_total";
-/// Misses forwarded to the peer the mapping tables named.
-pub const FORWARDS_LEARNED: &str = "adc_forwards_learned_total";
-/// Misses forwarded to a random peer (no table entry).
-pub const FORWARDS_RANDOM: &str = "adc_forwards_random_total";
-/// Requests that revisited a proxy and were sent to the origin.
-pub const LOOPS_DETECTED: &str = "adc_loops_detected_total";
-/// Requests that exhausted the hop limit and were sent to the origin.
-pub const HOP_LIMIT: &str = "adc_hop_limit_total";
-/// `THIS`-mapped objects whose data was missing; fetched from the origin.
-pub const ORIGIN_THIS_MISS: &str = "adc_origin_this_miss_total";
-/// Remote-owner adoptions learned from backwarded replies.
-pub const BACKWARD_ADOPTIONS: &str = "adc_backward_adoptions_total";
-/// Entries moved between mapping tables (promotions plus demotions).
-pub const TABLE_MIGRATIONS: &str = "adc_table_migrations_total";
-/// Objects admitted into a proxy's local store.
-pub const CACHE_INSERTS: &str = "adc_cache_inserts_total";
-/// Objects evicted from a proxy's local store.
-pub const CACHE_EVICTS: &str = "adc_cache_evicts_total";
-/// Replies that matched no pending request and were dropped.
-pub const REPLIES_ORPHANED: &str = "adc_replies_orphaned_total";
-/// Workload requests injected (cluster-wide, [`CLUSTER`] slot).
-pub const REQUESTS_INJECTED: &str = "adc_requests_injected_total";
-/// Flows completed (cluster-wide, [`CLUSTER`] slot).
-pub const REQUESTS_COMPLETED: &str = "adc_requests_completed_total";
-/// Completed flows served from some proxy cache ([`CLUSTER`] slot).
-pub const REQUEST_HITS: &str = "adc_request_hits_total";
-/// Live single-table occupancy gauge, per proxy.
-pub const TABLE_SINGLE: &str = "adc_table_single";
-/// Live multiple-table occupancy gauge, per proxy.
-pub const TABLE_MULTIPLE: &str = "adc_table_multiple";
-/// Live caching-table occupancy gauge, per proxy.
-pub const TABLE_CACHING: &str = "adc_table_caching";
-/// Live stored-object count gauge, per proxy.
-pub const CACHED_OBJECTS: &str = "adc_cached_objects";
-/// Hops-to-resolution histogram; hit flows keyed by serving proxy,
-/// origin-served flows in the [`CLUSTER`] slot.
-pub const HOPS: &str = "adc_hops";
-/// Resolution-latency histogram (microseconds), keyed like [`HOPS`].
-pub const RESOLUTION_LATENCY_US: &str = "adc_resolution_latency_us";
 
 /// `(live gauge, sampled-occupancy histogram)` pairs recorded on the
 /// cadence tick.
-const OCCUPANCY_FAMILIES: [(&str, &str); 4] = [
-    (TABLE_SINGLE, "adc_table_single_occupancy"),
-    (TABLE_MULTIPLE, "adc_table_multiple_occupancy"),
-    (TABLE_CACHING, "adc_table_caching_occupancy"),
-    (CACHED_OBJECTS, "adc_cached_objects_occupancy"),
+const OCCUPANCY_FAMILIES: [(Family, Family); 4] = [
+    (Family::TABLE_SINGLE, Family::TABLE_SINGLE_OCCUPANCY),
+    (Family::TABLE_MULTIPLE, Family::TABLE_MULTIPLE_OCCUPANCY),
+    (Family::TABLE_CACHING, Family::TABLE_CACHING_OCCUPANCY),
+    (Family::CACHED_OBJECTS, Family::CACHED_OBJECTS_OCCUPANCY),
 ];
 
 /// Default occupancy-sampling cadence in completed requests; matches the
@@ -82,7 +41,7 @@ pub const DEFAULT_CADENCE: u64 = 5000;
 
 /// A [`Probe`] that folds [`SimEvent`]s into per-proxy metric families.
 ///
-/// See the [module docs](self) for the family catalogue and the hit
+/// See the [module docs](self) for the families it records and the hit
 /// attribution caveat.
 #[derive(Debug, Clone)]
 pub struct MetricsProbe {
@@ -160,16 +119,16 @@ impl MetricsProbe {
     ) {
         self.now_us = now_us;
         let r = &mut self.registry;
-        r.counter_add(REQUESTS_COMPLETED, CLUSTER, 1);
+        r.counter_add(Family::REQUESTS_COMPLETED, CLUSTER, 1);
         let slot = if hit {
-            r.counter_add(REQUEST_HITS, CLUSTER, 1);
+            r.counter_add(Family::REQUEST_HITS, CLUSTER, 1);
             server.unwrap_or(CLUSTER)
         } else {
             CLUSTER
         };
-        r.histogram_record(HOPS, slot, u64::from(hops));
+        r.histogram_record(Family::HOPS, slot, u64::from(hops));
         r.histogram_record(
-            RESOLUTION_LATENCY_US,
+            Family::RESOLUTION_LATENCY_US,
             slot,
             self.now_us.saturating_sub(start_us),
         );
@@ -226,7 +185,7 @@ impl Probe for MetricsProbe {
         let r = &mut self.registry;
         match event {
             SimEvent::RequestInjected { .. } => {
-                r.counter_add(REQUESTS_INJECTED, CLUSTER, 1);
+                r.counter_add(Family::REQUESTS_INJECTED, CLUSTER, 1);
             }
             SimEvent::RequestCompleted {
                 object,
@@ -235,16 +194,16 @@ impl Probe for MetricsProbe {
                 start_us,
                 ..
             } => {
-                r.counter_add(REQUESTS_COMPLETED, CLUSTER, 1);
+                r.counter_add(Family::REQUESTS_COMPLETED, CLUSTER, 1);
                 let slot = if hit {
-                    r.counter_add(REQUEST_HITS, CLUSTER, 1);
+                    r.counter_add(Family::REQUEST_HITS, CLUSTER, 1);
                     self.last_server.get(&object).copied().unwrap_or(CLUSTER)
                 } else {
                     CLUSTER
                 };
-                r.histogram_record(HOPS, slot, u64::from(hops));
+                r.histogram_record(Family::HOPS, slot, u64::from(hops));
                 r.histogram_record(
-                    RESOLUTION_LATENCY_US,
+                    Family::RESOLUTION_LATENCY_US,
                     slot,
                     self.now_us.saturating_sub(start_us),
                 );
@@ -254,31 +213,31 @@ impl Probe for MetricsProbe {
                 }
             }
             SimEvent::ForwardLearned { proxy, .. } => {
-                r.counter_add(FORWARDS_LEARNED, proxy, 1);
+                r.counter_add(Family::FORWARDS_LEARNED, proxy, 1);
             }
             SimEvent::ForwardRandom { proxy, .. } => {
-                r.counter_add(FORWARDS_RANDOM, proxy, 1);
+                r.counter_add(Family::FORWARDS_RANDOM, proxy, 1);
             }
             SimEvent::LoopDetected { proxy, .. } => {
-                r.counter_add(LOOPS_DETECTED, proxy, 1);
+                r.counter_add(Family::LOOPS_DETECTED, proxy, 1);
             }
             SimEvent::HopLimitHit { proxy, .. } => {
-                r.counter_add(HOP_LIMIT, proxy, 1);
+                r.counter_add(Family::HOP_LIMIT, proxy, 1);
             }
             SimEvent::OriginThisMiss { proxy, .. } => {
-                r.counter_add(ORIGIN_THIS_MISS, proxy, 1);
+                r.counter_add(Family::ORIGIN_THIS_MISS, proxy, 1);
             }
             SimEvent::LocalHit { proxy, object } => {
-                r.counter_add(LOCAL_HITS, proxy, 1);
+                r.counter_add(Family::LOCAL_HITS, proxy, 1);
                 self.last_server.insert(object, proxy);
             }
             SimEvent::BackwardAdoption { proxy, .. } => {
-                r.counter_add(BACKWARD_ADOPTIONS, proxy, 1);
+                r.counter_add(Family::BACKWARD_ADOPTIONS, proxy, 1);
             }
             SimEvent::TableMigration {
                 proxy, from, to, ..
             } => {
-                r.counter_add(TABLE_MIGRATIONS, proxy, 1);
+                r.counter_add(Family::TABLE_MIGRATIONS, proxy, 1);
                 if let Some(gauge) = table_gauge(from) {
                     r.gauge_add(gauge, proxy, -1);
                 }
@@ -287,27 +246,27 @@ impl Probe for MetricsProbe {
                 }
             }
             SimEvent::CacheInsert { proxy, .. } => {
-                r.counter_add(CACHE_INSERTS, proxy, 1);
-                r.gauge_add(CACHED_OBJECTS, proxy, 1);
+                r.counter_add(Family::CACHE_INSERTS, proxy, 1);
+                r.gauge_add(Family::CACHED_OBJECTS, proxy, 1);
             }
             SimEvent::CacheEvict { proxy, .. } => {
-                r.counter_add(CACHE_EVICTS, proxy, 1);
-                r.gauge_add(CACHED_OBJECTS, proxy, -1);
+                r.counter_add(Family::CACHE_EVICTS, proxy, 1);
+                r.gauge_add(Family::CACHED_OBJECTS, proxy, -1);
             }
             SimEvent::ReplyOrphaned { proxy, .. } => {
-                r.counter_add(REPLIES_ORPHANED, proxy, 1);
+                r.counter_add(Family::REPLIES_ORPHANED, proxy, 1);
             }
         }
     }
 }
 
 /// The live-occupancy gauge family for a table level, if it has one.
-fn table_gauge(level: TableLevel) -> Option<&'static str> {
+fn table_gauge(level: TableLevel) -> Option<Family> {
     match level {
         TableLevel::Out => None,
-        TableLevel::Single => Some(TABLE_SINGLE),
-        TableLevel::Multiple => Some(TABLE_MULTIPLE),
-        TableLevel::Caching => Some(TABLE_CACHING),
+        TableLevel::Single => Some(Family::TABLE_SINGLE),
+        TableLevel::Multiple => Some(Family::TABLE_MULTIPLE),
+        TableLevel::Caching => Some(Family::TABLE_CACHING),
     }
 }
 
@@ -367,17 +326,17 @@ impl MetricsReport {
                 };
                 ProxyMetricsSummary {
                     proxy,
-                    local_hits: registry.counter(LOCAL_HITS, proxy),
-                    forwards: registry.counter(FORWARDS_LEARNED, proxy)
-                        + registry.counter(FORWARDS_RANDOM, proxy),
+                    local_hits: registry.counter(Family::LOCAL_HITS, proxy),
+                    forwards: registry.counter(Family::FORWARDS_LEARNED, proxy)
+                        + registry.counter(Family::FORWARDS_RANDOM, proxy),
                     flows_observed: registry
-                        .histogram(HOPS, proxy)
+                        .histogram(Family::HOPS, proxy)
                         .map(|h| h.count())
                         .unwrap_or(0),
-                    hops_p50: hist_q(HOPS, 0.5),
-                    hops_p99: hist_q(HOPS, 0.99),
-                    latency_p50_us: hist_q(RESOLUTION_LATENCY_US, 0.5),
-                    latency_p99_us: hist_q(RESOLUTION_LATENCY_US, 0.99),
+                    hops_p50: hist_q(Family::HOPS, 0.5),
+                    hops_p99: hist_q(Family::HOPS, 0.99),
+                    latency_p50_us: hist_q(Family::RESOLUTION_LATENCY_US, 0.5),
+                    latency_p99_us: hist_q(Family::RESOLUTION_LATENCY_US, 0.99),
                 }
             })
             .collect();
@@ -417,15 +376,15 @@ mod tests {
         hit_flow(&mut p, 3, 77, 4, 60);
         hit_flow(&mut p, 5, 99, 1, 10);
         let r = p.registry();
-        assert_eq!(r.counter(LOCAL_HITS, 3), 2);
-        assert_eq!(r.counter(LOCAL_HITS, 5), 1);
-        assert_eq!(r.counter(REQUESTS_COMPLETED, CLUSTER), 3);
-        assert_eq!(r.counter(REQUEST_HITS, CLUSTER), 3);
-        let hops3 = r.histogram(HOPS, 3).expect("proxy 3 hops recorded");
+        assert_eq!(r.counter(Family::LOCAL_HITS, 3), 2);
+        assert_eq!(r.counter(Family::LOCAL_HITS, 5), 1);
+        assert_eq!(r.counter(Family::REQUESTS_COMPLETED, CLUSTER), 3);
+        assert_eq!(r.counter(Family::REQUEST_HITS, CLUSTER), 3);
+        let hops3 = r.histogram(Family::HOPS, 3).expect("proxy 3 hops recorded");
         assert_eq!(hops3.count(), 2);
         assert_eq!(hops3.sum(), 6);
         let lat5 = r
-            .histogram(RESOLUTION_LATENCY_US, 5)
+            .histogram(Family::RESOLUTION_LATENCY_US, 5)
             .expect("proxy 5 latency recorded");
         assert_eq!(lat5.sum(), 10);
     }
@@ -443,14 +402,15 @@ mod tests {
             start_us: 100,
         });
         let r = p.registry();
-        assert_eq!(r.counter(REQUEST_HITS, CLUSTER), 0);
+        assert_eq!(r.counter(Family::REQUEST_HITS, CLUSTER), 0);
         assert_eq!(
-            r.histogram(HOPS, CLUSTER).map(|h| h.count()),
+            r.histogram(Family::HOPS, CLUSTER).map(|h| h.count()),
             Some(1),
             "miss hops go to the cluster slot"
         );
         assert_eq!(
-            r.histogram(RESOLUTION_LATENCY_US, CLUSTER).map(|h| h.sum()),
+            r.histogram(Family::RESOLUTION_LATENCY_US, CLUSTER)
+                .map(|h| h.sum()),
             Some(400)
         );
     }
@@ -468,10 +428,10 @@ mod tests {
         p.emit(mig(TableLevel::Single, TableLevel::Multiple));
         p.emit(mig(TableLevel::Multiple, TableLevel::Caching));
         let r = p.registry();
-        assert_eq!(r.gauge(TABLE_SINGLE, 2), 0);
-        assert_eq!(r.gauge(TABLE_MULTIPLE, 2), 0);
-        assert_eq!(r.gauge(TABLE_CACHING, 2), 1);
-        assert_eq!(r.counter(TABLE_MIGRATIONS, 2), 3);
+        assert_eq!(r.gauge(Family::TABLE_SINGLE, 2), 0);
+        assert_eq!(r.gauge(Family::TABLE_MULTIPLE, 2), 0);
+        assert_eq!(r.gauge(Family::TABLE_CACHING, 2), 1);
+        assert_eq!(r.counter(Family::TABLE_MIGRATIONS, 2), 3);
         p.emit(SimEvent::CacheInsert {
             proxy: 2,
             object: 9,
@@ -480,7 +440,7 @@ mod tests {
             proxy: 2,
             object: 9,
         });
-        assert_eq!(p.registry().gauge(CACHED_OBJECTS, 2), 0);
+        assert_eq!(p.registry().gauge(Family::CACHED_OBJECTS, 2), 0);
     }
 
     #[test]
@@ -505,7 +465,7 @@ mod tests {
         // 4 completions at cadence 2 -> two samples of the gauge (1).
         let h = p
             .registry()
-            .histogram("adc_table_single_occupancy", 0)
+            .histogram(Family::TABLE_SINGLE_OCCUPANCY, 0)
             .expect("occupancy sampled");
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), 2);
@@ -569,8 +529,11 @@ mod tests {
         let mut miss = MetricsProbe::with_cadence(0);
         miss.record_completion(500, false, 6, 100, None);
         let r = miss.registry();
-        assert_eq!(r.counter(REQUEST_HITS, CLUSTER), 0);
-        assert_eq!(r.histogram(HOPS, CLUSTER).map(|h| h.count()), Some(1));
+        assert_eq!(r.counter(Family::REQUEST_HITS, CLUSTER), 0);
+        assert_eq!(
+            r.histogram(Family::HOPS, CLUSTER).map(|h| h.count()),
+            Some(1)
+        );
     }
 
     #[test]
@@ -586,7 +549,7 @@ mod tests {
         p.sample_occupancy_now();
         let h = p
             .registry()
-            .histogram("adc_table_single_occupancy", 0)
+            .histogram(Family::TABLE_SINGLE_OCCUPANCY, 0)
             .expect("occupancy sampled on demand");
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), 2);

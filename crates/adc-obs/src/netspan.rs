@@ -5,8 +5,8 @@
 //! each node records its own wall-clock spans into a bounded
 //! [`SpanRing`] and a collector later merges the rings, aligning the
 //! per-node monotonic clocks. Spans reuse the simulator's
-//! [`SegmentKind`] taxonomy (one spelling per segment, held by the
-//! [`segment_names`][crate::span::segment_names] consts), so a live
+//! [`SegmentKind`] taxonomy (one spelling per segment, held by
+//! [`SegmentKind::name`]), so a live
 //! trace and a simulated [`SpanReport`][crate::SpanReport] break down
 //! latency into the same labelled segments.
 //!

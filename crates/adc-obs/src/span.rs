@@ -43,26 +43,6 @@ use crate::probe::Probe;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Canonical segment-name strings, one const per [`SegmentKind`].
-///
-/// Every exporter, bench table and the live-cluster span recorder spell
-/// segment names through these consts (or through
-/// [`SegmentKind::name`], which returns them), so `adc-lint`'s
-/// segment-name drift check can hold the whole workspace to a single
-/// spelling per segment.
-pub mod segment_names {
-    /// [`super::SegmentKind::ClientWait`]: injection → first-hop arrival.
-    pub const SEG_CLIENT_WAIT: &str = "client_wait";
-    /// [`super::SegmentKind::ForwardHop`]: one inter-proxy forward.
-    pub const SEG_FORWARD_HOP: &str = "forward_hop";
-    /// [`super::SegmentKind::LoopPenalty`]: the wasted hop a loop ends.
-    pub const SEG_LOOP_PENALTY: &str = "loop_penalty";
-    /// [`super::SegmentKind::OriginFetch`]: give-up → origin → reply.
-    pub const SEG_ORIGIN_FETCH: &str = "origin_fetch";
-    /// [`super::SegmentKind::ReplyReturn`]: local hit → reply at client.
-    pub const SEG_REPLY_RETURN: &str = "reply_return";
-}
-
 /// A labelled slice of one flow's resolution latency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
@@ -92,15 +72,15 @@ impl SegmentKind {
     /// Number of kinds (length of [`SegmentKind::ALL`]).
     pub const COUNT: usize = Self::ALL.len();
 
-    /// Stable snake_case name, used by the exporters and the bench
-    /// report. Returns the matching [`segment_names`] const.
+    /// Stable snake_case name, the one spelling every exporter, bench
+    /// table and the live-cluster span recorder use.
     pub fn name(self) -> &'static str {
         match self {
-            SegmentKind::ClientWait => segment_names::SEG_CLIENT_WAIT,
-            SegmentKind::ForwardHop => segment_names::SEG_FORWARD_HOP,
-            SegmentKind::LoopPenalty => segment_names::SEG_LOOP_PENALTY,
-            SegmentKind::OriginFetch => segment_names::SEG_ORIGIN_FETCH,
-            SegmentKind::ReplyReturn => segment_names::SEG_REPLY_RETURN,
+            SegmentKind::ClientWait => "client_wait",
+            SegmentKind::ForwardHop => "forward_hop",
+            SegmentKind::LoopPenalty => "loop_penalty",
+            SegmentKind::OriginFetch => "origin_fetch",
+            SegmentKind::ReplyReturn => "reply_return",
         }
     }
 

@@ -89,6 +89,10 @@ mod tests {
     fn threads_have_independent_clocks() {
         // A fresh thread's CPU clock starts near zero even if this thread
         // has already burned CPU.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test needs a second OS thread to read its clock"
+        )]
         let in_thread = std::thread::spawn(thread_cpu_now).join().unwrap();
         assert!(in_thread < Duration::from_secs(1));
     }

@@ -193,6 +193,11 @@ impl<W: WindowTask> Pool<'_, '_, W> {
         while self.workers.len() < want {
             let ctl = self.ctl;
             let cells = self.cells;
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the persistent worker pool: each worker lives for the whole run \
+                          and serves every window"
+            )]
             let handle = self.scope.spawn(move || worker_loop(ctl, cells));
             self.workers.push(handle.thread().clone());
         }
@@ -238,6 +243,11 @@ pub(crate) fn with_pool<W: WindowTask, R>(
         shutdown: AtomicBool::new(false),
         coordinator: thread::current(),
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one thread scope of a run: it holds the persistent worker pool and \
+                  joins every worker when the run ends"
+    )]
     thread::scope(|scope| {
         let mut pool = Pool {
             scope,

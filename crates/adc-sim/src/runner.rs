@@ -283,6 +283,7 @@ mod tests {
     use crate::config::{ClientAssignment, FaultPlan};
     use adc_baselines::CarpProxy;
     use adc_core::{AdcConfig, AdcProxy, ClientId, ObjectId};
+    use adc_metrics::Family;
     use adc_workload::{Phase, PolygraphConfig, StationaryZipf};
 
     fn adc_agents(n: u32, config: AdcConfig) -> Vec<AdcProxy> {
@@ -379,16 +380,16 @@ mod tests {
         let metrics = observed.metrics.as_ref().expect("metrics embedded");
         let snap = &metrics.snapshot;
         // Registry counters reconcile with the report totals.
-        let total = |name: &str| -> u64 {
+        let total = |family: Family| -> u64 {
             snap.counters
                 .iter()
-                .filter(|(m, _, _)| m == name)
+                .filter(|&&(f, _, _)| f == family)
                 .map(|&(_, _, v)| v)
                 .sum()
         };
-        assert_eq!(total(adc_obs::metrics::REQUESTS_COMPLETED), plain.completed);
-        assert_eq!(total(adc_obs::metrics::REQUEST_HITS), plain.hits);
-        assert_eq!(total(adc_obs::metrics::LOCAL_HITS), plain.hits);
+        assert_eq!(total(Family::REQUESTS_COMPLETED), plain.completed);
+        assert_eq!(total(Family::REQUEST_HITS), plain.hits);
+        assert_eq!(total(Family::LOCAL_HITS), plain.hits);
         // Per-proxy summaries cover each agent that served something,
         // and the exposition text round-trips the format checker.
         assert!(!metrics.per_proxy.is_empty());

@@ -496,7 +496,9 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
                         flow,
                     });
                 }
-                _ => backlog.enqueue(out_at, key, ev, flow),
+                NodeId::Proxy(_) | NodeId::Client(_) | NodeId::Origin => {
+                    backlog.enqueue(out_at, key, ev, flow);
+                }
             },
         );
         if let Some(done) = done {
@@ -561,8 +563,8 @@ fn validate_sharded(config: &SimConfig, proxies: usize, shards: usize) -> u64 {
 
 impl<A: CacheAgent + Send> Simulation<A> {
     /// Runs the workload on `shards` worker shards and returns the
-    /// report; see the [module docs](self) for the synchronization
-    /// protocol and the determinism guarantees. The report is invariant
+    /// report; see DESIGN.md §6c for the synchronization protocol and
+    /// the determinism guarantees. The report is invariant
     /// in `shards` (any `shards ≥ 1`, including counts exceeding the
     /// proxy count) and byte-identical to [`Simulation::run`], except
     /// that open-loop runs sample occupancy and convergence at barriers

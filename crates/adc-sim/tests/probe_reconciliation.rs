@@ -5,7 +5,8 @@
 //! the reverse), or was gated differently from its counter — the
 //! contract the exporters rely on.
 //!
-//! The same file checks that the simulator consumes the store changes
+//! The same file checks that a real run emits every event kind the
+//! taxonomy declares, and that the simulator consumes the store changes
 //! ([`CacheEvent`]s) agents queue, so none outlive the call that made
 //! them.
 //!
@@ -144,6 +145,35 @@ proptest! {
             ),
             _ => reconcile(HierarchyProxy::binary_tree(n, CACHE), run),
         }?;
+    }
+}
+
+/// One fault-injected ADC run emits every [`EventKind`] at least once,
+/// so no variant of the taxonomy can drift ahead of the simulator that
+/// feeds it. A small cache and a hop limit of 2 make evictions, loops
+/// and hop-limit give-ups common; duplicated messages make orphaned
+/// replies.
+#[test]
+fn one_faulty_adc_run_emits_every_event_kind() {
+    let config = AdcConfig::builder()
+        .single_capacity(64)
+        .multiple_capacity(64)
+        .cache_capacity(8)
+        .max_hops(2)
+        .build();
+    let agents: Vec<AdcProxy> = (0..5)
+        .map(|i| AdcProxy::new(ProxyId::new(i), 5, config.clone()))
+        .collect();
+    let mut sim = SimConfig::fast();
+    sim.faults = FaultPlan {
+        duplicate_prob: 0.15,
+        duplicate_jitter: SimTime::from_micros(3),
+    };
+    let mut probe = CountingProbe::new();
+    Simulation::new(agents, sim)
+        .run_observed(StationaryZipf::new(400, 0.9, 4, 1).take(4_000), &mut probe);
+    for kind in EventKind::ALL {
+        assert!(probe.count(kind) > 0, "the run emitted no {kind} event");
     }
 }
 

@@ -23,10 +23,12 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-// Lint levels of DESIGN.md §8; the disallowed method and type lists
-// live in the root clippy.toml. Unit tests may compare floats exactly.
+// Lint levels of DESIGN.md §8; the disallowed method, type and macro
+// lists live in the root clippy.toml. Unit tests may compare floats
+// exactly.
 #![deny(
     unsafe_code,
+    clippy::disallowed_macros,
     clippy::disallowed_methods,
     clippy::disallowed_types,
     clippy::unwrap_used,
