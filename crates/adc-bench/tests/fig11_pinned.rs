@@ -129,10 +129,11 @@ fn fig11_micro_counts_match_golden_on_the_sharded_executor() {
 }
 
 /// The same trace with a request injected every 50 µs, so flows overlap
-/// and the calendar queue, flow table and shard windows carry load, plus
-/// the flow-span attribution of the sequential run. The open-loop bytes
-/// must not depend on the shard count or on the executor, and the span
-/// recorder must leave the report it observes unchanged.
+/// and the event queue, the runner's flow table and the shard windows
+/// carry load, plus the flow-span attribution of the sequential run. The
+/// open-loop bytes must not depend on the shard count or on the
+/// executor, and the span recorder must leave the report it observes
+/// unchanged.
 #[test]
 fn openloop_and_span_counts_match_golden() {
     let mut experiment = Experiment::at_scale(Scale::Custom(0.002));

@@ -1,14 +1,20 @@
-//! A slab-backed flow table: per-request bookkeeping without per-flow
-//! hashing or allocation.
+//! A slab-backed flow table: the single-queue runner's per-request
+//! bookkeeping, without per-flow hashing or allocation.
+//!
+//! The runner looks flows up by request id because a fault duplicate
+//! shares its original's flow, and must find none once that flow has
+//! completed. The sharded engine has no duplicates and no table: each of
+//! its queued events carries its flow.
 //!
 //! The workload generators stamp every [`RequestRecord`] with a globally
-//! unique, monotone `seq` (its position in the trace), and the simulator
-//! injects flows in exactly that order. Live flows therefore occupy a
-//! dense, sliding window of `seq` values, which a ring of slot indices
-//! tracks directly — `O(1)` insert, lookup, and remove with no hashing in
-//! the steady state. Flows whose `seq` has fallen behind the window base
-//! (possible only after pathological reordering) spill into a small
-//! overflow map so correctness never depends on the density assumption.
+//! unique, monotone `seq` (its position in the trace), and the runner
+//! inserts each flow once, at injection, in exactly that order. Live
+//! flows therefore occupy a dense, sliding window of `seq` values, which
+//! a ring of slot indices tracks directly — `O(1)` insert, lookup, and
+//! remove with no hashing in the steady state. A flow inserted behind the
+//! window base (only a workload whose seqs are out of order does that)
+//! spills into a small overflow map, so correctness never depends on the
+//! density assumption.
 //!
 //! [`RequestRecord`]: adc_workload::RequestRecord
 
@@ -39,9 +45,10 @@ pub struct FlowTable<V> {
     window: VecDeque<u32>,
     /// The `seq` the window's front corresponds to.
     base: u64,
-    /// Flows outside the window (never hit on the simulator's in-order
-    /// injection pattern). Ordered map: off the hot path, and iteration
-    /// order must never depend on a randomized hasher.
+    /// Flows inserted behind the window base (never, when inserts come
+    /// in `seq` order as the runner's do). Ordered map: off the hot
+    /// path, and iteration order must never depend on a randomized
+    /// hasher.
     overflow: BTreeMap<RequestId, u32>,
     len: usize,
     peak: usize,

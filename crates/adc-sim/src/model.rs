@@ -4,7 +4,7 @@
 //! the latency function, the event key and its tie rule, the agent RNG
 //! layout, flow start, the delivery step, the completion fold, and report
 //! assembly. The single-queue runner (`runner.rs`) and the sharded engine
-//! (`sharded.rs`) only decide *when* each step runs — one global calendar
+//! (`sharded.rs`) only decide *when* each step runs — one global event
 //! queue versus per-shard queues under a window barrier.
 //!
 //! # Tie rule

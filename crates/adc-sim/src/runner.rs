@@ -1,4 +1,4 @@
-//! The single-queue executor: one calendar queue holds every pending
+//! The single-queue executor: one event queue holds every pending
 //! event, and the loop pops them in `(at, key)` order. What each event
 //! does is the shared model's business (see the `model` module); this
 //! file adds only the schedule, plus what the sharded engine rejects:

@@ -1,9 +1,10 @@
 //! Sharded (multi-core) execution of the simulation.
 //!
 //! Proxies are partitioned round-robin across `N` worker shards (proxy
-//! `p` lives on shard `p % N`). Each shard owns its own calendar queue,
-//! slab flow table and agent RNG streams, and the run proceeds in fixed
-//! time windows of width `W` — the *lookahead bound*: the minimum
+//! `p` lives on shard `p % N`). Each shard owns its own event queue and
+//! agent RNG streams; every queued event carries its flow's bookkeeping,
+//! so no shard keeps a flow table. The run proceeds in fixed time
+//! windows of width `W` — the *lookahead bound*: the minimum
 //! configured network latency over every edge that can carry a
 //! cross-shard message (client→proxy plus the proxy↔proxy minimum;
 //! origin round trips and client deliveries are processed on the sending
@@ -82,8 +83,9 @@
 //!
 //! Fault injection, churn and delivery tracing are rejected (see
 //! [`Simulation::run_sharded`]): duplicates and restarts would need
-//! cross-shard coordination mid-window, and the trace log is inherently
-//! a single totally-ordered stream.
+//! cross-shard coordination mid-window (and a duplicate its original's
+//! flow by request id, which only the runner's flow table keeps), and the
+//! trace log is inherently a single totally-ordered stream.
 
 // Hot path (adc-lint's `HOT_PATH_FILES`): every lossy cast and every
 // index states its bound in an `#[expect]` reason.
@@ -99,7 +101,6 @@
 )]
 
 use crate::config::{InjectionMode, SimConfig};
-use crate::flows::FlowTable;
 use crate::model::{
     sequential_stream, Completion, Counters, Event, Flow, Ledger, Net, Proxies, SharedRng,
 };
@@ -288,11 +289,10 @@ impl CoordProf {
     }
 }
 
-/// A shard's backlog: its queued events, the flows resident with them,
-/// and the counts the widening bound reads.
+/// A shard's backlog: its queued events, each with its flow as of the
+/// send, and the counts the widening bound reads.
 struct Backlog {
-    queue: CalendarQueue<Event>,
-    flows: FlowTable<Flow>,
+    queue: CalendarQueue<(Event, Option<Flow>)>,
     /// Timestamp of the earliest pending event (`u64::MAX` when idle);
     /// exact between windows, maintained by `drain_events` and
     /// `enqueue`.
@@ -307,7 +307,7 @@ struct Backlog {
 }
 
 impl Backlog {
-    /// Queues `ev` at `(at, key)` and files its flow, classifying the
+    /// Queues `ev` with its flow at `(at, key)`, classifying the
     /// destination for the widening bound.
     fn enqueue(&mut self, at: u64, key: u64, ev: Event, flow: Option<Flow>) {
         match ev.to {
@@ -316,10 +316,7 @@ impl Backlog {
             NodeId::Client(_) => {}
         }
         self.next_at = self.next_at.min(at);
-        if let Some(flow) = flow {
-            self.flows.insert(ev.message.request_id(), flow);
-        }
-        self.queue.push(at, key, ev);
+        self.queue.push(at, key, (ev, flow));
     }
 
     /// Conservative lower bound on the earliest simulation time at which
@@ -423,36 +420,28 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
     /// Drains every local event with `at < window_end`, in `(at, key)`
     /// order, then records the next pending timestamp.
     fn drain_events(&mut self, window_end: u64) {
-        loop {
-            let backlog = &mut self.backlog;
-            match backlog.queue.peek_key() {
-                None => {
-                    backlog.next_at = u64::MAX;
-                    return;
-                }
-                Some((at, _)) if at >= window_end => {
-                    backlog.next_at = at;
-                    return;
-                }
-                Some(_) => {
-                    let Some((at, _, ev)) = backlog.queue.pop() else {
-                        // peek_key just returned Some.
-                        unreachable!("peeked event vanished");
-                    };
-                    match ev.to {
-                        NodeId::Proxy(_) => backlog.pending_proxy -= 1,
-                        NodeId::Origin => backlog.pending_origin -= 1,
-                        NodeId::Client(_) => {}
-                    }
-                    self.process(at, ev, window_end);
-                }
+        while let Some((next, _)) = self.backlog.queue.peek_key() {
+            if next >= window_end {
+                self.backlog.next_at = next;
+                return;
             }
+            let Some((at, _, (ev, flow))) = self.backlog.queue.pop() else {
+                // peek_key just returned Some.
+                unreachable!("peeked event vanished");
+            };
+            match ev.to {
+                NodeId::Proxy(_) => self.backlog.pending_proxy -= 1,
+                NodeId::Origin => self.backlog.pending_origin -= 1,
+                NodeId::Client(_) => {}
+            }
+            self.process(at, ev, flow, window_end);
         }
+        self.backlog.next_at = u64::MAX;
     }
 
     /// Processes one delivery through the model's delivery step, filing
     /// its sends locally or into a cross-shard outbox.
-    fn process(&mut self, at: u64, ev: Event, window_end: u64) {
+    fn process(&mut self, at: u64, ev: Event, mut flow: Option<Flow>, window_end: u64) {
         if let NodeId::Proxy(pid) = ev.to {
             debug_assert_eq!(
                 shard_of(pid, self.shards),
@@ -460,10 +449,9 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
                 "event delivered to wrong shard"
             );
         }
-        // The flow's bookkeeping rides with its single in-flight message:
-        // take it out here; each send files it again, locally or through
-        // an outbox, with whatever the delivery changed.
-        let mut flow = self.backlog.flows.remove(&ev.message.request_id());
+        // The flow's bookkeeping rides with its message: each send queues
+        // its own copy, locally or through an outbox, with whatever the
+        // delivery changed.
         let (index, shards) = (self.index, self.shards);
         let (backlog, outboxes) = (&mut self.backlog, &mut self.outboxes);
         let done = self.proxies.deliver(
@@ -693,7 +681,6 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
             probe: P::for_shard(),
             backlog: Backlog {
                 queue: CalendarQueue::new(),
-                flows: FlowTable::new(),
                 next_at: u64::MAX,
                 pending_proxy: 0,
                 pending_origin: 0,

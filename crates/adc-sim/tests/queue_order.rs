@@ -1,9 +1,9 @@
-//! Property tests pinning the calendar queue's determinism contract:
+//! Property tests pinning the event queue's determinism contract:
 //! [`CalendarQueue`] pops in exactly the `(at, seq)` order a reference
-//! `BinaryHeap` produces, for arbitrary push/pop interleavings. The
-//! simulator's bit-for-bit reproducibility rests on this equivalence —
-//! the event loop swapped its heap for the calendar queue on the promise
-//! that the total order is unchanged.
+//! `BinaryHeap` of bare keys produces, for arbitrary push/pop
+//! interleavings, and breaks ties on `at` by `seq` whatever the push
+//! order. The simulator's bit-for-bit reproducibility rests on this
+//! total order: the goldens pin the schedule it produces.
 
 use adc_sim::CalendarQueue;
 use proptest::prelude::*;
@@ -20,9 +20,8 @@ enum Op {
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
-    // Timestamps mix bucket-local values, multi-year jumps and
-    // boundary-adjacent keys to exercise window advance, rewind and the
-    // global-minimum fallback.
+    // Timestamps mix nearby values, far jumps and pushes behind the
+    // last pop.
     let op = prop_oneof![
         (0u64..5_000_000).prop_map(Op::Push),
         (0u64..u64::MAX / 2).prop_map(Op::Push),
@@ -89,6 +88,30 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Ties on `at` break by `seq`, never by push order: unique `seq`s
+    /// whose order is independent of the push order, over a handful of
+    /// timestamps, each carried as its own payload. Every pop must come
+    /// out in `(at, seq)` order with the payload pushed under its key.
+    #[test]
+    fn ties_break_by_seq_not_push_order(
+        draws in prop::collection::vec((0u64..4, 0u64..1 << 40), 1..300)
+    ) {
+        let mut queue = CalendarQueue::new();
+        let mut keys = Vec::with_capacity(draws.len());
+        for (i, &(at, high)) in draws.iter().enumerate() {
+            // The random high bits set the order; the push index in the
+            // low bits only makes each `seq` unique.
+            let seq = high << 16 | i as u64;
+            queue.push(at, seq, seq);
+            keys.push((at, seq));
+        }
+        keys.sort_unstable();
+        for (at, seq) in keys {
+            prop_assert_eq!(queue.pop(), Some((at, seq, seq)));
+        }
+        prop_assert!(queue.is_empty());
     }
 
     #[test]
