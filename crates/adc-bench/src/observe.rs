@@ -75,8 +75,8 @@ pub fn run_adc_observed(experiment: &Experiment, args: &BenchArgs) -> SimReport 
         .run_observed(experiment.workload.build(), &mut probe);
     let ((log, metrics), span_probe) = probe;
     if let Some(path) = &args.metrics {
-        write_metrics_prom(path, &metrics);
-        report.metrics = Some(metrics.report());
+        let metrics = report.attach_metrics(metrics.into_registry());
+        write_prom_text(path, &metrics.snapshot.to_prometheus());
     }
     if let Some(path) = &args.spans {
         let spans = span_probe.into_report();
@@ -188,10 +188,6 @@ fn write_events_jsonl(path: &Path, log: &EventLog) {
     let mut out = BufWriter::new(create_export_file(path));
     adc_obs::write_jsonl(&mut out, log.events()).expect("write event JSONL");
     eprintln!("wrote {} ({} events)", path.display(), log.len());
-}
-
-fn write_metrics_prom(path: &Path, metrics: &MetricsProbe) {
-    write_prom_text(path, &metrics.snapshot().to_prometheus());
 }
 
 fn write_prom_text(path: &Path, text: &str) {

@@ -1,9 +1,10 @@
-//! Per-proxy counters, and the one path every agent decision takes into
-//! them.
+//! Per-proxy counters, the one path every agent decision takes into
+//! them, and their one rendering as metric families.
 
 use crate::agent::CacheEvent;
 use crate::ids::{ObjectId, ProxyId};
 use crate::message::Reply;
+use adc_metrics::{Family, Registry};
 use adc_obs::{Probe, SimEvent};
 
 /// Counters accumulated by one proxy agent over its lifetime.
@@ -12,7 +13,8 @@ use adc_obs::{Probe, SimEvent};
 /// is its definition, event by event, and an agent counts only through
 /// [`Tally`]. Each received request ends in exactly one hit or one
 /// forward, so `requests_received = local_hits + forwards()`. Rates and
-/// series are derived by the metrics layer.
+/// series are derived by the metrics layer; [`ProxyStats::render`] is
+/// the counters' one exposition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProxyStats {
     /// Requests received (this is also the proxy's local clock under ADC).
@@ -101,6 +103,29 @@ impl ProxyStats {
             0.0
         } else {
             self.local_hits as f64 / self.requests_received as f64
+        }
+    }
+
+    /// Adds every counter to `registry` at `proxy`'s slot, one family
+    /// per field, zeros included. The simulator's metrics and a live
+    /// node's scrape both render their counters through this, so the two
+    /// name and count each family the same way.
+    pub fn render(&self, proxy: ProxyId, registry: &mut Registry) {
+        let families = [
+            (Family::REQUESTS_RECEIVED, self.requests_received),
+            (Family::LOCAL_HITS, self.local_hits),
+            (Family::FORWARDS_LEARNED, self.forwards_learned),
+            (Family::FORWARDS_RANDOM, self.forwards_random),
+            (Family::LOOPS_DETECTED, self.origin_loops),
+            (Family::HOP_LIMIT, self.origin_max_hops),
+            (Family::ORIGIN_THIS_MISS, self.origin_this_miss),
+            (Family::REPLIES_PROCESSED, self.replies_processed),
+            (Family::REPLIES_ORPHANED, self.replies_orphaned),
+            (Family::CACHE_INSERTS, self.cache_insertions),
+            (Family::CACHE_EVICTS, self.cache_evictions),
+        ];
+        for (family, value) in families {
+            registry.counter_add(family, proxy.raw(), value);
         }
     }
 
@@ -266,6 +291,44 @@ mod tests {
             ]
         );
         assert!(tally.drain().is_empty());
+    }
+
+    #[test]
+    fn render_puts_every_field_in_its_own_family_at_the_proxy_slot() {
+        let s = ProxyStats {
+            requests_received: 1,
+            local_hits: 2,
+            forwards_learned: 3,
+            forwards_random: 4,
+            origin_loops: 5,
+            origin_max_hops: 6,
+            origin_this_miss: 7,
+            replies_processed: 8,
+            replies_orphaned: 9,
+            cache_insertions: 10,
+            cache_evictions: 0,
+        };
+        let mut registry = Registry::new();
+        s.render(ProxyId::new(7), &mut registry);
+        let expected = [
+            (Family::REQUESTS_RECEIVED, s.requests_received),
+            (Family::LOCAL_HITS, s.local_hits),
+            (Family::FORWARDS_LEARNED, s.forwards_learned),
+            (Family::FORWARDS_RANDOM, s.forwards_random),
+            (Family::LOOPS_DETECTED, s.origin_loops),
+            (Family::HOP_LIMIT, s.origin_max_hops),
+            (Family::ORIGIN_THIS_MISS, s.origin_this_miss),
+            (Family::REPLIES_PROCESSED, s.replies_processed),
+            (Family::REPLIES_ORPHANED, s.replies_orphaned),
+            (Family::CACHE_INSERTS, s.cache_insertions),
+            (Family::CACHE_EVICTS, s.cache_evictions),
+        ];
+        let mut want: Vec<(Family, u32, u64)> = expected.iter().map(|&(f, v)| (f, 7, v)).collect();
+        want.sort_unstable();
+        // Eleven distinct families, all at slot 7, the zero included.
+        assert_eq!(registry.counters().collect::<Vec<_>>(), want);
+        assert_eq!(registry.gauges().count(), 0);
+        assert_eq!(registry.histograms().count(), 0);
     }
 
     #[test]

@@ -97,9 +97,9 @@ families! {
     /// Resolution-latency histogram (microseconds), keyed like
     /// [`Family::HOPS`].
     RESOLUTION_LATENCY_US = "adc_resolution_latency_us";
-    /// Requests a live proxy accepted off the wire (client or peer).
+    /// Requests a proxy received (from a client or a peer).
     REQUESTS_RECEIVED = "adc_requests_received_total";
-    /// Replies a live proxy matched to a pending request and processed.
+    /// Replies a proxy matched to a pending request and processed.
     REPLIES_PROCESSED = "adc_replies_processed_total";
     /// Requests the live origin server answered over its lifetime.
     ORIGIN_REQUESTS = "adc_origin_requests_total";

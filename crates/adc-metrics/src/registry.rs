@@ -263,23 +263,6 @@ impl Registry {
         }
     }
 
-    /// Folds an ordered sequence of registries into one, by repeated
-    /// [`Registry::merge`].
-    ///
-    /// Shard-merge entry point: each simulation shard accumulates its own
-    /// registry, and the coordinator folds them after the run. Because
-    /// `merge` is element-wise addition over identically-shaped families,
-    /// the fold is exact and independent of the shard partitioning — the
-    /// merged registry for `shards=N` is byte-identical to the `shards=1`
-    /// registry for the same event stream.
-    pub fn merge_all<'a>(parts: impl IntoIterator<Item = &'a Registry>) -> Registry {
-        let mut merged = Registry::new();
-        for part in parts {
-            merged.merge(part);
-        }
-        merged
-    }
-
     /// An owned, render-ready copy of every family, sorted by family
     /// name, then proxy.
     pub fn snapshot(&self) -> RegistrySnapshot {
@@ -596,7 +579,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_all_is_partition_invariant() {
+    fn merge_is_partition_invariant() {
         // Record one stream whole, and the same stream split across 3
         // "shards"; the folded registries must be identical.
         let mut whole = Registry::new();
@@ -611,16 +594,19 @@ mod tests {
             s.histogram_record(Family::HOPS, proxy, i % 9);
             s.gauge_add(Family::CACHED_OBJECTS, proxy, 1);
         }
-        let merged = Registry::merge_all(shards.iter());
+        let mut merged = Registry::new();
+        for shard in &shards {
+            merged.merge(shard);
+        }
         assert_eq!(merged, whole);
         assert_eq!(
             merged.snapshot().to_prometheus(),
             whole.snapshot().to_prometheus()
         );
-        // Folding a single registry is the identity.
-        assert_eq!(Registry::merge_all([&whole]), whole);
-        // Folding nothing yields an empty registry.
-        assert_eq!(Registry::merge_all([]), Registry::new());
+        // Merging into an empty registry is the identity.
+        let mut copy = Registry::new();
+        copy.merge(&whole);
+        assert_eq!(copy, whole);
     }
 
     #[test]

@@ -431,12 +431,11 @@ fn trace_request_action(
 }
 
 /// Renders one proxy node's live counters in the Prometheus text
-/// exposition format: the full [`ProxyStats`] block plus a
-/// stored-objects gauge, using the same family names as
-/// [`adc_obs::MetricsProbe`] where the semantics coincide, so simulator
-/// metrics and scraped cluster metrics line up. A tracing-enabled node
-/// passes its span counters in `trace` to expose the recorded/dropped
-/// totals alongside.
+/// exposition format: the full [`ProxyStats`] block, through the same
+/// [`ProxyStats::render`] the simulator's metrics use, plus a
+/// stored-objects gauge, so simulated and scraped counters name and
+/// count every family alike. A tracing-enabled node passes its span
+/// counters in `trace` to expose the recorded/dropped totals alongside.
 pub fn render_node_metrics(
     proxy: ProxyId,
     stats: &ProxyStats,
@@ -445,17 +444,7 @@ pub fn render_node_metrics(
 ) -> String {
     let p = proxy.raw();
     let mut reg = Registry::new();
-    reg.counter_add(Family::REQUESTS_RECEIVED, p, stats.requests_received);
-    reg.counter_add(Family::LOCAL_HITS, p, stats.local_hits);
-    reg.counter_add(Family::FORWARDS_LEARNED, p, stats.forwards_learned);
-    reg.counter_add(Family::FORWARDS_RANDOM, p, stats.forwards_random);
-    reg.counter_add(Family::LOOPS_DETECTED, p, stats.origin_loops);
-    reg.counter_add(Family::HOP_LIMIT, p, stats.origin_max_hops);
-    reg.counter_add(Family::ORIGIN_THIS_MISS, p, stats.origin_this_miss);
-    reg.counter_add(Family::REPLIES_PROCESSED, p, stats.replies_processed);
-    reg.counter_add(Family::REPLIES_ORPHANED, p, stats.replies_orphaned);
-    reg.counter_add(Family::CACHE_INSERTS, p, stats.cache_insertions);
-    reg.counter_add(Family::CACHE_EVICTS, p, stats.cache_evictions);
+    stats.render(proxy, &mut reg);
     reg.gauge_set(
         Family::CACHED_OBJECTS,
         p,
@@ -722,6 +711,62 @@ mod tests {
         assert_eq!(spans[0].trace_id, 42);
         assert_eq!(spans[0].parent_span, 7, "nests under the sender's span");
         assert_eq!(spans[0].object, 5);
+    }
+
+    /// The scrape text for one fixed `ProxyStats` (every field distinct,
+    /// one zero), pinned byte for byte, so no change to the counters'
+    /// render can rename, reorder or drop a family unnoticed.
+    #[test]
+    fn node_metrics_text_is_pinned() {
+        let stats = ProxyStats {
+            requests_received: 1234,
+            local_hits: 567,
+            forwards_learned: 321,
+            forwards_random: 45,
+            origin_loops: 0,
+            origin_max_hops: 7,
+            origin_this_miss: 294,
+            replies_processed: 890,
+            replies_orphaned: 3,
+            cache_insertions: 410,
+            cache_evictions: 388,
+        };
+        let trace = TraceCounters {
+            recorded: 96,
+            dropped: 5,
+        };
+        let text = render_node_metrics(ProxyId::new(2), &stats, 22, Some(trace));
+        let expected = "\
+# TYPE adc_cache_evicts_total counter
+adc_cache_evicts_total{proxy=\"2\"} 388
+# TYPE adc_cache_inserts_total counter
+adc_cache_inserts_total{proxy=\"2\"} 410
+# TYPE adc_forwards_learned_total counter
+adc_forwards_learned_total{proxy=\"2\"} 321
+# TYPE adc_forwards_random_total counter
+adc_forwards_random_total{proxy=\"2\"} 45
+# TYPE adc_hop_limit_total counter
+adc_hop_limit_total{proxy=\"2\"} 7
+# TYPE adc_local_hits_total counter
+adc_local_hits_total{proxy=\"2\"} 567
+# TYPE adc_loops_detected_total counter
+adc_loops_detected_total{proxy=\"2\"} 0
+# TYPE adc_net_trace_dropped_total counter
+adc_net_trace_dropped_total{proxy=\"2\"} 5
+# TYPE adc_net_trace_spans_total counter
+adc_net_trace_spans_total{proxy=\"2\"} 96
+# TYPE adc_origin_this_miss_total counter
+adc_origin_this_miss_total{proxy=\"2\"} 294
+# TYPE adc_replies_orphaned_total counter
+adc_replies_orphaned_total{proxy=\"2\"} 3
+# TYPE adc_replies_processed_total counter
+adc_replies_processed_total{proxy=\"2\"} 890
+# TYPE adc_requests_received_total counter
+adc_requests_received_total{proxy=\"2\"} 1234
+# TYPE adc_cached_objects gauge
+adc_cached_objects{proxy=\"2\"} 22
+";
+        assert_eq!(text, expected);
     }
 
     #[test]

@@ -107,11 +107,11 @@ pub fn to_chrome_trace(events: &[(u64, SimEvent)]) -> String {
                 client,
                 seq,
                 object,
-                hit,
+                server,
                 hops,
                 start_us,
             } => {
-                let name = if hit { "hit" } else { "miss" };
+                let name = if server.is_some() { "hit" } else { "miss" };
                 let dur = t.saturating_sub(start_us);
                 let _ = write!(
                     out,
@@ -251,7 +251,7 @@ mod tests {
                     client: 1,
                     seq: 0,
                     object: 42,
-                    hit: true,
+                    server: Some(0),
                     hops: 3,
                     start_us: 0,
                 },

@@ -74,8 +74,9 @@ pub enum SimEvent {
         seq: u64,
         /// Requested object.
         object: u64,
-        /// Served from some proxy cache (vs. the origin server).
-        hit: bool,
+        /// The proxy whose cache served the reply; `None` when the
+        /// origin did. A hit is `server.is_some()`.
+        server: Option<u32>,
         /// Message transfers the flow took end to end.
         hops: u32,
         /// Simulated injection time, microseconds.
@@ -331,7 +332,7 @@ mod tests {
                 client: 1,
                 seq: 2,
                 object: 3,
-                hit: true,
+                server: Some(0),
                 hops: 2,
                 start_us: 0,
             },

@@ -4,10 +4,13 @@
 //!
 //! ```text
 //! {"t":1250,"event":"forward_learned","proxy":0,"object":42,"to":3}
+//! {"t":5250,"event":"request_completed","client":1,"seq":7,"object":42,"hit":true,"server":3,"hops":4,"start_us":0}
 //! ```
 //!
 //! `t` is the emission timestamp in simulated microseconds; `event` is
 //! the [`EventKind`] name; the remaining keys are the variant's fields.
+//! A completion's `server` is `null` when the origin served the reply;
+//! its `hit` says whether `server` is set.
 //!
 //! [`EventKind`]: crate::EventKind
 
@@ -36,14 +39,20 @@ pub fn write_event_json(out: &mut String, t_us: u64, event: &SimEvent) {
             client,
             seq,
             object,
-            hit,
+            server,
             hops,
             start_us,
         } => {
+            let hit = server.is_some();
             let _ = write!(
                 out,
-                ",\"client\":{client},\"seq\":{seq},\"object\":{object},\"hit\":{hit},\"hops\":{hops},\"start_us\":{start_us}"
+                ",\"client\":{client},\"seq\":{seq},\"object\":{object},\"hit\":{hit},\"server\":"
             );
+            let _ = match server {
+                Some(proxy) => write!(out, "{proxy}"),
+                None => out.write_str("null"),
+            };
+            let _ = write!(out, ",\"hops\":{hops},\"start_us\":{start_us}");
         }
         SimEvent::ForwardLearned { proxy, object, to }
         | SimEvent::ForwardRandom { proxy, object, to } => {
@@ -139,9 +148,20 @@ mod tests {
                     client: 1,
                     seq: 2,
                     object: 3,
-                    hit: false,
+                    server: None,
                     hops: 4,
                     start_us: 0,
+                },
+            ),
+            (
+                10,
+                SimEvent::RequestCompleted {
+                    client: 1,
+                    seq: 3,
+                    object: 3,
+                    server: Some(2),
+                    hops: 2,
+                    start_us: 4,
                 },
             ),
             (
@@ -235,7 +255,9 @@ mod tests {
             validate_json(line).unwrap_or_else(|e| panic!("bad line {line}: {e}"));
         }
         assert!(lines[0].starts_with(r#"{"t":0,"event":"request_injected""#));
-        assert!(lines[2].contains(r#""to":2"#));
-        assert!(lines[9].contains(r#""from":"single","to":"multiple""#));
+        assert!(lines[1].contains(r#""hit":false,"server":null,"hops":4"#));
+        assert!(lines[2].contains(r#""hit":true,"server":2,"hops":2"#));
+        assert!(lines[3].contains(r#""to":2"#));
+        assert!(lines[10].contains(r#""from":"single","to":"multiple""#));
     }
 }

@@ -1,30 +1,30 @@
-//! Folding the event stream into per-proxy metric families.
+//! Folding the event stream into the metric families `ProxyStats`
+//! lacks.
 //!
-//! [`MetricsProbe`] is a [`Probe`] that turns the 13 [`SimEvent`]
-//! variants into counter/gauge/histogram families (each a
-//! [`Family`] const) in an [`adc_metrics::Registry`], keyed by proxy
-//! id: hops-to-resolution and
-//! resolution-latency histograms, forward/loop/origin-terminate
-//! counters, and live table-occupancy gauges whose distribution is
-//! additionally sampled into histograms on the convergence cadence
-//! (every [`MetricsProbe::with_cadence`] completed requests).
+//! [`MetricsProbe`] is a [`Probe`] that records, in an
+//! [`adc_metrics::Registry`] keyed by proxy id (each family a
+//! [`Family`] const), what no agent counter holds: the cluster-wide
+//! flow counters, hops-to-resolution and resolution-latency histograms,
+//! the backward-adoption and table-migration counters, and live
+//! table-occupancy gauges whose distribution is additionally sampled
+//! into histograms on a completion cadence (every
+//! [`MetricsProbe::with_cadence`] completed requests). The eleven
+//! per-proxy counters of `adc-core`'s `ProxyStats` are left to it: the
+//! simulator renders the agents' final `ProxyStats` into the same
+//! registry, through the render a live node's scrape uses.
 //!
-//! Attribution caveat: flow-level events ([`SimEvent::RequestCompleted`])
-//! carry no proxy id, so hit flows are attributed to the proxy whose
-//! [`SimEvent::LocalHit`] for the same object was seen most recently —
-//! exact when flows for an object do not interleave, and off by at most
-//! the interleaving window when they do. Miss flows (origin-served) land
-//! in the [`CLUSTER`] slot.
+//! A completed flow's histograms are keyed by the server its
+//! [`SimEvent::RequestCompleted`] names; origin-served flows land in the
+//! [`CLUSTER`] slot.
 //!
 //! Everything here is deterministic (ordered maps, no clocks beyond the
 //! probe's own `tick`), so two same-seed runs produce byte-identical
-//! [`RegistrySnapshot`]s — and byte-identical Prometheus text.
+//! [`Registry`] snapshots, and byte-identical Prometheus text.
 
 use crate::event::{SimEvent, TableLevel};
 use crate::probe::Probe;
 use adc_metrics::registry::CLUSTER;
 use adc_metrics::{Family, Registry, RegistrySnapshot};
-use std::collections::BTreeMap;
 
 /// `(live gauge, sampled-occupancy histogram)` pairs recorded on the
 /// cadence tick.
@@ -39,18 +39,16 @@ const OCCUPANCY_FAMILIES: [(Family, Family); 4] = [
 /// convergence sampler's `sample_every` default.
 pub const DEFAULT_CADENCE: u64 = 5000;
 
-/// A [`Probe`] that folds [`SimEvent`]s into per-proxy metric families.
+/// A [`Probe`] that folds [`SimEvent`]s into the metric families
+/// `ProxyStats` lacks.
 ///
-/// See the [module docs](self) for the families it records and the hit
-/// attribution caveat.
+/// See the [module docs](self) for the families it records.
 #[derive(Debug, Clone)]
 pub struct MetricsProbe {
     registry: Registry,
     now_us: u64,
     completed: u64,
     cadence: u64,
-    /// object -> proxy that most recently served it from local store.
-    last_server: BTreeMap<u64, u32>,
 }
 
 impl Default for MetricsProbe {
@@ -74,13 +72,7 @@ impl MetricsProbe {
             now_us: 0,
             completed: 0,
             cadence,
-            last_server: BTreeMap::new(),
         }
-    }
-
-    /// The accumulated registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// Consumes the probe, yielding the registry (for merging shards).
@@ -88,69 +80,19 @@ impl MetricsProbe {
         self.registry
     }
 
-    /// An owned, sorted snapshot of every family.
-    pub fn snapshot(&self) -> RegistrySnapshot {
-        self.registry.snapshot()
-    }
-
-    /// Builds the per-proxy summary report for `SimReport` embedding.
-    pub fn report(&self) -> MetricsReport {
-        MetricsReport::from_registry(&self.registry)
-    }
-
-    /// Records a completed flow with an exact serving-proxy attribution.
+    /// Whether the last completion brought the occupancy cadence due.
     ///
-    /// Equivalent to emitting [`SimEvent::RequestCompleted`] except that
-    /// the hit slot is `server` (the proxy named by the reply's
-    /// `served_from`) instead of the most-recent [`SimEvent::LocalHit`]
-    /// heuristic. The sharded executor folds completions on the
-    /// coordinator, where the serving proxy is known exactly; in
-    /// sequential injection the two attributions coincide (flows never
-    /// interleave), so merged sharded registries stay byte-identical to
-    /// a single-threaded run. `server = None` (origin-served) lands in
-    /// the [`CLUSTER`] slot.
-    pub fn record_completion(
-        &mut self,
-        now_us: u64,
-        hit: bool,
-        hops: u32,
-        start_us: u64,
-        server: Option<u32>,
-    ) {
-        self.now_us = now_us;
-        let r = &mut self.registry;
-        r.counter_add(Family::REQUESTS_COMPLETED, CLUSTER, 1);
-        let slot = if hit {
-            r.counter_add(Family::REQUEST_HITS, CLUSTER, 1);
-            server.unwrap_or(CLUSTER)
-        } else {
-            CLUSTER
-        };
-        r.histogram_record(Family::HOPS, slot, u64::from(hops));
-        r.histogram_record(
-            Family::RESOLUTION_LATENCY_US,
-            slot,
-            self.now_us.saturating_sub(start_us),
-        );
-        self.completed += 1;
-        if self.cadence > 0 && self.completed.is_multiple_of(self.cadence) {
-            self.sample_occupancy();
-        }
+    /// The sharded executor asks the probe that sees its completions and
+    /// then samples the gauges its shard probes hold, through
+    /// [`MetricsProbe::sample_occupancy_now`].
+    pub fn cadence_due(&self) -> bool {
+        self.cadence > 0 && self.completed > 0 && self.completed.is_multiple_of(self.cadence)
     }
 
-    /// Immediately records the current table-occupancy gauges into their
-    /// histogram families, regardless of the cadence.
-    ///
-    /// The sharded executor drives occupancy sampling from the
-    /// coordinator's completion count (the cluster-wide cadence), since
-    /// per-shard probes never observe completions.
+    /// Records the current table-occupancy gauges into their histogram
+    /// families (one observation per known proxy and family), whether or
+    /// not the cadence is due.
     pub fn sample_occupancy_now(&mut self) {
-        self.sample_occupancy();
-    }
-
-    /// Records current table-occupancy gauges into their histogram
-    /// families (one observation per known proxy and family).
-    fn sample_occupancy(&mut self) {
         // Collect first: the registry cannot be iterated and mutated at
         // once. A handful of gauges, so the Vec is tiny.
         let live: Vec<(usize, u32, i64)> = self
@@ -188,19 +130,16 @@ impl Probe for MetricsProbe {
                 r.counter_add(Family::REQUESTS_INJECTED, CLUSTER, 1);
             }
             SimEvent::RequestCompleted {
-                object,
-                hit,
+                server,
                 hops,
                 start_us,
                 ..
             } => {
                 r.counter_add(Family::REQUESTS_COMPLETED, CLUSTER, 1);
-                let slot = if hit {
+                if server.is_some() {
                     r.counter_add(Family::REQUEST_HITS, CLUSTER, 1);
-                    self.last_server.get(&object).copied().unwrap_or(CLUSTER)
-                } else {
-                    CLUSTER
-                };
+                }
+                let slot = server.unwrap_or(CLUSTER);
                 r.histogram_record(Family::HOPS, slot, u64::from(hops));
                 r.histogram_record(
                     Family::RESOLUTION_LATENCY_US,
@@ -208,28 +147,9 @@ impl Probe for MetricsProbe {
                     self.now_us.saturating_sub(start_us),
                 );
                 self.completed += 1;
-                if self.cadence > 0 && self.completed.is_multiple_of(self.cadence) {
-                    self.sample_occupancy();
+                if self.cadence_due() {
+                    self.sample_occupancy_now();
                 }
-            }
-            SimEvent::ForwardLearned { proxy, .. } => {
-                r.counter_add(Family::FORWARDS_LEARNED, proxy, 1);
-            }
-            SimEvent::ForwardRandom { proxy, .. } => {
-                r.counter_add(Family::FORWARDS_RANDOM, proxy, 1);
-            }
-            SimEvent::LoopDetected { proxy, .. } => {
-                r.counter_add(Family::LOOPS_DETECTED, proxy, 1);
-            }
-            SimEvent::HopLimitHit { proxy, .. } => {
-                r.counter_add(Family::HOP_LIMIT, proxy, 1);
-            }
-            SimEvent::OriginThisMiss { proxy, .. } => {
-                r.counter_add(Family::ORIGIN_THIS_MISS, proxy, 1);
-            }
-            SimEvent::LocalHit { proxy, object } => {
-                r.counter_add(Family::LOCAL_HITS, proxy, 1);
-                self.last_server.insert(object, proxy);
             }
             SimEvent::BackwardAdoption { proxy, .. } => {
                 r.counter_add(Family::BACKWARD_ADOPTIONS, proxy, 1);
@@ -246,16 +166,20 @@ impl Probe for MetricsProbe {
                 }
             }
             SimEvent::CacheInsert { proxy, .. } => {
-                r.counter_add(Family::CACHE_INSERTS, proxy, 1);
                 r.gauge_add(Family::CACHED_OBJECTS, proxy, 1);
             }
             SimEvent::CacheEvict { proxy, .. } => {
-                r.counter_add(Family::CACHE_EVICTS, proxy, 1);
                 r.gauge_add(Family::CACHED_OBJECTS, proxy, -1);
             }
-            SimEvent::ReplyOrphaned { proxy, .. } => {
-                r.counter_add(Family::REPLIES_ORPHANED, proxy, 1);
-            }
+            // `ProxyStats::fold` counts these; their families come from
+            // rendering the agents' counters, not from this probe.
+            SimEvent::LocalHit { .. }
+            | SimEvent::ForwardLearned { .. }
+            | SimEvent::ForwardRandom { .. }
+            | SimEvent::LoopDetected { .. }
+            | SimEvent::HopLimitHit { .. }
+            | SimEvent::OriginThisMiss { .. }
+            | SimEvent::ReplyOrphaned { .. } => {}
         }
     }
 }
@@ -363,30 +287,42 @@ mod tests {
             client: 0,
             seq: 0,
             object,
-            hit: true,
+            server: Some(proxy),
             hops,
             start_us: 1_000,
         });
     }
 
     #[test]
-    fn counters_key_by_proxy_and_hits_attribute_to_server() {
+    fn hit_flows_key_their_histograms_by_the_named_server() {
         let mut p = MetricsProbe::with_cadence(0);
         hit_flow(&mut p, 3, 77, 2, 40);
         hit_flow(&mut p, 3, 77, 4, 60);
         hit_flow(&mut p, 5, 99, 1, 10);
-        let r = p.registry();
-        assert_eq!(r.counter(Family::LOCAL_HITS, 3), 2);
-        assert_eq!(r.counter(Family::LOCAL_HITS, 5), 1);
-        assert_eq!(r.counter(Family::REQUESTS_COMPLETED, CLUSTER), 3);
-        assert_eq!(r.counter(Family::REQUEST_HITS, CLUSTER), 3);
+        // The server is the completion's, whatever local hits came last.
+        p.emit(SimEvent::LocalHit {
+            proxy: 3,
+            object: 99,
+        });
+        p.tick(1_005);
+        p.emit(SimEvent::RequestCompleted {
+            client: 1,
+            seq: 0,
+            object: 99,
+            server: Some(5),
+            hops: 1,
+            start_us: 1_000,
+        });
+        let r = &p.registry;
+        assert_eq!(r.counter(Family::REQUESTS_COMPLETED, CLUSTER), 4);
+        assert_eq!(r.counter(Family::REQUEST_HITS, CLUSTER), 4);
         let hops3 = r.histogram(Family::HOPS, 3).expect("proxy 3 hops recorded");
         assert_eq!(hops3.count(), 2);
         assert_eq!(hops3.sum(), 6);
         let lat5 = r
             .histogram(Family::RESOLUTION_LATENCY_US, 5)
             .expect("proxy 5 latency recorded");
-        assert_eq!(lat5.sum(), 10);
+        assert_eq!((lat5.count(), lat5.sum()), (2, 15));
     }
 
     #[test]
@@ -397,11 +333,11 @@ mod tests {
             client: 1,
             seq: 0,
             object: 42,
-            hit: false,
+            server: None,
             hops: 6,
             start_us: 100,
         });
-        let r = p.registry();
+        let r = &p.registry;
         assert_eq!(r.counter(Family::REQUEST_HITS, CLUSTER), 0);
         assert_eq!(
             r.histogram(Family::HOPS, CLUSTER).map(|h| h.count()),
@@ -412,6 +348,45 @@ mod tests {
             r.histogram(Family::RESOLUTION_LATENCY_US, CLUSTER)
                 .map(|h| h.sum()),
             Some(400)
+        );
+    }
+
+    #[test]
+    fn agent_counters_are_left_to_proxy_stats() {
+        let mut p = MetricsProbe::with_cadence(0);
+        let (proxy, object) = (1, 3);
+        for event in [
+            SimEvent::LocalHit { proxy, object },
+            SimEvent::ForwardLearned {
+                proxy,
+                object,
+                to: 2,
+            },
+            SimEvent::ForwardRandom {
+                proxy,
+                object,
+                to: 2,
+            },
+            SimEvent::LoopDetected { proxy, object },
+            SimEvent::HopLimitHit {
+                proxy,
+                object,
+                hops: 9,
+            },
+            SimEvent::OriginThisMiss { proxy, object },
+            SimEvent::ReplyOrphaned { proxy, object },
+            SimEvent::CacheInsert { proxy, object },
+            SimEvent::CacheEvict { proxy, object },
+        ] {
+            p.emit(event);
+        }
+        let r = &p.registry;
+        assert_eq!(r.counters().count(), 0, "{:?}", r.snapshot());
+        assert_eq!(r.histograms().count(), 0);
+        // Store changes still move the live gauge.
+        assert_eq!(
+            r.gauges().collect::<Vec<_>>(),
+            vec![(Family::CACHED_OBJECTS, proxy, 0)]
         );
     }
 
@@ -427,11 +402,17 @@ mod tests {
         p.emit(mig(TableLevel::Out, TableLevel::Single));
         p.emit(mig(TableLevel::Single, TableLevel::Multiple));
         p.emit(mig(TableLevel::Multiple, TableLevel::Caching));
-        let r = p.registry();
+        p.emit(SimEvent::BackwardAdoption {
+            proxy: 2,
+            object: 9,
+            owner: 4,
+        });
+        let r = &p.registry;
         assert_eq!(r.gauge(Family::TABLE_SINGLE, 2), 0);
         assert_eq!(r.gauge(Family::TABLE_MULTIPLE, 2), 0);
         assert_eq!(r.gauge(Family::TABLE_CACHING, 2), 1);
         assert_eq!(r.counter(Family::TABLE_MIGRATIONS, 2), 3);
+        assert_eq!(r.counter(Family::BACKWARD_ADOPTIONS, 2), 1);
         p.emit(SimEvent::CacheInsert {
             proxy: 2,
             object: 9,
@@ -440,7 +421,7 @@ mod tests {
             proxy: 2,
             object: 9,
         });
-        assert_eq!(p.registry().gauge(Family::CACHED_OBJECTS, 2), 0);
+        assert_eq!(p.registry.gauge(Family::CACHED_OBJECTS, 2), 0);
     }
 
     #[test]
@@ -452,19 +433,23 @@ mod tests {
             from: TableLevel::Out,
             to: TableLevel::Single,
         });
+        assert!(!p.cadence_due(), "nothing completed yet");
+        let mut due = Vec::new();
         for seq in 0..4 {
             p.emit(SimEvent::RequestCompleted {
                 client: 0,
                 seq,
                 object: 1,
-                hit: false,
+                server: None,
                 hops: 1,
                 start_us: 0,
             });
+            due.push(p.cadence_due());
         }
+        assert_eq!(due, [false, true, false, true]);
         // 4 completions at cadence 2 -> two samples of the gauge (1).
         let h = p
-            .registry()
+            .registry
             .histogram(Family::TABLE_SINGLE_OCCUPANCY, 0)
             .expect("occupancy sampled");
         assert_eq!(h.count(), 2);
@@ -475,21 +460,20 @@ mod tests {
     fn report_summarizes_per_proxy() {
         let mut p = MetricsProbe::with_cadence(0);
         hit_flow(&mut p, 1, 7, 2, 100);
-        p.emit(SimEvent::ForwardLearned {
-            proxy: 1,
-            object: 8,
-            to: 2,
-        });
         p.tick(0);
         p.emit(SimEvent::RequestCompleted {
             client: 0,
             seq: 1,
             object: 8,
-            hit: false,
+            server: None,
             hops: 5,
             start_us: 0,
         });
-        let report = p.report();
+        // What rendering proxy 1's counters adds.
+        let mut registry = p.into_registry();
+        registry.counter_add(Family::LOCAL_HITS, 1, 1);
+        registry.counter_add(Family::FORWARDS_LEARNED, 1, 1);
+        let report = MetricsReport::from_registry(&registry);
         assert_eq!(report.per_proxy.len(), 2, "proxy 1 and the cluster slot");
         let one = &report.per_proxy[0];
         assert_eq!((one.proxy, one.local_hits, one.forwards), (1, 1, 1));
@@ -504,39 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn record_completion_matches_event_path_on_exact_attribution() {
-        // Event path: hit attributed via last LocalHit for the object.
-        let mut via_event = MetricsProbe::with_cadence(0);
-        hit_flow(&mut via_event, 4, 11, 3, 250);
-        // Direct path: same flow recorded with the exact server.
-        let mut direct = MetricsProbe::with_cadence(0);
-        direct.emit(SimEvent::RequestInjected {
-            client: 0,
-            seq: 0,
-            object: 11,
-        });
-        direct.emit(SimEvent::LocalHit {
-            proxy: 4,
-            object: 11,
-        });
-        direct.record_completion(1_250, true, 3, 1_000, Some(4));
-        assert_eq!(
-            via_event.snapshot().to_prometheus(),
-            direct.snapshot().to_prometheus(),
-            "exact attribution must reproduce the heuristic when flows do not interleave"
-        );
-        // Origin-served flows land in the cluster slot either way.
-        let mut miss = MetricsProbe::with_cadence(0);
-        miss.record_completion(500, false, 6, 100, None);
-        let r = miss.registry();
-        assert_eq!(r.counter(Family::REQUEST_HITS, CLUSTER), 0);
-        assert_eq!(
-            r.histogram(Family::HOPS, CLUSTER).map(|h| h.count()),
-            Some(1)
-        );
-    }
-
-    #[test]
     fn sample_occupancy_now_records_outside_cadence() {
         let mut p = MetricsProbe::with_cadence(0);
         p.emit(SimEvent::TableMigration {
@@ -548,7 +499,7 @@ mod tests {
         p.sample_occupancy_now();
         p.sample_occupancy_now();
         let h = p
-            .registry()
+            .registry
             .histogram(Family::TABLE_SINGLE_OCCUPANCY, 0)
             .expect("occupancy sampled on demand");
         assert_eq!(h.count(), 2);
@@ -562,7 +513,7 @@ mod tests {
             for i in 0..200u64 {
                 hit_flow(&mut p, (i % 5) as u32, i % 17, (i % 7) as u32, i);
             }
-            p.snapshot().to_prometheus()
+            p.registry.snapshot().to_prometheus()
         };
         assert_eq!(run(), run());
     }

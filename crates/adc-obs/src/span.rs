@@ -574,7 +574,7 @@ impl Probe for SpanProbe {
                 client,
                 seq,
                 object,
-                hit,
+                server,
                 hops,
                 start_us,
             } => {
@@ -607,7 +607,7 @@ impl Probe for SpanProbe {
                     object,
                     start_us,
                     hops,
-                    hit,
+                    hit: server.is_some(),
                     seg_us: slot.seg_us,
                 });
             }
@@ -643,7 +643,7 @@ mod tests {
             client,
             seq,
             object,
-            hit: true,
+            server: Some(0),
             hops: 2,
             start_us: start,
         });

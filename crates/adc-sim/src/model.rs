@@ -32,7 +32,9 @@
 //! convergence and metrics samples at the barrier after a completion; the
 //! runner reads it at the completion itself. With those samplers off, the
 //! two executors' deterministic reports are byte-identical; sequential
-//! runs are byte-identical with the samplers on too.
+//! runs are byte-identical with the samplers on too. Both hand the same
+//! flow events to a probe: [`Ledger::start_flow`] and
+//! [`Ledger::complete`] emit them, each completion naming its server.
 
 // Hot path (adc-lint's `HOT_PATH_FILES`): every lossy cast and every
 // index states its bound in an `#[expect]` reason.
@@ -56,7 +58,7 @@ use adc_core::{
     ServedFrom,
 };
 use adc_metrics::{MovingAverage, P2Quantile, Sampler, Summary};
-use adc_obs::{ConvergenceConfig, ConvergenceTracker, MetricsProbe, Probe, SimEvent};
+use adc_obs::{ConvergenceConfig, ConvergenceTracker, Probe, SimEvent};
 use adc_workload::{Phase, RequestRecord};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -86,10 +88,6 @@ fn next_stray(strays: &mut u64) -> u64 {
     *strays += 1;
     STRAY_KEYS + *strays
 }
-
-/// The metrics recorder's occupancy-sampling cadence in completions,
-/// matching [`MetricsProbe::new`].
-const METRICS_CADENCE: u64 = adc_obs::metrics::DEFAULT_CADENCE;
 
 /// The queue key of a flow's `step`-th event (see the module docs).
 pub(crate) fn event_key(flow_seq: u64, step: u32) -> u64 {
@@ -184,9 +182,8 @@ pub(crate) struct Completion {
     pub(crate) at: u64,
     pub(crate) id: RequestId,
     object: ObjectId,
-    hit: bool,
-    /// Serving proxy for hit flows (`None` = origin-served), from the
-    /// reply's `served_from`.
+    /// The proxy whose cache served the reply (`None` = the origin),
+    /// from its `served_from`; a hit is `server.is_some()`.
     server: Option<u32>,
     hops: u32,
     start_us: u64,
@@ -417,7 +414,6 @@ impl<A: CacheAgent, S: RngCore> Proxies<A, S> {
                     at,
                     id,
                     object: rep.object,
-                    hit: rep.served_from.is_hit(),
                     server: match rep.served_from {
                         ServedFrom::Cache(p) => Some(p.raw()),
                         ServedFrom::Origin => None,
@@ -507,10 +503,6 @@ pub(crate) struct Ledger {
     /// the hot path.
     occupancy: Option<Vec<Sampler>>,
     conv: Option<ConvState>,
-    /// The sharded engine's coordinator-side metrics recorder: it sees
-    /// every injection and completion, with exact hit attribution, while
-    /// the shards' probes see the agent events.
-    pub(crate) metrics: Option<MetricsProbe>,
     #[expect(clippy::disallowed_types, reason = "wall telemetry only")]
     wall_start: Instant,
     cpu_start: Duration,
@@ -518,7 +510,7 @@ pub(crate) struct Ledger {
 
 impl Ledger {
     /// Starts the run's books (and its wall and CPU clocks).
-    pub(crate) fn new(config: &SimConfig, proxies: usize, metrics: Option<MetricsProbe>) -> Self {
+    pub(crate) fn new(config: &SimConfig, proxies: usize) -> Self {
         Ledger {
             #[expect(clippy::cast_possible_truncation, reason = "proxy counts stay tiny")]
             proxies: proxies as u32,
@@ -547,7 +539,6 @@ impl Ledger {
                 counts: BTreeMap::new(),
                 tracker: ConvergenceTracker::new(),
             }),
-            metrics,
             #[expect(
                 clippy::disallowed_methods,
                 clippy::disallowed_types,
@@ -569,14 +560,15 @@ impl Ledger {
         self.completed
     }
 
-    /// Whether the fold reads agent state at completions (occupancy,
-    /// convergence or metrics sampling).
+    /// Whether the fold reads agent state at completions (occupancy or
+    /// convergence sampling).
     pub(crate) fn samples_state(&self) -> bool {
-        self.occupancy.is_some() || self.conv.is_some() || self.metrics.is_some()
+        self.occupancy.is_some() || self.conv.is_some()
     }
 
-    /// Starts the flow for `record` at `now`: counts it, assigns its
-    /// first-hop proxy, and returns its bookkeeping and first delivery.
+    /// Starts the flow for `record` at `now`: counts it, reports it to
+    /// `probe`, assigns its first-hop proxy, and returns its bookkeeping
+    /// and first delivery.
     pub(crate) fn start_flow<P: Probe>(
         &mut self,
         record: RequestRecord,
@@ -588,16 +580,12 @@ impl Ledger {
         if let Some(c) = self.conv.as_mut() {
             *c.counts.entry(record.object.raw()).or_insert(0) += 1;
         }
-        let event = SimEvent::RequestInjected {
-            client: record.client.raw(),
-            seq: record.seq,
-            object: record.object.raw(),
-        };
         if P::ENABLED {
-            probe.emit(event);
-        }
-        if let Some(m) = self.metrics.as_mut() {
-            m.emit(event);
+            probe.emit(SimEvent::RequestInjected {
+                client: record.client.raw(),
+                seq: record.seq,
+                object: record.object.raw(),
+            });
         }
         let proxy = match self.assignment {
             ClientAssignment::Sticky => ProxyId::new(record.client.raw() % self.proxies),
@@ -631,32 +619,27 @@ impl Ledger {
     /// Folds one completion: counts, phases, summaries, quantiles,
     /// moving-average series, and the occupancy and convergence samples,
     /// reading proxy `p`'s agent through `agent(p)`. Reports it to
-    /// `probe` and to the metrics recorder. Returns true when the
-    /// recorder's occupancy cadence comes due, so the caller samples the
-    /// gauges its agent-side probes hold.
+    /// `probe`, ticked to the completion instant first.
     #[expect(clippy::indexing_slicing, reason = "phase is 0..3 by construction")]
     pub(crate) fn complete<'a, A: CacheAgent + 'a, P: Probe>(
         &mut self,
         c: &Completion,
         probe: &mut P,
         agent: impl Fn(usize) -> &'a A,
-    ) -> bool {
+    ) {
+        let hit = c.server.is_some();
         self.completed += 1;
-        if c.hit {
-            self.hits += 1;
-        }
+        self.hits += u64::from(hit);
         if P::ENABLED {
+            probe.tick(c.at);
             probe.emit(SimEvent::RequestCompleted {
                 client: c.id.client.raw(),
                 seq: c.id.seq,
                 object: c.object.raw(),
-                hit: c.hit,
+                server: c.server,
                 hops: c.hops,
                 start_us: c.start_us,
             });
-        }
-        if let Some(m) = self.metrics.as_mut() {
-            m.record_completion(c.at, c.hit, c.hops, c.start_us, c.server);
         }
         let phase = match c.phase {
             Phase::Fill => 0,
@@ -664,7 +647,7 @@ impl Ledger {
             Phase::RequestII => 2,
         };
         self.phases[phase].requests += 1;
-        self.phases[phase].hits += u64::from(c.hit);
+        self.phases[phase].hits += u64::from(hit);
         let hops = f64::from(c.hops);
         #[expect(clippy::cast_precision_loss, reason = "< 2^53: exact")]
         let completed = self.completed as f64;
@@ -674,7 +657,7 @@ impl Ledger {
         self.latency.push(latency_us);
         self.latency_p50.push(latency_us);
         self.latency_p99.push(latency_us);
-        self.hit_window.push_bool(c.hit);
+        self.hit_window.push_bool(hit);
         self.hops_window.push(hops);
         if let Some(v) = self.hit_window.value() {
             self.hit_sampler.observe(completed, v);
@@ -711,7 +694,6 @@ impl Ledger {
                 conv.tracker.sample(completed, &snapshot);
             }
         }
-        self.metrics.is_some() && self.completed.is_multiple_of(METRICS_CADENCE)
     }
 
     /// Assembles the report from the books, the agents in proxy-id order,

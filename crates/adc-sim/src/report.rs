@@ -1,8 +1,8 @@
 //! Results of a simulation run.
 
 use crate::tracelog::TraceLog;
-use adc_core::ProxyStats;
-use adc_metrics::{Log2Histogram, Series, Summary};
+use adc_core::{ProxyId, ProxyStats};
+use adc_metrics::{Log2Histogram, Registry, Series, Summary};
 use adc_obs::{ConvergenceReport, MetricsReport, ShardSlice, SpanReport};
 use adc_workload::Phase;
 use std::time::Duration;
@@ -219,7 +219,8 @@ pub struct SimReport {
     /// Per-proxy metric families and histogram summaries, present when
     /// the run was driven through a
     /// [`MetricsProbe`](adc_obs::MetricsProbe) (e.g.
-    /// [`Simulation::run_with_metrics`](crate::Simulation::run_with_metrics)).
+    /// [`Simulation::run_with_metrics`](crate::Simulation::run_with_metrics));
+    /// filled by [`SimReport::attach_metrics`].
     pub metrics: Option<MetricsReport>,
     /// Synchronization-layer telemetry from the sharded executor
     /// (`None` for single-threaded runs). Like the wall/CPU clocks this
@@ -289,6 +290,17 @@ impl SimReport {
         } else {
             self.bytes_from_caches as f64 / total as f64
         }
+    }
+
+    /// Fills [`SimReport::metrics`] from a metrics probe's `registry`:
+    /// renders each agent's final [`ProxyStats`] into it at the agent's
+    /// proxy slot ([`ProxyStats::render`], the render a live node's
+    /// scrape uses), then summarizes it. Returns the filled report.
+    pub fn attach_metrics(&mut self, mut registry: Registry) -> &MetricsReport {
+        for (p, stats) in (0..).zip(&self.per_proxy) {
+            stats.render(ProxyId::new(p), &mut registry);
+        }
+        self.metrics.insert(MetricsReport::from_registry(&registry))
     }
 
     /// Cluster-wide proxy counters (all proxies merged).

@@ -121,7 +121,7 @@ impl<A: CacheAgent> Simulation<A> {
         let Simulation { agents, config } = self;
         let n = agents.len();
         let net = Net::new(&config);
-        let mut ledger = Ledger::new(&config, n, None);
+        let mut ledger = Ledger::new(&config, n);
         let mut proxies = Proxies::new(&config, agents, 0, 1, sequential_stream(config.seed));
         let mut workload = workload.into_iter();
         let mut fault_rng = StdRng::seed_from_u64(config.seed ^ 0xFA17);
@@ -249,14 +249,16 @@ impl<A: CacheAgent> Simulation<A> {
     }
 
     /// Runs the workload with a [`MetricsProbe`](adc_obs::MetricsProbe)
-    /// attached and the resulting per-proxy families embedded in
-    /// [`SimReport::metrics`]. The probe is a pure event consumer — it
-    /// never touches the RNG streams or event order, so results are
-    /// identical to an unobserved run of the same seed.
+    /// attached, then [`SimReport::attach_metrics`] adds the agents'
+    /// final counters to its registry and fills [`SimReport::metrics`].
+    /// Each completion names its server, so hit flows land in the exact
+    /// proxy's histograms under any injection. The probe is a pure event
+    /// consumer — it never touches the RNG streams or event order, so
+    /// results are identical to an unobserved run of the same seed.
     pub fn run_with_metrics(self, workload: impl IntoIterator<Item = RequestRecord>) -> SimReport {
         let mut probe = adc_obs::MetricsProbe::new();
         let (mut report, _) = self.run_observed_with_agents(workload, &mut probe);
-        report.metrics = Some(probe.report());
+        report.attach_metrics(probe.into_registry());
         report
     }
 

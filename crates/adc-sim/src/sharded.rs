@@ -111,7 +111,7 @@ use crate::runner::Simulation;
 use crate::time::SimTime;
 use adc_core::{CacheAgent, NodeId, ProxyId};
 use adc_metrics::{Log2Histogram, Registry};
-use adc_obs::{MetricsProbe, MetricsReport, NullProbe, Probe, ShardSlice};
+use adc_obs::{MetricsProbe, NullProbe, Probe, ShardSlice};
 use adc_workload::RequestRecord;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -161,60 +161,50 @@ fn lookahead_us(config: &SimConfig, proxies: usize) -> u64 {
     w
 }
 
-/// The probe features the sharded executor needs beyond [`Probe`]: shard
-/// construction, barrier-driven occupancy sampling, and registry
-/// extraction for the exact shard merge. Composes over probe pairs like
-/// `Probe` itself does.
+/// The probe features the sharded executor needs beyond [`Probe`]: one
+/// probe per shard for the agent events plus one on the coordinator for
+/// the flow events, occupancy sampling on the cluster-wide cadence, and
+/// registry extraction for the exact merge.
 trait ShardProbe: Probe + Send {
-    /// A fresh per-shard probe.
+    /// A fresh probe, for a shard or for the coordinator.
     fn for_shard() -> Self;
-    /// Samples whatever the probe samples on the cluster-wide cadence
-    /// (driven by the coordinator; shards never observe completions).
+    /// Whether the completion just reported to this probe brought the
+    /// occupancy cadence due (asked of the coordinator's probe).
+    fn sample_due(&self) -> bool;
+    /// Samples the occupancy gauges this probe holds (each shard's, when
+    /// the coordinator's cadence comes due).
     fn barrier_sample(&mut self);
-    /// The shard's accumulated registry, if it keeps one.
-    fn into_registry(self) -> Option<Registry>;
+    /// The accumulated registry (empty when the probe keeps none).
+    fn into_registry(self) -> Registry;
 }
 
 impl ShardProbe for NullProbe {
     fn for_shard() -> Self {
         NullProbe
     }
+    fn sample_due(&self) -> bool {
+        false
+    }
     fn barrier_sample(&mut self) {}
-    fn into_registry(self) -> Option<Registry> {
-        None
+    fn into_registry(self) -> Registry {
+        Registry::new()
     }
 }
 
 impl ShardProbe for MetricsProbe {
     fn for_shard() -> Self {
-        // Cadence 0: the coordinator drives occupancy sampling on the
-        // cluster-wide completion count via barrier_sample.
-        MetricsProbe::with_cadence(0)
+        // Shard probes see no completions, so only the coordinator's
+        // cadence ever comes due; its own registry holds no gauges.
+        MetricsProbe::new()
+    }
+    fn sample_due(&self) -> bool {
+        self.cadence_due()
     }
     fn barrier_sample(&mut self) {
         self.sample_occupancy_now();
     }
-    fn into_registry(self) -> Option<Registry> {
-        Some(self.into_registry())
-    }
-}
-
-impl<X: ShardProbe, Y: ShardProbe> ShardProbe for (X, Y) {
-    fn for_shard() -> Self {
-        (X::for_shard(), Y::for_shard())
-    }
-    fn barrier_sample(&mut self) {
-        self.0.barrier_sample();
-        self.1.barrier_sample();
-    }
-    fn into_registry(self) -> Option<Registry> {
-        match (self.0.into_registry(), self.1.into_registry()) {
-            (Some(mut a), Some(b)) => {
-                a.merge(&b);
-                Some(a)
-            }
-            (a, b) => a.or(b),
-        }
+    fn into_registry(self) -> Registry {
+        self.into_registry()
     }
 }
 
@@ -582,15 +572,19 @@ impl<A: CacheAgent + Send> Simulation<A> {
         workload: impl IntoIterator<Item = RequestRecord>,
         shards: usize,
     ) -> (SimReport, Vec<A>) {
-        let (report, agents, _) = run_sharded_inner::<A, NullProbe>(self, workload, shards, None);
+        let (report, agents, _) = run_sharded_inner::<A, NullProbe>(self, workload, shards);
         (report, agents)
     }
 
-    /// [`run_sharded`](Simulation::run_sharded) with per-shard
-    /// [`MetricsProbe`]s attached; their registries and the
-    /// coordinator's completion registry fold through the exact
-    /// [`Registry::merge`] into [`SimReport::metrics`], byte-identical
-    /// to [`Simulation::run_with_metrics`] under sequential injection.
+    /// [`run_sharded`](Simulation::run_sharded) with a
+    /// [`MetricsProbe`] on every shard (the agent events) and one on the
+    /// coordinator (the flow events, each completion naming its server).
+    /// Their registries fold through the exact [`Registry::merge`], and
+    /// [`SimReport::attach_metrics`] adds the agents' final counters and
+    /// fills [`SimReport::metrics`], as
+    /// [`Simulation::run_with_metrics`] does. Sequential runs give the
+    /// same bytes as that runner; open-loop runs differ from it only in
+    /// the occupancy samples, taken at barriers.
     ///
     /// # Panics
     ///
@@ -600,23 +594,24 @@ impl<A: CacheAgent + Send> Simulation<A> {
         workload: impl IntoIterator<Item = RequestRecord>,
         shards: usize,
     ) -> SimReport {
-        let coord = MetricsProbe::with_cadence(0);
         let (mut report, _, registry) =
-            run_sharded_inner::<A, MetricsProbe>(self, workload, shards, Some(coord));
-        report.metrics = registry.as_ref().map(MetricsReport::from_registry);
+            run_sharded_inner::<A, MetricsProbe>(self, workload, shards);
+        report.attach_metrics(registry);
         report
     }
 }
 
-/// Starts the next workload flow at `now`, filing its first delivery in
-/// the owner shard. `shards` is the coordinator's locked view of the
-/// shard cells. Returns false when the workload is exhausted.
+/// Starts the next workload flow at `now`, reporting it to the
+/// coordinator's `probe` and filing its first delivery in the owner
+/// shard. `shards` is the coordinator's locked view of the shard cells.
+/// Returns false when the workload is exhausted.
 fn inject_next<A, P, G>(
     now: SimTime,
     shards: &mut [G],
     workload: &mut dyn Iterator<Item = RequestRecord>,
     ledger: &mut Ledger,
     net: &Net,
+    probe: &mut P,
     inj_times: &mut VecDeque<u64>,
 ) -> bool
 where
@@ -627,7 +622,7 @@ where
     let Some(record) = workload.next() else {
         return false;
     };
-    let start = ledger.start_flow(record, now, net, &mut NullProbe);
+    let start = ledger.start_flow(record, now, net, probe);
     #[expect(
         clippy::indexing_slicing,
         reason = "shard_of() is always below the shard count"
@@ -647,15 +642,17 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
     sim: Simulation<A>,
     workload: impl IntoIterator<Item = RequestRecord>,
     shards_n: usize,
-    coord_metrics: Option<MetricsProbe>,
-) -> (SimReport, Vec<A>, Option<Registry>) {
+) -> (SimReport, Vec<A>, Registry) {
     let Simulation { agents, config } = sim;
     let n_proxies = agents.len();
     let window_us = validate_sharded(&config, n_proxies, shards_n);
     // The ledger starts the run's clocks; CPU telemetry covers the
     // coordinator thread only (worker CPU would need cross-thread
     // aggregation for a number no gate consumes).
-    let mut ledger = Ledger::new(&config, n_proxies, coord_metrics);
+    let mut ledger = Ledger::new(&config, n_proxies);
+    // The coordinator's probe sees the flow events; each shard's sees
+    // its agents' events.
+    let mut coord_probe = P::for_shard();
     let wall_start = ledger.wall_start();
     let net = Arc::new(Net::new(&config));
 
@@ -713,7 +710,7 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
     // of that flow's agent mutations already settled. Gate both
     // features off exactly when an open-loop run samples state at
     // barriers, so every tuning combination yields identical bytes.
-    let state_samplers = ledger.samples_state();
+    let state_samplers = ledger.samples_state() || P::ENABLED;
     let widen = config.shard.widen && (sequential || !state_samplers);
     let fold_every: u32 = if sequential || state_samplers {
         // Sequential folds drive re-injection and must run every
@@ -783,9 +780,9 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                         reason = "proxy p lives on shard p % N at local index p / N"
                     )]
                     let agent = |p: usize| &guards[p % shards_n].proxies.agents[p / shards_n];
-                    if ledger.complete(rec, &mut NullProbe, agent) {
-                        // The metrics cadence came due: the shard probes
-                        // hold the occupancy gauges.
+                    ledger.complete(rec, &mut coord_probe, agent);
+                    if coord_probe.sample_due() {
+                        // The shard probes hold the occupancy gauges.
                         for shard in guards.iter_mut() {
                             shard.probe.barrier_sample();
                         }
@@ -800,6 +797,7 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                             &mut workload,
                             &mut ledger,
                             &net,
+                            &mut coord_probe,
                             &mut inj_times,
                         );
                     }
@@ -824,6 +822,7 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                 &mut workload,
                 &mut ledger,
                 &net,
+                &mut coord_probe,
                 &mut inj_times,
             );
         }
@@ -902,6 +901,7 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                         &mut workload,
                         &mut ledger,
                         &net,
+                        &mut coord_probe,
                         &mut inj_times,
                     ) {
                         next_inject_at += interval_us;
@@ -1096,12 +1096,10 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
     // folded through the exact merge (coordinator first, then shards in
     // index order — merge is commutative, the order is cosmetic).
     let mut agent_iters: Vec<std::vec::IntoIter<A>> = Vec::with_capacity(shards_n);
-    let mut registries: Vec<Registry> = Vec::new();
+    let mut registry = coord_probe.into_registry();
     for shard in shards {
         agent_iters.push(shard.proxies.agents.into_iter());
-        if let Some(reg) = shard.probe.into_registry() {
-            registries.push(reg);
-        }
+        registry.merge(&shard.probe.into_registry());
     }
     #[expect(
         clippy::indexing_slicing,
@@ -1118,18 +1116,13 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
             }
         })
         .collect();
-    let merged_registry = ledger.metrics.take().map(|probe| {
-        let mut merged = probe.into_registry();
-        merged.merge(&Registry::merge_all(registries.iter()));
-        merged
-    });
     let report = SimReport {
         shard_exec: Some(exec),
         shard_profile,
         ..ledger.into_report(&agents, counters, peak_flows)
     };
 
-    (report, agents, merged_registry)
+    (report, agents, registry)
 }
 
 #[cfg(test)]

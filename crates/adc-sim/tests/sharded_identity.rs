@@ -8,11 +8,16 @@
 //! convergence series. Sequential injection must match the
 //! single-threaded runner exactly; open-loop injection must be invariant
 //! in the shard count, and match the single-threaded runner too whenever
-//! nothing samples agent state (occupancy, convergence, metrics).
+//! nothing samples agent state (occupancy, convergence, metrics). Both
+//! executors attribute each hit flow to the server its completion
+//! names, so their hop and latency histograms agree under open loop.
 
-use adc_core::{AdcConfig, AdcProxy, CacheAgent, ProxyId};
-use adc_sim::{ConvergenceConfig, InjectionMode, SimConfig, SimTime, Simulation};
+use adc_core::{AdcConfig, AdcProxy, CacheAgent, EventLog, ProxyId, SimEvent};
+use adc_metrics::registry::CLUSTER;
+use adc_metrics::{Family, Log2Histogram};
+use adc_sim::{ConvergenceConfig, InjectionMode, SimConfig, SimReport, SimTime, Simulation};
 use adc_workload::PolygraphConfig;
+use std::collections::BTreeMap;
 
 /// Five proxies: 2 and 4 do not divide it, 7 exceeds it, so the suite
 /// covers uneven and partially-empty partitions.
@@ -239,4 +244,47 @@ fn open_loop_report_is_invariant_in_the_shard_count() {
             "shards={shards} open-loop metrics exposition diverged"
         );
     }
+
+    // The runner names each hit flow's server exactly as the engine
+    // does, so their hop and latency histograms agree; only the
+    // occupancy samples differ (the engine takes them at barriers).
+    let runner = Simulation::new(agents(), open.clone()).run_with_metrics(workload());
+    let histograms = |report: &SimReport, family: Family| -> Vec<(u32, Log2Histogram)> {
+        let metrics = report.metrics.as_ref().expect("metrics probe attached");
+        metrics
+            .snapshot
+            .histograms
+            .iter()
+            .filter(|(f, _, _)| *f == family)
+            .map(|(_, p, h)| (*p, h.clone()))
+            .collect()
+    };
+    for family in [Family::HOPS, Family::RESOLUTION_LATENCY_US] {
+        assert_eq!(
+            histograms(&runner, family),
+            histograms(&reference, family),
+            "{} diverged between the runner and the 1-shard engine",
+            family.name()
+        );
+    }
+    // Each proxy's hop count is the number of completions naming it.
+    let mut log = EventLog::new();
+    Simulation::new(agents(), open.clone()).run_observed(workload(), &mut log);
+    assert_eq!(log.dropped(), 0, "the event log must hold the whole run");
+    let mut served: BTreeMap<u32, u64> = BTreeMap::new();
+    for (_, event) in log.events() {
+        if let SimEvent::RequestCompleted {
+            server: Some(p), ..
+        } = event
+        {
+            *served.entry(*p).or_default() += 1;
+        }
+    }
+    let hop_counts: BTreeMap<u32, u64> = histograms(&runner, Family::HOPS)
+        .into_iter()
+        .filter(|&(p, _)| p != CLUSTER)
+        .map(|(p, h)| (p, h.count()))
+        .collect();
+    assert_eq!(served.len(), PROXIES as usize, "every proxy serves hits");
+    assert_eq!(hop_counts, served);
 }
