@@ -80,10 +80,12 @@ impl ProxyStats {
             SimEvent::ReplyOrphaned { .. } => self.replies_orphaned += 1,
             SimEvent::CacheInsert { .. } => self.cache_insertions += 1,
             SimEvent::CacheEvict { .. } => self.cache_evictions += 1,
+            // A restart drops state; it does no work to count.
             SimEvent::RequestInjected { .. }
             | SimEvent::RequestCompleted { .. }
             | SimEvent::BackwardAdoption { .. }
-            | SimEvent::TableMigration { .. } => {}
+            | SimEvent::TableMigration { .. }
+            | SimEvent::ProxyRestarted { .. } => {}
         }
     }
 

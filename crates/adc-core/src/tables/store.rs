@@ -14,8 +14,9 @@
 //! each heap write updates the moved slot's position in the same step.
 //! `MappingTables::assert_invariants` checks all of it.
 
-// Hot path (adc-lint's `HOT_PATH_FILES`): every lossy cast and every
-// index states its bound in an `#[expect]` reason.
+// Hot path (`HOT_PATH_FILES` in the root `tests/lint_ratchet.rs`, which
+// checks this header): every lossy cast and every index states its
+// bound in an `#[expect]` reason.
 #![cfg_attr(
     not(test),
     deny(

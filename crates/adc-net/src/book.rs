@@ -1,9 +1,9 @@
 //! The address book mapping logical node IDs to socket addresses.
 
 use adc_core::{ClientId, NodeId, ProxyId};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::net::SocketAddr;
+use std::sync::{PoisonError, RwLock};
 
 /// Maps [`NodeId`]s to the socket addresses where they listen.
 ///
@@ -33,7 +33,10 @@ impl AddressBook {
 
     /// Registers (or re-registers) a client's listen address.
     pub fn register_client(&self, client: ClientId, addr: SocketAddr) {
-        self.clients.write().insert(client.raw(), addr);
+        self.clients
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(client.raw(), addr);
     }
 
     /// Resolves a node to its socket address.
@@ -41,7 +44,12 @@ impl AddressBook {
         match node {
             NodeId::Proxy(p) => self.proxies.get(p.raw() as usize).copied(),
             NodeId::Origin => Some(self.origin),
-            NodeId::Client(c) => self.clients.read().get(&c.raw()).copied(),
+            NodeId::Client(c) => self
+                .clients
+                .read()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get(&c.raw())
+                .copied(),
         }
     }
 

@@ -3,13 +3,13 @@
 
 use crate::book::AddressBook;
 use crate::protocol::{Frame, TraceContext};
+use crate::sync::Mutex;
 use crate::trace::NodeTracer;
 use crate::transport::{connect, spawn_acceptor, write_frame, FrameReader, Pool};
 use adc_core::{ClientId, ObjectId, ProxyId, Reply, Request, RequestId};
 use adc_obs::netspan::{derive_trace_id, CLIENT_LANE};
 use adc_obs::SegmentKind;
 use bytes::Bytes;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};

@@ -5,11 +5,11 @@ use crate::book::AddressBook;
 use crate::client::{NetClient, TraceScrapeResult};
 use crate::flight::FlightRecorder;
 use crate::node::{OriginNode, ProxyNode};
+use crate::sync::Mutex;
 use crate::trace::NodeTracer;
 use adc_baselines::CarpProxy;
 use adc_core::{AdcConfig, AdcProxy, CacheAgent, ClientId, NullProbe, ProxyId, ProxyStats};
 use adc_obs::netspan::ORIGIN_LANE;
-use parking_lot::Mutex;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;

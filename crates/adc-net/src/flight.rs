@@ -12,11 +12,11 @@
 //! last causally-ordered evidence of what the node was doing.
 
 use crate::node::{render_node_metrics, ProxyNode};
+use crate::sync::Mutex;
 use crate::trace::NodeTracer;
 use adc_core::CacheAgent;
 use adc_obs::json::write_escaped;
 use adc_obs::netspan::write_net_span_json;
-use parking_lot::Mutex;
 use std::fmt::Write as _;
 use std::fs;
 use std::io;

@@ -58,6 +58,7 @@ mod driver;
 mod flight;
 mod node;
 pub mod protocol;
+pub mod sync;
 mod trace;
 pub mod transport;
 

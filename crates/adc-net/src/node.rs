@@ -3,6 +3,7 @@
 use crate::book::AddressBook;
 use crate::flight::FlightRecorder;
 use crate::protocol::{Frame, TraceContext, TraceScrape};
+use crate::sync::Mutex;
 use crate::trace::{NodeTracer, TraceCounters};
 use crate::transport::{spawn_acceptor, write_frame, FrameReader, Pool};
 use adc_core::{
@@ -13,7 +14,6 @@ use adc_metrics::{Family, Registry};
 use adc_obs::SegmentKind;
 use adc_workload::SizeModel;
 use bytes::Bytes;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;

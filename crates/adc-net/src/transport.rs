@@ -15,8 +15,8 @@
 //! the bytes in flight are bounded by the requests outstanding.
 
 use crate::protocol::{decode, encode_framed, Frame, MAX_FRAME};
+use crate::sync::Mutex;
 use bytes::Bytes;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Read, Write};

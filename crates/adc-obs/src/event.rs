@@ -4,7 +4,8 @@
 //! folds it into the agent's `ProxyStats`, queues the store change it
 //! names and hands it to the probe in one call, so the counters are a
 //! view of this stream. The simulator adds the flow events
-//! ([`SimEvent::RequestInjected`], [`SimEvent::RequestCompleted`]).
+//! ([`SimEvent::RequestInjected`], [`SimEvent::RequestCompleted`]) and
+//! the churn restarts ([`SimEvent::ProxyRestarted`]).
 //!
 //! Events use **raw identifiers** (`u32` proxies/clients, `u64` objects)
 //! rather than the `adc-core` newtypes: this crate sits *below* `adc-core`
@@ -175,6 +176,13 @@ pub enum SimEvent {
         /// The orphaned reply's object.
         object: u64,
     },
+    /// A scheduled restart emptied the proxy's tables, store and pending
+    /// requests (churn). No decision is counted: the occupancy it drops
+    /// was state, not work.
+    ProxyRestarted {
+        /// The restarted proxy.
+        proxy: u32,
+    },
 }
 
 /// The discriminant of a [`SimEvent`], for counting and labelling.
@@ -207,11 +215,13 @@ pub enum EventKind {
     CacheEvict,
     /// [`SimEvent::ReplyOrphaned`]
     ReplyOrphaned,
+    /// [`SimEvent::ProxyRestarted`]
+    ProxyRestarted,
 }
 
 impl EventKind {
     /// Every kind, in discriminant order.
-    pub const ALL: [EventKind; 13] = [
+    pub const ALL: [EventKind; 14] = [
         EventKind::RequestInjected,
         EventKind::RequestCompleted,
         EventKind::ForwardLearned,
@@ -225,6 +235,7 @@ impl EventKind {
         EventKind::CacheInsert,
         EventKind::CacheEvict,
         EventKind::ReplyOrphaned,
+        EventKind::ProxyRestarted,
     ];
 
     /// Number of kinds (length of [`EventKind::ALL`]).
@@ -247,6 +258,7 @@ impl EventKind {
             EventKind::CacheInsert => "cache_insert",
             EventKind::CacheEvict => "cache_evict",
             EventKind::ReplyOrphaned => "reply_orphaned",
+            EventKind::ProxyRestarted => "proxy_restarted",
         }
     }
 }
@@ -274,11 +286,12 @@ impl SimEvent {
             SimEvent::CacheInsert { .. } => EventKind::CacheInsert,
             SimEvent::CacheEvict { .. } => EventKind::CacheEvict,
             SimEvent::ReplyOrphaned { .. } => EventKind::ReplyOrphaned,
+            SimEvent::ProxyRestarted { .. } => EventKind::ProxyRestarted,
         }
     }
 
-    /// The proxy that emitted the event, when there is one (runner-level
-    /// flow events have none).
+    /// The proxy that emitted or underwent the event, when there is one
+    /// (runner-level flow events have none).
     pub fn proxy(&self) -> Option<u32> {
         match *self {
             SimEvent::RequestInjected { .. } | SimEvent::RequestCompleted { .. } => None,
@@ -292,12 +305,13 @@ impl SimEvent {
             | SimEvent::TableMigration { proxy, .. }
             | SimEvent::CacheInsert { proxy, .. }
             | SimEvent::CacheEvict { proxy, .. }
-            | SimEvent::ReplyOrphaned { proxy, .. } => Some(proxy),
+            | SimEvent::ReplyOrphaned { proxy, .. }
+            | SimEvent::ProxyRestarted { proxy } => Some(proxy),
         }
     }
 
-    /// The object the event concerns.
-    pub fn object(&self) -> u64 {
+    /// The object the event concerns; a restart concerns none.
+    pub fn object(&self) -> Option<u64> {
         match *self {
             SimEvent::RequestInjected { object, .. }
             | SimEvent::RequestCompleted { object, .. }
@@ -311,7 +325,8 @@ impl SimEvent {
             | SimEvent::TableMigration { object, .. }
             | SimEvent::CacheInsert { object, .. }
             | SimEvent::CacheEvict { object, .. }
-            | SimEvent::ReplyOrphaned { object, .. } => object,
+            | SimEvent::ReplyOrphaned { object, .. } => Some(object),
+            SimEvent::ProxyRestarted { .. } => None,
         }
     }
 }
@@ -386,12 +401,14 @@ mod tests {
                 proxy: 0,
                 object: 3,
             },
+            SimEvent::ProxyRestarted { proxy: 0 },
         ];
         assert_eq!(events.len(), EventKind::COUNT);
         let mut names = std::collections::BTreeSet::new();
         for (event, kind) in events.iter().zip(EventKind::ALL) {
             assert_eq!(event.kind(), kind);
-            assert_eq!(event.object(), 3);
+            let object = (kind != EventKind::ProxyRestarted).then_some(3);
+            assert_eq!(event.object(), object);
             assert!(names.insert(kind.name()), "duplicate name {}", kind);
         }
     }

@@ -97,6 +97,9 @@ pub fn write_event_json(out: &mut String, t_us: u64, event: &SimEvent) {
         | SimEvent::ReplyOrphaned { proxy, object } => {
             let _ = write!(out, ",\"proxy\":{proxy},\"object\":{object}");
         }
+        SimEvent::ProxyRestarted { proxy } => {
+            let _ = write!(out, ",\"proxy\":{proxy}");
+        }
     }
     out.push('}');
 }
@@ -247,6 +250,7 @@ mod tests {
                     object: 3,
                 },
             ),
+            (10, SimEvent::ProxyRestarted { proxy: 4 }),
         ];
         let jsonl = to_jsonl_string(&events);
         let lines: Vec<&str> = jsonl.lines().collect();
@@ -259,5 +263,9 @@ mod tests {
         assert!(lines[2].contains(r#""hit":true,"server":2,"hops":2"#));
         assert!(lines[3].contains(r#""to":2"#));
         assert!(lines[10].contains(r#""from":"single","to":"multiple""#));
+        assert_eq!(
+            lines.last().copied(),
+            Some(r#"{"t":10,"event":"proxy_restarted","proxy":4}"#)
+        );
     }
 }

@@ -171,6 +171,16 @@ impl Probe for MetricsProbe {
             SimEvent::CacheEvict { proxy, .. } => {
                 r.gauge_add(Family::CACHED_OBJECTS, proxy, -1);
             }
+            SimEvent::ProxyRestarted { proxy } => {
+                // The restart emptied every table and the store without
+                // a migration or eviction per entry. Gauges that never
+                // had a sample keep none.
+                for (gauge, _) in OCCUPANCY_FAMILIES {
+                    if r.gauge(gauge, proxy) != 0 {
+                        r.gauge_set(gauge, proxy, 0);
+                    }
+                }
+            }
             // `ProxyStats::fold` counts these; their families come from
             // rendering the agents' counters, not from this probe.
             SimEvent::LocalHit { .. }
@@ -388,6 +398,37 @@ mod tests {
             r.gauges().collect::<Vec<_>>(),
             vec![(Family::CACHED_OBJECTS, proxy, 0)]
         );
+    }
+
+    #[test]
+    fn a_restart_zeroes_its_proxys_occupancy_gauges() {
+        let mut p = MetricsProbe::with_cadence(0);
+        for proxy in [1, 2] {
+            p.emit(SimEvent::TableMigration {
+                proxy,
+                object: 9,
+                from: TableLevel::Multiple,
+                to: TableLevel::Caching,
+            });
+            p.emit(SimEvent::CacheInsert { proxy, object: 9 });
+        }
+        p.emit(SimEvent::ProxyRestarted { proxy: 1 });
+        let r = &p.registry;
+        assert_eq!(r.gauge(Family::CACHED_OBJECTS, 1), 0);
+        assert_eq!(r.gauge(Family::TABLE_CACHING, 1), 0);
+        // The multiple-table gauge went to -1 with the migration out of
+        // it; the restart resets it too.
+        assert_eq!(r.gauge(Family::TABLE_MULTIPLE, 1), 0);
+        // Other proxies keep theirs, and no gauge is created.
+        assert_eq!(r.gauge(Family::CACHED_OBJECTS, 2), 1);
+        assert_eq!(r.gauge(Family::TABLE_CACHING, 2), 1);
+        assert!(
+            r.gauges()
+                .all(|(family, _, _)| family != Family::TABLE_SINGLE),
+            "{:?}",
+            r.snapshot()
+        );
+        assert_eq!(r.counters().count(), 2, "only the two migrations count");
     }
 
     #[test]

@@ -611,14 +611,15 @@ impl Probe for SpanProbe {
                     seg_us: slot.seg_us,
                 });
             }
-            // Reply-path bookkeeping events carry no flow identity and
-            // happen at timestamps already covered by the surrounding
-            // segments; they never close deltas.
+            // Reply-path bookkeeping events and restarts carry no flow
+            // identity and happen at timestamps already covered by the
+            // surrounding segments; they never close deltas.
             SimEvent::BackwardAdoption { .. }
             | SimEvent::TableMigration { .. }
             | SimEvent::CacheInsert { .. }
             | SimEvent::CacheEvict { .. }
-            | SimEvent::ReplyOrphaned { .. } => {}
+            | SimEvent::ReplyOrphaned { .. }
+            | SimEvent::ProxyRestarted { .. } => {}
         }
     }
 }

@@ -105,40 +105,19 @@ pub struct SimConfig {
     /// Seed for all simulator-side randomness (agent RNG, assignment,
     /// faults). A run is a pure function of (workload, agents, config).
     pub seed: u64,
-    /// Synchronization tuning for
+    /// Execution-profiler switch for
     /// [`Simulation::run_sharded`](crate::Simulation::run_sharded).
-    /// Pure execution strategy: every combination of knobs produces
-    /// byte-identical reports (the knobs trade synchronization overhead
-    /// against parallelism), so the single-threaded runner ignores this
-    /// field entirely.
+    /// Pure measurement: the report bytes are the same with it on or
+    /// off, so the single-threaded runner ignores this field entirely.
     pub shard: ShardTuning,
 }
 
-/// Tuning knobs for the sharded executor's synchronization layer. The
-/// defaults are the fast path; the individual switches exist so the
-/// differential tests can pin each mechanism on and off and prove the
-/// report bytes never move.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The sharded executor's one setting. Its synchronization layer has
+/// no knobs: the pool sizes itself to the host, widening engages
+/// wherever it cannot move the report, and completions fold at every
+/// barrier (DESIGN.md §6c).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardTuning {
-    /// Worker threads for the persistent pool, spawned once per run —
-    /// lazily, on the first window with more than one active shard.
-    /// `None` sizes the pool to the machine (`min(cores, shards) - 1`;
-    /// the coordinator always executes shards too, so a single-core
-    /// host degrades to inline execution with zero thread overhead).
-    /// `Some(0)` forces fully inline execution; `Some(k)` forces `k`
-    /// workers regardless of the core count.
-    pub pool_threads: Option<usize>,
-    /// Adaptive window widening: when no shard can produce a
-    /// cross-shard message before the next grid barrier, jump the
-    /// barrier straight to the lookahead-aligned window containing the
-    /// earliest possible cross-shard send instead of stepping one
-    /// window at a time (conservatism argument in DESIGN.md §6c).
-    pub widen: bool,
-    /// Fold completion records on the coordinator every this many
-    /// barriers instead of at every barrier, in runs where nothing
-    /// observes per-window state (see DESIGN.md §6c for the exact
-    /// gating). `0` and `1` both mean "fold every barrier".
-    pub fold_batch: u32,
     /// Collect the wall-clock execution profile
     /// ([`SimReport::shard_profile`](crate::SimReport::shard_profile)):
     /// per-shard drain times, coordinator barrier-wait time,
@@ -147,17 +126,6 @@ pub struct ShardTuning {
     /// never move — but each window pays a few clock reads, so it is
     /// off by default.
     pub profile: bool,
-}
-
-impl Default for ShardTuning {
-    fn default() -> Self {
-        ShardTuning {
-            pool_threads: None,
-            widen: true,
-            fold_batch: 16,
-            profile: false,
-        }
-    }
 }
 
 impl Default for SimConfig {

@@ -18,8 +18,9 @@
 //!
 //! [`RequestRecord`]: adc_workload::RequestRecord
 
-// Hot path (adc-lint's `HOT_PATH_FILES`): every lossy cast and every
-// index states its bound in an `#[expect]` reason.
+// Hot path (`HOT_PATH_FILES` in the root `tests/lint_ratchet.rs`, which
+// checks this header): every lossy cast and every index states its
+// bound in an `#[expect]` reason.
 #![cfg_attr(
     not(test),
     deny(

@@ -1,37 +1,33 @@
 //! Persistent worker pool for the sharded executor.
 //!
-//! PR 6's coordinator spawned fresh OS threads through
-//! `std::thread::scope` for *every* lookahead window — tens of thousands
-//! of spawns per run, which is why 4-shard execution measured slower
-//! than one thread. This module replaces that with threads spawned
-//! **once per run** (lazily, on the first window that has more than one
-//! active shard) and a sense-reversing barrier built from four atomics:
+//! Worker threads are spawned once per run, lazily, on the first window
+//! that has more than one active shard, and serve every later window.
+//! The barrier between the coordinator and the workers is one
+//! `Mutex<State>`, with `thread::park`/`unpark` for the waits:
 //!
 //! * `epoch` — the publication counter. The coordinator bumps it to
-//!   announce "a new window is ready"; a worker that has seen epoch `e`
-//!   sleeps (`thread::park`) until the value differs from `e`.
-//! * `window_end` — the barrier timestamp of the published window,
-//!   written before the epoch bump and read by workers after they claim
-//!   work (release/acquire pairing through `epoch` and `cursor`).
-//! * `cursor` — the claim index. Every participant (workers *and* the
-//!   coordinator, which always executes shards too) does
-//!   `fetch_add(1)` and runs the shard cell at the returned index until
-//!   the cursor passes the cell count. Claiming distributes load
-//!   dynamically: a worker stuck on a heavy shard simply claims fewer
-//!   cells, and a pool smaller than the shard count still executes every
-//!   shard.
-//! * `done` — the completion counter. The participant whose increment
-//!   completes the last cell unparks the coordinator, which waits for
-//!   `done == cells` before touching any shard again.
+//!   announce a new window; a worker that has seen epoch `e` parks until
+//!   the value differs from `e`.
+//! * `window_end` — the barrier timestamp of the published window.
+//! * `cursor` — the claim index. Every participant (the workers and the
+//!   coordinator, which always executes shards too) takes the next index
+//!   and runs that shard cell, until the cursor passes the cell count.
+//!   A worker stuck on a heavy shard simply claims fewer cells, and a
+//!   pool smaller than the shard count still executes every shard.
+//! * `done` — cells finished this window. The participant that finishes
+//!   the last one unparks the coordinator, which waits for
+//!   `done == cells` before it touches any shard again.
+//! * `shutdown` — set when the run ends, and also when the coordinator
+//!   unwinds, so every worker leaves its loop and the scope can join it.
+//! * `panic` — the payload of the first cell that panicked this window.
+//!   The cell still counts as done, so the barrier completes, and the
+//!   coordinator re-raises the panic there instead of parking forever.
 //!
-//! Shard state lives in `Mutex` cells. The locks are *never contended*
-//! by construction — the claim cursor hands each cell to exactly one
-//! participant per window, and the coordinator only locks between
-//! barriers, while every worker is parked or draining other cells — so
-//! each lock is a handful of uncontended atomic operations per window.
-//! They exist to make the hand-off points explicit and safe: the mutex
-//! acquire/release pairs are exactly the synchronization edges of the
-//! barrier protocol.
+//! The state lock is held only to claim, count or publish, never while
+//! a cell runs. Shard state lives in `Mutex` cells whose locks are
+//! never contended: the cursor hands each cell to exactly one
+//! participant per window, and the coordinator only locks the cells
+//! between barriers, while every worker is parked or idle.
 //!
 //! # Determinism
 //!
@@ -39,13 +35,13 @@
 //! computes: a window's work is a pure function of the cell's own state
 //! and `window_end`, cells never touch each other inside a window, and
 //! the coordinator observes results only after the `done` barrier. Every
-//! schedule therefore produces bit-identical shard states — including
+//! schedule therefore produces bit-identical shard states, including
 //! the degenerate schedule with zero workers, where the coordinator
-//! claims every cell itself (the automatic behaviour on a single-core
-//! host, and the forced behaviour under `pool_threads: Some(0)`).
+//! claims every cell itself (a single-core host).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread::{self, Thread};
 #[expect(
     clippy::disallowed_types,
@@ -71,36 +67,60 @@ pub(crate) struct WindowTiming {
     pub wait_ns: u64,
 }
 
-/// The barrier word shared by the coordinator and every worker.
+/// The barrier state shared by the coordinator and every worker (see
+/// the module docs for each field's role).
+struct State {
+    epoch: u64,
+    window_end: u64,
+    cursor: usize,
+    done: usize,
+    shutdown: bool,
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+/// The barrier: its state behind one lock, and whom to wake when the
+/// last cell of a window is done.
 struct Ctl {
-    epoch: AtomicU64,
-    window_end: AtomicU64,
-    cursor: AtomicUsize,
-    done: AtomicUsize,
-    shutdown: AtomicBool,
+    state: Mutex<State>,
     /// Parked-coordinator handle for the last-finisher unpark.
     coordinator: Thread,
 }
 
-/// Drains every cell the claim cursor hands out; shared verbatim by
-/// workers and the coordinator's own participation loop.
-fn claim_and_run<W: WindowTask>(ctl: &Ctl, cells: &[Mutex<W>]) {
+impl Ctl {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        // Cell panics are caught before they can unwind through this
+        // lock, so poisoning would only follow a panic inside the pool
+        // itself; the state stays consistent either way.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Runs every cell the claim cursor hands out, starting from the held
+/// `state` lock; shared verbatim by workers and the coordinator's own
+/// participation.
+fn claim_and_run<'a, W: WindowTask>(
+    ctl: &'a Ctl,
+    mut state: MutexGuard<'a, State>,
+    cells: &[Mutex<W>],
+) {
     let n = cells.len();
-    loop {
-        let i = ctl.cursor.fetch_add(1, Ordering::AcqRel);
-        if i >= n {
-            return;
-        }
-        let window_end = ctl.window_end.load(Ordering::Acquire);
-        {
-            // Uncontended by protocol (see module docs); a poisoned cell
-            // means another participant panicked and the run is already
-            // lost — propagate by running anyway and letting the
-            // coordinator's own unwind surface it.
+    while state.cursor < n {
+        let i = state.cursor;
+        state.cursor += 1;
+        let window_end = state.window_end;
+        drop(state);
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            // Uncontended by protocol (see module docs). A poisoned cell
+            // only follows a panic the coordinator is already re-raising.
             let mut cell = cells[i].lock().unwrap_or_else(PoisonError::into_inner);
             cell.run_window(window_end);
+        }));
+        state = ctl.lock();
+        if let Err(payload) = outcome {
+            state.panic.get_or_insert(payload);
         }
-        if ctl.done.fetch_add(1, Ordering::AcqRel) + 1 == n {
+        state.done += 1;
+        if state.done == n {
             ctl.coordinator.unpark();
         }
     }
@@ -112,25 +132,24 @@ fn worker_loop<W: WindowTask>(ctl: &Ctl, cells: &[Mutex<W>]) {
     // triggered its spawn.
     let mut seen = 0u64;
     loop {
-        let epoch = ctl.epoch.load(Ordering::Acquire);
-        if epoch == seen {
-            if ctl.shutdown.load(Ordering::Acquire) {
-                return;
-            }
+        let state = ctl.lock();
+        if state.shutdown {
+            return;
+        }
+        if state.epoch == seen {
+            drop(state);
             // A stale unpark token only costs one spin of this loop.
             thread::park();
             continue;
         }
-        seen = epoch;
-        if ctl.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        claim_and_run(ctl, cells);
+        seen = state.epoch;
+        claim_and_run(ctl, state, cells);
     }
 }
 
 /// A run-scoped handle to the worker pool; created by [`with_pool`],
-/// which owns the `thread::scope` the workers live in.
+/// which owns the `thread::scope` the workers live in. Dropping it,
+/// normally or while the coordinator unwinds, shuts the workers down.
 pub(crate) struct Pool<'scope, 'env, W> {
     scope: &'scope thread::Scope<'scope, 'env>,
     ctl: &'env Ctl,
@@ -141,7 +160,7 @@ pub(crate) struct Pool<'scope, 'env, W> {
     workers: Vec<Thread>,
 }
 
-impl<W: WindowTask> Pool<'_, '_, W> {
+impl<'env, W: WindowTask> Pool<'_, 'env, W> {
     /// Workers actually spawned so far (the `pool_spawns` telemetry —
     /// the run-level count reaches callers via [`with_pool`]'s return).
     #[cfg(test)]
@@ -154,9 +173,14 @@ impl<W: WindowTask> Pool<'_, '_, W> {
     /// work; at most `hint - 1` workers are woken (the coordinator
     /// participates), and missing workers are spawned on demand —
     /// so a run that never needs parallelism never creates a thread.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the panic of any cell that panicked in this window,
+    /// on whichever thread it ran.
     pub(crate) fn run_window(&mut self, window_end: u64, parallelism_hint: usize) {
-        self.dispatch(window_end, parallelism_hint);
-        claim_and_run(self.ctl, self.cells);
+        let state = self.dispatch(window_end, parallelism_hint);
+        claim_and_run(self.ctl, state, self.cells);
         self.wait_barrier();
     }
 
@@ -173,9 +197,9 @@ impl<W: WindowTask> Pool<'_, '_, W> {
         window_end: u64,
         parallelism_hint: usize,
     ) -> WindowTiming {
-        self.dispatch(window_end, parallelism_hint);
+        let state = self.dispatch(window_end, parallelism_hint);
         let t0 = Instant::now();
-        claim_and_run(self.ctl, self.cells);
+        claim_and_run(self.ctl, state, self.cells);
         // Cell work is done; everything past here is barrier stall.
         let t1 = Instant::now();
         self.wait_barrier();
@@ -187,8 +211,10 @@ impl<W: WindowTask> Pool<'_, '_, W> {
     }
 
     /// Publishes a window to the pool: spawns any still-missing workers,
-    /// resets the barrier words, bumps the epoch and wakes the workers.
-    fn dispatch(&mut self, window_end: u64, parallelism_hint: usize) {
+    /// resets the claim cursor and the done count, bumps the epoch and
+    /// wakes the workers. Returns the state lock, still held, for the
+    /// coordinator's own first claim.
+    fn dispatch(&mut self, window_end: u64, parallelism_hint: usize) -> MutexGuard<'env, State> {
         let want = parallelism_hint.saturating_sub(1).min(self.target_workers);
         while self.workers.len() < want {
             let ctl = self.ctl;
@@ -201,46 +227,68 @@ impl<W: WindowTask> Pool<'_, '_, W> {
             let handle = self.scope.spawn(move || worker_loop(ctl, cells));
             self.workers.push(handle.thread().clone());
         }
-        // ordering: Relaxed — the AcqRel epoch bump below is the sole
-        // publication point; workers read this only after acquire-epoch.
-        self.ctl.done.store(0, Ordering::Relaxed);
-        // ordering: Relaxed — published by the same epoch bump as above.
-        self.ctl.window_end.store(window_end, Ordering::Relaxed);
-        self.ctl.cursor.store(0, Ordering::Release);
-        // The release bump publishes done/window_end/cursor to any
-        // worker whose acquire load observes the new epoch.
-        self.ctl.epoch.fetch_add(1, Ordering::AcqRel);
+        let mut state = self.ctl.lock();
+        state.epoch += 1;
+        state.window_end = window_end;
+        state.cursor = 0;
+        state.done = 0;
         for worker in self.workers.iter().take(want) {
             worker.unpark();
         }
+        state
     }
 
-    /// Parks until every cell of the published window is done. The last
-    /// finisher unparks us, and leftover unpark tokens from earlier
-    /// windows merely make one park return early — the loop re-checks.
+    /// Parks until every cell of the published window is done, then
+    /// re-raises the first cell panic, if any. The last finisher unparks
+    /// us, and leftover unpark tokens from earlier windows merely make
+    /// one park return early — the loop re-checks.
     fn wait_barrier(&self) {
         let n = self.cells.len();
-        while self.ctl.done.load(Ordering::Acquire) < n {
+        loop {
+            let mut state = self.ctl.lock();
+            if state.done == n {
+                if let Some(payload) = state.panic.take() {
+                    drop(state);
+                    panic::resume_unwind(payload);
+                }
+                return;
+            }
+            drop(state);
             thread::park();
         }
     }
 }
 
+impl<W> Drop for Pool<'_, '_, W> {
+    fn drop(&mut self) {
+        // Every worker is parked or idle here (windows end at the
+        // barrier, and cell panics are caught), so none is mid-claim.
+        self.ctl.lock().shutdown = true;
+        for worker in &self.workers {
+            worker.unpark();
+        }
+    }
+}
+
 /// Runs `body` with a lazily-spawned worker pool over `cells`, joining
-/// every worker before returning. `target_workers` caps the pool size;
-/// 0 means `body` still gets a pool but every window runs inline on the
-/// calling thread.
+/// every worker before returning, also when `body` panics. Returns
+/// `body`'s result and the number of workers spawned. `target_workers`
+/// caps the pool size; 0 means `body` still gets a pool but every
+/// window runs inline on the calling thread.
 pub(crate) fn with_pool<W: WindowTask, R>(
     cells: &[Mutex<W>],
     target_workers: usize,
     body: impl FnOnce(&mut Pool<'_, '_, W>) -> R,
 ) -> (R, usize) {
     let ctl = Ctl {
-        epoch: AtomicU64::new(0),
-        window_end: AtomicU64::new(0),
-        cursor: AtomicUsize::new(cells.len()),
-        done: AtomicUsize::new(0),
-        shutdown: AtomicBool::new(false),
+        state: Mutex::new(State {
+            epoch: 0,
+            window_end: 0,
+            cursor: cells.len(),
+            done: 0,
+            shutdown: false,
+            panic: None,
+        }),
         coordinator: thread::current(),
     };
     #[expect(
@@ -257,13 +305,6 @@ pub(crate) fn with_pool<W: WindowTask, R>(
             workers: Vec::new(),
         };
         let result = body(&mut pool);
-        // Wake everyone into the shutdown check; the cursor is already
-        // exhausted from the last window, so nobody claims work.
-        ctl.shutdown.store(true, Ordering::Release);
-        ctl.epoch.fetch_add(1, Ordering::AcqRel);
-        for worker in &pool.workers {
-            worker.unpark();
-        }
         (result, pool.workers.len())
     })
 }
@@ -271,7 +312,7 @@ pub(crate) fn with_pool<W: WindowTask, R>(
 /// Default pool size for `shards` shard cells: one participant per
 /// available core, minus the coordinator (which always executes shards
 /// too), and never more than could be useful. On a single-core host
-/// this is 0 — fully inline execution, no threads, no atomics traffic.
+/// this is 0 — fully inline execution, no threads.
 pub(crate) fn default_workers(shards: usize) -> usize {
     let cores = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     cores.min(shards).saturating_sub(1)
@@ -280,6 +321,8 @@ pub(crate) fn default_workers(shards: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Arc, Barrier};
+    use std::time::Duration;
 
     struct Counter {
         runs: u64,
@@ -348,7 +391,7 @@ mod tests {
         impl WindowTask for Sleeper {
             fn run_window(&mut self, _window_end: u64) {
                 self.0 += 1;
-                std::thread::sleep(std::time::Duration::from_millis(2));
+                thread::sleep(Duration::from_millis(2));
             }
         }
         // Inline (zero workers): the coordinator drains every cell
@@ -378,6 +421,62 @@ mod tests {
         for cell in &cells {
             assert_eq!(cell.lock().unwrap().0, 5);
         }
+    }
+
+    /// A cell that panics on a worker fails the run: it still counts as
+    /// done, so the barrier completes, and the coordinator re-raises the
+    /// worker's panic instead of parking forever. The run goes on a
+    /// helper thread so that a hang fails this test after 10 s.
+    #[test]
+    fn a_worker_panic_fails_the_run() {
+        // Both cells meet at a two-party barrier, so they run on two
+        // threads at once: the coordinator's and the worker's.
+        struct PanicsOnWorker {
+            coordinator: thread::ThreadId,
+            meet: Arc<Barrier>,
+        }
+        impl WindowTask for PanicsOnWorker {
+            fn run_window(&mut self, _window_end: u64) {
+                self.meet.wait();
+                assert_eq!(
+                    thread::current().id(),
+                    self.coordinator,
+                    "cell panicked on a worker"
+                );
+            }
+        }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a helper thread, so that the test can time a hang out"
+        )]
+        let run = thread::spawn(|| {
+            let coordinator = thread::current().id();
+            let meet = Arc::new(Barrier::new(2));
+            let cells: Vec<Mutex<PanicsOnWorker>> = (0..2)
+                .map(|_| {
+                    Mutex::new(PanicsOnWorker {
+                        coordinator,
+                        meet: Arc::clone(&meet),
+                    })
+                })
+                .collect();
+            with_pool(&cells, 1, |pool| pool.run_window(1, 2))
+        });
+        for _ in 0..1_000 {
+            if run.is_finished() {
+                break;
+            }
+            thread::sleep(Duration::from_millis(10));
+        }
+        assert!(
+            run.is_finished(),
+            "the coordinator was still parked at the barrier after 10 s"
+        );
+        let payload = run
+            .join()
+            .expect_err("the worker's panic must fail the run");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert!(message.contains("cell panicked on a worker"), "{message}");
     }
 
     /// Workers spawn lazily and only up to the useful count.

@@ -12,8 +12,9 @@
 //! is total and never depends on push order; `tests/queue_order.rs` pins
 //! it, ties on `at` pushed out of `seq` order included.
 
-// Hot path (adc-lint's `HOT_PATH_FILES`): every lossy cast and every
-// index states its bound in an `#[expect]` reason.
+// Hot path (`HOT_PATH_FILES` in the root `tests/lint_ratchet.rs`, which
+// checks this header): every lossy cast and every index states its
+// bound in an `#[expect]` reason.
 #![cfg_attr(
     not(test),
     deny(

@@ -29,14 +29,15 @@ impl PhaseStats {
 
 /// Synchronization-layer telemetry from the sharded executor: evidence
 /// the persistent worker pool and adaptive window widening actually
-/// engaged on a given run. Host- and tuning-dependent by design, so it
-/// rides next to the wall/CPU clocks rather than in the canonical JSON.
+/// engaged on a given run. Host-dependent by design, so it rides next
+/// to the wall/CPU clocks rather than in the canonical JSON.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardExecStats {
     /// Worker threads the persistent pool actually spawned — at most
-    /// once each for the whole run. 0 means every window ran inline on
-    /// the coordinator (single-core host, sequential injection, or
-    /// `pool_threads: Some(0)`).
+    /// once each for the whole run, and at most one per core beyond the
+    /// coordinator's. 0 means every window ran inline on the
+    /// coordinator (single-core host, one shard, or sequential
+    /// injection).
     pub pool_spawns: u64,
     /// Barrier rounds the coordinator executed (windows run).
     pub windows_advanced: u64,
@@ -226,8 +227,8 @@ pub struct SimReport {
     /// (`None` for single-threaded runs). Like the wall/CPU clocks this
     /// is *excluded* from [`to_deterministic_json`]: `pool_spawns`
     /// depends on the host's core count, and the widening schedule is a
-    /// function of the shard count and tuning knobs, while the
-    /// canonical JSON must be invariant across both.
+    /// function of the shard count, while the canonical JSON must be
+    /// invariant across both.
     ///
     /// [`to_deterministic_json`]: SimReport::to_deterministic_json
     pub shard_exec: Option<ShardExecStats>,

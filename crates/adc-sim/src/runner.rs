@@ -4,8 +4,9 @@
 //! file adds only the schedule, plus what the sharded engine rejects:
 //! fault duplicates, churn, and the delivery trace log.
 
-// Hot path (adc-lint's `HOT_PATH_FILES`): every lossy cast and every
-// index states its bound in an `#[expect]` reason.
+// Hot path (`HOT_PATH_FILES` in the root `tests/lint_ratchet.rs`, which
+// checks this header): every lossy cast and every index states its
+// bound in an `#[expect]` reason.
 #![cfg_attr(
     not(test),
     deny(
@@ -25,7 +26,7 @@ use crate::report::SimReport;
 use crate::time::SimTime;
 use crate::tracelog::{DeliveryRecord, TraceLog};
 use adc_core::{CacheAgent, Message, ProxyId};
-use adc_obs::{NullProbe, Probe};
+use adc_obs::{NullProbe, Probe, SimEvent};
 use adc_workload::RequestRecord;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -216,6 +217,11 @@ impl<A: CacheAgent> Simulation<A> {
                 if let Some(agent) = proxies.agents.get_mut(c.proxy.raw() as usize) {
                     agent.reset();
                     proxies_reset += 1;
+                    if P::ENABLED {
+                        probe.emit(SimEvent::ProxyRestarted {
+                            proxy: c.proxy.raw(),
+                        });
+                    }
                 }
                 churn_idx += 1;
             }

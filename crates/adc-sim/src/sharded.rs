@@ -45,17 +45,17 @@
 //!
 //! # Synchronization layer
 //!
-//! Three mechanisms amortize the barrier cost (all tunable through
-//! [`ShardTuning`](crate::ShardTuning); every setting produces identical
-//! report bytes):
+//! Two mechanisms amortize the barrier cost; neither has a knob, and
+//! neither moves a report byte:
 //!
 //! 1. **Persistent worker pool** ([`pool`](crate::pool) module): shard
 //!    threads are spawned at most once per run — lazily, on the first
 //!    window with more than one active shard — and windows are dispatched
-//!    through a sense-reversing barrier with a claim cursor, instead of
-//!    spawning fresh OS threads every window. On a single-core host the
-//!    pool sizes itself to zero workers and every window runs inline on
-//!    the coordinator.
+//!    through one mutex-guarded barrier with a claim cursor, instead of
+//!    spawning fresh OS threads every window. The pool has
+//!    `min(cores, shards) - 1` workers, since the coordinator drains
+//!    shards too; on a single-core host it has none and every window
+//!    runs inline on the coordinator.
 //! 2. **Adaptive window widening**: each shard maintains counts of its
 //!    pending proxy-bound and origin-bound events, from which the
 //!    coordinator derives a conservative lower bound on the earliest
@@ -71,13 +71,11 @@
 //!    sampling (occupancy series, convergence snapshots, metrics
 //!    probes) in open-loop mode — sequential windows hold at most one
 //!    completion, so sequential folds see identical agent state — and is
-//!    therefore automatically disabled in exactly those runs.
-//! 3. **Batched coordinator folds**: completions accumulate in reusable
-//!    per-shard buffers and fold every `fold_batch` barriers. The fold
-//!    replays the same `(at, flow_seq)`-sorted global sequence with the
-//!    same injection-settling tie rule whatever the batching, so it is
-//!    enabled under the same gate as widening (and never in sequential
-//!    mode, whose folds drive re-injection).
+//!    therefore off in exactly those runs.
+//!
+//! The coordinator folds each barrier's completions, gathered from the
+//! shards into one reused buffer and sorted by `(at, flow_seq)`, before
+//! it opens the next window.
 //!
 //! # Unsupported configurations
 //!
@@ -87,8 +85,9 @@
 //! flow by request id, which only the runner's flow table keeps), and the
 //! trace log is inherently a single totally-ordered stream.
 
-// Hot path (adc-lint's `HOT_PATH_FILES`): every lossy cast and every
-// index states its bound in an `#[expect]` reason.
+// Hot path (`HOT_PATH_FILES` in the root `tests/lint_ratchet.rs`, which
+// checks this header): every lossy cast and every index states its
+// bound in an `#[expect]` reason.
 #![cfg_attr(
     not(test),
     deny(
@@ -702,30 +701,14 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
     let mut peak_flows: usize = 0;
     let mut workload_done = false;
 
-    // Synchronization tuning (see ShardTuning). Widening and batched
-    // folds move barrier placement, which is observable only by
+    // Widening moves barrier placement, which is observable only by
     // barrier-driven state sampling (occupancy series, convergence
     // snapshots, metrics probes) in open-loop runs; sequential mode is
     // immune — each of its folds sees at most one completion, with all
-    // of that flow's agent mutations already settled. Gate both
-    // features off exactly when an open-loop run samples state at
-    // barriers, so every tuning combination yields identical bytes.
-    let state_samplers = ledger.samples_state() || P::ENABLED;
-    let widen = config.shard.widen && (sequential || !state_samplers);
-    let fold_every: u32 = if sequential || state_samplers {
-        // Sequential folds drive re-injection and must run every
-        // barrier; sampling runs pin the legacy fold cadence.
-        1
-    } else {
-        config.shard.fold_batch.max(1)
-    };
-    // The coordinator always executes shards too, so more workers than
-    // `shards - 1` could never claim a cell.
-    let workers = config
-        .shard
-        .pool_threads
-        .unwrap_or_else(|| pool::default_workers(shards_n))
-        .min(shards_n.saturating_sub(1));
+    // of that flow's agent mutations already settled. So widen unless
+    // an open-loop run samples state at barriers.
+    let widen = sequential || !(ledger.samples_state() || P::ENABLED);
+    let workers = pool::default_workers(shards_n);
 
     let interval_us = match config.injection {
         InjectionMode::Sequential => 0,
@@ -743,75 +726,10 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
     let mut coord_prof: Option<CoordProf> = config.shard.profile.then(CoordProf::new);
     // Reusable fold buffer: every shard's completions, sorted globally.
     let mut records_buf: Vec<Completion> = Vec::new();
-    // Barriers since the last fold, and the latest barrier timestamp
-    // (the settling horizon of a deferred fold).
-    let mut fold_pending: u32 = 0;
-    let mut last_window_end: u64 = 0;
 
     let cells: Vec<Mutex<Shard<A, P>>> = shards.into_iter().map(Mutex::new).collect();
     let ((), spawned) = pool::with_pool(&cells, workers, |pool| {
         let mut guards = lock_all(&cells);
-
-        // Canonical completion fold: replay the `(at, flow_seq)`-sorted
-        // global completion sequence through the model's fold, then
-        // settle injections up to the fold horizon. A macro rather than
-        // a closure so each expansion can borrow the coordinator's whole
-        // local state.
-        macro_rules! fold_completions {
-            ($fold_end:expr) => {{
-                let fold_end: u64 = $fold_end;
-                records_buf.clear();
-                for shard in guards.iter_mut() {
-                    records_buf.append(&mut shard.records);
-                }
-                records_buf.sort_unstable_by_key(|r| (r.at, r.id.seq));
-                for rec in records_buf.iter() {
-                    // Flows injected before this completion went live
-                    // first (completions settle first on exact
-                    // timestamp ties, the model's tie rule).
-                    while inj_times.front().is_some_and(|&t| t < rec.at) {
-                        inj_times.pop_front();
-                        live_flows += 1;
-                        peak_flows = peak_flows.max(live_flows);
-                    }
-                    live_flows = live_flows.saturating_sub(1);
-                    #[expect(
-                        clippy::indexing_slicing,
-                        reason = "proxy p lives on shard p % N at local index p / N"
-                    )]
-                    let agent = |p: usize| &guards[p % shards_n].proxies.agents[p / shards_n];
-                    ledger.complete(rec, &mut coord_probe, agent);
-                    if coord_probe.sample_due() {
-                        // The shard probes hold the occupancy gauges.
-                        for shard in guards.iter_mut() {
-                            shard.probe.barrier_sample();
-                        }
-                    }
-                    // Sequential: the completed flow hands its slot to
-                    // the next workload request, injected at the
-                    // completion instant.
-                    if sequential && !workload_done {
-                        workload_done = !inject_next(
-                            SimTime::from_micros(rec.at),
-                            &mut guards,
-                            &mut workload,
-                            &mut ledger,
-                            &net,
-                            &mut coord_probe,
-                            &mut inj_times,
-                        );
-                    }
-                }
-                // Settle injections up to the fold horizon so the
-                // live-flow counter tracks time order even across
-                // completion-free windows.
-                while inj_times.front().is_some_and(|&t| t < fold_end) {
-                    inj_times.pop_front();
-                    live_flows += 1;
-                    peak_flows = peak_flows.max(live_flows);
-                }
-            }};
-        }
 
         // Prime the pump. Sequential injects the first request at t=0;
         // open-loop arrivals are generated window by window below.
@@ -840,10 +758,7 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                 min_next = min_next.min(next_inject_at + client_proxy_us);
             }
             if min_next == u64::MAX {
-                // Drained. Fold any deferred completions before leaving.
-                if fold_pending > 0 {
-                    fold_completions!(last_window_end);
-                }
+                // Drained; the last barrier folded every completion.
                 break;
             }
             let grid_end = (min_next / window_us) * window_us + window_us;
@@ -891,8 +806,7 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
             // `inj_times` before any fold that could observe a
             // completion after them, which makes the live-flow
             // interleave pure global time order, independent of
-            // barrier placement (fold batching, widening, shard
-            // count).
+            // barrier placement (widening, shard count).
             if interval_us > 0 {
                 while !workload_done && next_inject_at < window_end {
                     if inject_next(
@@ -930,19 +844,12 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                 match coord_prof.as_mut() {
                     None => pool.run_window(window_end, active),
                     Some(cp) => {
-                        #[expect(
-                            clippy::disallowed_methods,
-                            clippy::disallowed_types,
-                            reason = "profiler telemetry only"
-                        )]
-                        let t0 = Instant::now();
                         let t = pool.run_window_timed(window_end, active);
                         // Wall-clock split from the pool, outside the
                         // SimEvent stream.
                         cp.busy_ns += t.busy_ns;
                         cp.wait_ns += t.wait_ns;
-                        // The wait slice starts where the coordinator's
-                        // own claim share ended.
+                        // The wait slice ends at the barrier, just now.
                         let wait_us = t.wait_ns / 1_000;
                         if wait_us > 0 {
                             if cp.wait_slices.len() < ShardProfile::MAX_SLICES {
@@ -950,8 +857,8 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                                     // Coordinator lane sits after the
                                     // shard lanes.
                                     lane: shards_n as u32,
-                                    start_us: t0.duration_since(wall_start).as_micros() as u64
-                                        + t.busy_ns / 1_000,
+                                    start_us: (wall_start.elapsed().as_micros() as u64)
+                                        .saturating_sub(wait_us),
                                     dur_us: wait_us,
                                     wait: true,
                                 });
@@ -1027,11 +934,58 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                 }
             }
 
-            last_window_end = window_end;
-            fold_pending += 1;
-            if fold_pending >= fold_every {
-                fold_completions!(window_end);
-                fold_pending = 0;
+            // Canonical completion fold: replay the `(at, flow_seq)`-sorted
+            // global completion sequence through the model's fold, then
+            // settle injections up to the barrier.
+            records_buf.clear();
+            for shard in guards.iter_mut() {
+                records_buf.append(&mut shard.records);
+            }
+            records_buf.sort_unstable_by_key(|r| (r.at, r.id.seq));
+            for rec in &records_buf {
+                // Flows injected before this completion went live first
+                // (completions settle first on exact timestamp ties, the
+                // model's tie rule).
+                while inj_times.front().is_some_and(|&t| t < rec.at) {
+                    inj_times.pop_front();
+                    live_flows += 1;
+                    peak_flows = peak_flows.max(live_flows);
+                }
+                live_flows = live_flows.saturating_sub(1);
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "proxy p lives on shard p % N at local index p / N"
+                )]
+                let agent = |p: usize| &guards[p % shards_n].proxies.agents[p / shards_n];
+                ledger.complete(rec, &mut coord_probe, agent);
+                if coord_probe.sample_due() {
+                    // The shard probes hold the occupancy gauges.
+                    for shard in guards.iter_mut() {
+                        shard.probe.barrier_sample();
+                    }
+                }
+                // Sequential: the completed flow hands its slot to the
+                // next workload request, injected at the completion
+                // instant.
+                if sequential && !workload_done {
+                    workload_done = !inject_next(
+                        SimTime::from_micros(rec.at),
+                        &mut guards,
+                        &mut workload,
+                        &mut ledger,
+                        &net,
+                        &mut coord_probe,
+                        &mut inj_times,
+                    );
+                }
+            }
+            // Settle injections up to the barrier so the live-flow
+            // counter tracks time order even across completion-free
+            // windows.
+            while inj_times.front().is_some_and(|&t| t < window_end) {
+                inj_times.pop_front();
+                live_flows += 1;
+                peak_flows = peak_flows.max(live_flows);
             }
         }
         drop(guards);
@@ -1221,12 +1175,13 @@ mod tests {
     }
 
     #[test]
-    fn tuning_matrix_is_byte_identical() {
-        // Every synchronization knob is pure execution strategy: the
-        // deterministic report bytes must not move across any pool /
-        // widening / fold-batch combination, in either injection mode,
-        // with barrier-driven state sampling on and off.
-        use crate::config::ShardTuning;
+    fn profiling_and_widening_never_move_the_bytes() {
+        // Widening and the pool are execution strategy and profiling is
+        // measurement: the 3-shard report must equal the runner's, in
+        // both injection modes, with profiling on and off. The one
+        // exception is open loop with occupancy sampling, which samples
+        // at barriers (widening stays off there); it must equal the
+        // 1-shard report instead.
         let workload = || StationaryZipf::new(100, 0.9, 4, 5).take(1_000);
         for open_loop in [false, true] {
             for occupancy in [false, true] {
@@ -1237,32 +1192,22 @@ mod tests {
                         interval: SimTime::from_micros(60),
                     };
                 }
-                let reference = Simulation::new(adc_agents(3), base.clone())
-                    .run_sharded(workload(), 3)
-                    .to_deterministic_json();
-                for pool_threads in [Some(0), Some(2)] {
-                    for widen in [false, true] {
-                        for fold_batch in [1, 7] {
-                            for profile in [false, true] {
-                                let mut c = base.clone();
-                                c.shard = ShardTuning {
-                                    pool_threads,
-                                    widen,
-                                    fold_batch,
-                                    profile,
-                                };
-                                let r =
-                                    Simulation::new(adc_agents(3), c).run_sharded(workload(), 3);
-                                assert_eq!(
-                                    reference,
-                                    r.to_deterministic_json(),
-                                    "bytes moved at open_loop={open_loop} \
-                                     occupancy={occupancy} pool={pool_threads:?} \
-                                     widen={widen} fold={fold_batch} profile={profile}"
-                                );
-                            }
-                        }
-                    }
+                let reference = Simulation::new(adc_agents(3), base.clone());
+                let reference = if open_loop && occupancy {
+                    reference.run_sharded(workload(), 1)
+                } else {
+                    reference.run(workload())
+                };
+                for profile in [false, true] {
+                    let mut c = base.clone();
+                    c.shard.profile = profile;
+                    let r = Simulation::new(adc_agents(3), c).run_sharded(workload(), 3);
+                    assert_eq!(
+                        reference.to_deterministic_json(),
+                        r.to_deterministic_json(),
+                        "bytes moved at open_loop={open_loop} occupancy={occupancy} \
+                         profile={profile}"
+                    );
                 }
             }
         }
@@ -1277,7 +1222,6 @@ mod tests {
         cfg.injection = InjectionMode::OpenLoop {
             interval: SimTime::from_micros(60),
         };
-        cfg.shard.pool_threads = Some(3);
         cfg.shard.profile = true;
         let report = Simulation::new(adc_agents(8), cfg).run_sharded(workload(), 4);
         let p = report.shard_profile.expect("profile=true populates it");
@@ -1315,28 +1259,20 @@ mod tests {
 
     #[test]
     fn widening_engages_and_reports_stats() {
-        // Sequential mode is always widening-eligible: a flow's origin
-        // round trip leaves only origin-/client-bound work pending, so
-        // the barrier regularly jumps several windows at once.
+        // Sequential mode always widens: a flow's origin round trip
+        // leaves only origin-/client-bound work pending, so the barrier
+        // regularly jumps several windows at once.
         let workload = || StationaryZipf::new(80, 0.9, 4, 5).take(600);
         let on = Simulation::new(adc_agents(3), config()).run_sharded(workload(), 3);
         let exec_on = on.shard_exec.expect("sharded runs report exec stats");
         assert!(exec_on.windows_widened > 0, "{exec_on:?}");
         assert!(exec_on.windows_skipped > 0, "{exec_on:?}");
-        let mut off_cfg = config();
-        off_cfg.shard.widen = false;
-        let off = Simulation::new(adc_agents(3), off_cfg).run_sharded(workload(), 3);
-        let exec_off = off.shard_exec.expect("sharded runs report exec stats");
-        assert_eq!(exec_off.windows_widened, 0, "{exec_off:?}");
-        assert_eq!(exec_off.windows_skipped, 0, "{exec_off:?}");
-        // Widening exists to cut barrier count; the report bytes stay.
-        assert!(
-            exec_on.windows_advanced < exec_off.windows_advanced,
-            "{exec_on:?} vs {exec_off:?}"
-        );
-        assert_eq!(on.to_deterministic_json(), off.to_deterministic_json());
-        // Open loop with state sampling active must hold the legacy
-        // barrier grid (widening auto-disabled), even when requested.
+        // Widening exists to cut barrier count; the report bytes stay
+        // the runner's.
+        let plain = Simulation::new(adc_agents(3), config()).run(workload());
+        assert_eq!(plain.to_deterministic_json(), on.to_deterministic_json());
+        // Open loop with state sampling active must hold the plain
+        // barrier grid (widening off).
         let mut sampled = config();
         sampled.sample_occupancy = true;
         sampled.injection = InjectionMode::OpenLoop {
@@ -1358,37 +1294,26 @@ mod tests {
     }
 
     #[test]
-    fn forced_pool_threads_keep_identity_and_report_spawns() {
-        // Forcing workers on a single-core host still yields identical
-        // bytes (the pool protocol is order-free by construction), and
-        // the spawn telemetry reflects the forced pool.
+    fn pool_spawns_stay_within_the_default_worker_count() {
+        // The pool sizes itself to the host and spawns each worker at
+        // most once per run; whatever it spawns, the bytes stay the
+        // 1-shard run's.
         let workload = || StationaryZipf::new(100, 0.9, 4, 5).take(1_000);
         let mut c = config();
         c.sample_occupancy = false;
         c.injection = InjectionMode::OpenLoop {
             interval: SimTime::from_micros(60),
         };
-        let mut inline_cfg = c.clone();
-        inline_cfg.shard.pool_threads = Some(0);
-        let inline = Simulation::new(adc_agents(4), inline_cfg).run_sharded(workload(), 4);
-        assert_eq!(
-            inline
-                .shard_exec
-                .expect("sharded runs report exec stats")
-                .pool_spawns,
-            0,
-            "pool_threads=0 must never spawn"
+        let one = Simulation::new(adc_agents(4), c.clone()).run_sharded(workload(), 1);
+        let exec_one = one.shard_exec.expect("sharded runs report exec stats");
+        assert_eq!(exec_one.pool_spawns, 0, "one shard never spawns");
+        let four = Simulation::new(adc_agents(4), c).run_sharded(workload(), 4);
+        let exec = four.shard_exec.expect("sharded runs report exec stats");
+        assert!(
+            exec.pool_spawns <= pool::default_workers(4) as u64,
+            "{exec:?}"
         );
-        let mut forced_cfg = c.clone();
-        forced_cfg.shard.pool_threads = Some(3);
-        let forced = Simulation::new(adc_agents(4), forced_cfg).run_sharded(workload(), 4);
-        let exec = forced.shard_exec.expect("sharded runs report exec stats");
-        assert!(exec.pool_spawns > 0, "{exec:?}");
-        assert!(exec.pool_spawns <= 3, "{exec:?}");
-        assert_eq!(
-            inline.to_deterministic_json(),
-            forced.to_deterministic_json()
-        );
+        assert_eq!(one.to_deterministic_json(), four.to_deterministic_json());
     }
 
     #[test]

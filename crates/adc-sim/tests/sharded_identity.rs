@@ -147,42 +147,33 @@ fn sequential_returns_agents_in_proxy_id_order() {
 }
 
 #[test]
-fn forced_pool_and_tuning_stay_byte_identical_at_figure_scale() {
-    // The synchronization layer (persistent pool, widening, batched
-    // folds) is pure execution strategy: force an aggressive tuning —
-    // real worker threads even on a single-core runner, a small fold
-    // batch — and demand byte identity with the single-threaded runner
-    // in both modes, and with shards=1 in open-loop mode.
-    use adc_sim::ShardTuning;
-    let tuned = ShardTuning {
-        pool_threads: Some(3),
-        widen: true,
-        fold_batch: 4,
-        // Profiling rides along to prove the clock reads never leak
-        // into the deterministic bytes at figure scale.
-        profile: true,
-    };
+fn profiled_widened_runs_stay_byte_identical_at_figure_scale() {
+    // The synchronization layer (persistent pool, widening) is pure
+    // execution strategy and the profiler pure measurement: with the
+    // profiler's clock reads on, demand byte identity with the
+    // single-threaded runner in both modes, and with shards=1 in
+    // open-loop mode.
     let reference = Simulation::new(agents(), config()).run(workload());
     let mut seq = config();
-    seq.shard = tuned;
+    seq.shard.profile = true;
     for shards in SHARD_COUNTS {
         let report = Simulation::new(agents(), seq.clone()).run_sharded(workload(), shards);
         assert_eq!(
             reference.to_deterministic_json(),
             report.to_deterministic_json(),
-            "shards={shards} diverged under forced pool tuning (sequential)"
+            "shards={shards} diverged with the profiler on (sequential)"
         );
     }
-    // Open loop without barrier-driven samplers, so widening and
-    // batched folds genuinely engage under the forced pool.
+    // Open loop without barrier-driven samplers, so widening genuinely
+    // engages.
     let mut open = config();
     open.convergence = None;
     open.sample_occupancy = false;
     open.injection = InjectionMode::OpenLoop {
         interval: SimTime::from_micros(200),
     };
-    let mut open_tuned = open.clone();
-    open_tuned.shard = tuned;
+    let mut open_profiled = open.clone();
+    open_profiled.shard.profile = true;
     let plain = Simulation::new(agents(), open.clone()).run(workload());
     let base = Simulation::new(agents(), open).run_sharded(workload(), 1);
     let exec = base.shard_exec.expect("sharded runs report exec stats");
@@ -195,11 +186,12 @@ fn forced_pool_and_tuning_stay_byte_identical_at_figure_scale() {
         "the single-queue runner's open-loop report diverged from shards=1"
     );
     for shards in &SHARD_COUNTS[1..] {
-        let report = Simulation::new(agents(), open_tuned.clone()).run_sharded(workload(), *shards);
+        let report =
+            Simulation::new(agents(), open_profiled.clone()).run_sharded(workload(), *shards);
         assert_eq!(
             base.to_deterministic_json(),
             report.to_deterministic_json(),
-            "shards={shards} open-loop report diverged under forced pool tuning"
+            "shards={shards} open-loop report diverged with the profiler on"
         );
     }
 }
