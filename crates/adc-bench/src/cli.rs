@@ -19,16 +19,13 @@
 //! * `--metrics <file>` — fold the main ADC run's events into the
 //!   per-proxy metrics registry and write the Prometheus text
 //!   exposition to this file;
-//! * `--shards <n>` — run the main ADC simulation on `n` worker shards
-//!   (the deterministic barrier-synchronized executor; `1`, the
-//!   default, uses the single-threaded runner);
 //! * `--spans <file.json>` — attach the causal flow-span recorder to the
 //!   main ADC run and write the per-segment / per-proxy latency
-//!   attribution report (single-threaded runs only);
-//! * `--profile-shards` — collect the sharded executor's wall-clock
-//!   profile (per-shard drain time, barrier-wait split, imbalance) on
-//!   the main run; with `--chrome-trace` the shard lanes are rendered
-//!   instead of the single-threaded event timeline.
+//!   attribution report.
+//!
+//! Every figure replays its trace one request at a time (sequential
+//! injection), which the single-queue runner executes; the sharded
+//! engine runs open loop only, so no binary takes a shard count.
 
 use crate::parallel::default_jobs;
 use crate::scale::Scale;
@@ -55,14 +52,9 @@ pub struct BenchArgs {
     pub convergence: bool,
     /// Write the main ADC run's Prometheus text exposition to this file.
     pub metrics: Option<PathBuf>,
-    /// Worker shards for the main ADC simulation (1 = single-threaded).
-    pub shards: usize,
     /// Write the main ADC run's flow-span attribution report (JSON) to
-    /// this file. Single-threaded runs only.
+    /// this file.
     pub spans: Option<PathBuf>,
-    /// Collect the sharded executor's wall-clock execution profile on
-    /// the main run.
-    pub profile_shards: bool,
 }
 
 impl Default for BenchArgs {
@@ -77,9 +69,7 @@ impl Default for BenchArgs {
             chrome_trace: None,
             convergence: false,
             metrics: None,
-            shards: 1,
             spans: None,
-            profile_shards: false,
         }
     }
 }
@@ -124,17 +114,7 @@ impl BenchArgs {
                 }
                 "--convergence" => out.convergence = true,
                 "--metrics" => out.metrics = Some(PathBuf::from(value_for("--metrics")?)),
-                "--shards" => {
-                    let shards: usize = value_for("--shards")?
-                        .parse()
-                        .map_err(|e| format!("bad --shards: {e}"))?;
-                    if shards == 0 {
-                        return Err("--shards must be at least 1".to_string());
-                    }
-                    out.shards = shards;
-                }
                 "--spans" => out.spans = Some(PathBuf::from(value_for("--spans")?)),
-                "--profile-shards" => out.profile_shards = true,
                 "--help" | "-h" => return Err(Self::usage()),
                 other => return Err(format!("unknown argument {other:?}\n{}", Self::usage())),
             }
@@ -159,7 +139,7 @@ impl BenchArgs {
         "usage: <figure-bin> [--scale ci|full|<factor>] [--out <dir>] [--seed <u64>] \
          [--jobs <n>] [--serial-timing] [--events <file.jsonl>] \
          [--chrome-trace <file.json>] [--convergence] [--metrics <file.prom>] \
-         [--shards <n>] [--spans <file.json>] [--profile-shards]"
+         [--spans <file.json>]"
             .to_string()
     }
 }
@@ -239,30 +219,11 @@ mod tests {
     }
 
     #[test]
-    fn shards_flag() {
-        assert_eq!(parse(&[]).unwrap().shards, 1);
-        assert_eq!(parse(&["--shards", "1"]).unwrap().shards, 1);
-        assert_eq!(parse(&["--shards", "4"]).unwrap().shards, 4);
-        assert_eq!(parse(&["--shards", "7"]).unwrap().shards, 7);
-    }
-
-    #[test]
-    fn span_and_profile_flags() {
-        let a = parse(&[
-            "--spans",
-            "/tmp/spans.json",
-            "--profile-shards",
-            "--shards",
-            "4",
-        ])
-        .unwrap();
+    fn span_flag() {
+        let a = parse(&["--spans", "/tmp/spans.json"]).unwrap();
         assert_eq!(a.spans, Some(PathBuf::from("/tmp/spans.json")));
-        assert!(a.profile_shards);
-        assert_eq!(a.shards, 4);
         // Off by default — the unobserved hot path must stay the default.
-        let d = parse(&[]).unwrap();
-        assert_eq!(d.spans, None);
-        assert!(!d.profile_shards);
+        assert_eq!(parse(&[]).unwrap().spans, None);
     }
 
     #[test]
@@ -276,10 +237,10 @@ mod tests {
         assert!(parse(&["--jobs"]).is_err());
         assert!(parse(&["--jobs", "0"]).is_err());
         assert!(parse(&["--jobs", "two"]).is_err());
-        assert!(parse(&["--shards"]).is_err());
-        assert!(parse(&["--shards", "0"]).is_err());
-        assert!(parse(&["--shards", "four"]).is_err());
         assert!(parse(&["--spans"]).is_err());
+        // Every figure runs on the single-queue runner: no shard flags.
+        assert!(parse(&["--shards", "4"]).is_err());
+        assert!(parse(&["--profile-shards"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
         assert!(parse(&["--help"]).is_err());
     }

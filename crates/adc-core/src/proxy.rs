@@ -219,6 +219,11 @@ impl AdcStore {
         if let Some(forgotten) = outcome.forgotten {
             migrate(forgotten, TableLevel::Single, TableLevel::Out);
         }
+        if outcome.found_in == TableHit::New {
+            // A first sighting enters the single table, in the slot a
+            // forgotten row (if any) just left.
+            migrate(object, TableLevel::Out, TableLevel::Single);
+        }
         if let Some(lru) = self.lru_store.as_mut() {
             // Cache-everything ablation: every passing object is stored.
             lru.admit(at, object, tally, probe);

@@ -53,7 +53,9 @@ families! {
     ORIGIN_THIS_MISS = "adc_origin_this_miss_total";
     /// Remote-owner adoptions learned from backwarded replies.
     BACKWARD_ADOPTIONS = "adc_backward_adoptions_total";
-    /// Entries moved between mapping tables (promotions plus demotions).
+    /// Entries entering, leaving or moving between a proxy's mapping
+    /// tables: one per table migration, first sightings and forgotten
+    /// rows included.
     TABLE_MIGRATIONS = "adc_table_migrations_total";
     /// Objects admitted into a proxy's local store.
     CACHE_INSERTS = "adc_cache_inserts_total";

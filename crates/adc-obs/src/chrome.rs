@@ -9,16 +9,12 @@
 //! - **pid 1 / tid = proxy**: one instant event (`ph:"i"`) per agent
 //!   event (forwards, loops, migrations, cache churn), with the
 //!   variant's fields under `args`;
-//! - **pid 2 / tid = shard** ([`shard_lanes_to_chrome_trace`]): one lane
-//!   per executor shard carrying wall-clock drain/wait slices and
-//!   barrier instants from the shard-execution profiler;
 //! - metadata events (`ph:"M"`): `process_name` for each pid and one
 //!   `thread_name` per tid, emitted in ascending tid order so every lane
 //!   is labeled and lanes sort stably in the viewer.
 //!
-//! Timestamps (`ts`) and durations (`dur`) are in microseconds — the
-//! simulator's clock for pids 0/1, wall-clock-since-run-start for the
-//! shard lanes.
+//! Timestamps (`ts`) and durations (`dur`) are in microseconds of the
+//! simulator's clock.
 
 use crate::event::SimEvent;
 use crate::json::write_escaped;
@@ -145,82 +141,6 @@ pub fn write_chrome_trace<W: io::Write>(
     writer.write_all(to_chrome_trace(events).as_bytes())
 }
 
-/// One wall-clock slice of the sharded executor's timeline: either a
-/// shard draining its window or the coordinator waiting at the barrier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSlice {
-    /// Lane the slice belongs to: shard index, or the shard count for
-    /// the coordinator lane.
-    pub lane: u32,
-    /// Microseconds since run start.
-    pub start_us: u64,
-    /// Slice duration, microseconds.
-    pub dur_us: u64,
-    /// `true` for a barrier-wait slice, `false` for a drain slice.
-    pub wait: bool,
-}
-
-/// The pid shard-executor lanes render under (pids 0/1 belong to the
-/// simulated-time rows).
-pub const SHARD_LANES_PID: u32 = 2;
-
-/// Renders the shard-execution profiler's wall-clock timeline as a
-/// chrome trace: one named `tid` lane per shard (`ph:"X"` `drain`
-/// slices), a `coordinator` lane (`tid = shards`) carrying `wait`
-/// slices, and one `ph:"i"` `barrier` instant per epoch end.
-///
-/// `shards` fixes the lane set (every shard gets a labeled lane even if
-/// it never produced a slice); `barriers_us` are the epoch-end
-/// timestamps, microseconds since run start.
-pub fn shard_lanes_to_chrome_trace(
-    shards: usize,
-    slices: &[ShardSlice],
-    barriers_us: &[u64],
-) -> String {
-    let mut out = String::with_capacity(256 + slices.len() * 72 + barriers_us.len() * 64);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    push_process_meta(&mut out, SHARD_LANES_PID, "shard executor (wall clock)");
-    let mut name = String::new();
-    for shard in 0..shards {
-        name.clear();
-        let _ = write!(name, "shard {shard}");
-        // Shard counts are far below u32::MAX: lane ids fit.
-        push_thread_meta(&mut out, SHARD_LANES_PID, shard as u32, &name);
-    }
-    push_thread_meta(&mut out, SHARD_LANES_PID, shards as u32, "coordinator");
-    for slice in slices {
-        let label = if slice.wait { "wait" } else { "drain" };
-        let _ = write!(
-            out,
-            ",{{\"ph\":\"X\",\"pid\":{SHARD_LANES_PID},\"tid\":{},\"ts\":{},\"dur\":{},\"name\":\"{label}\"}}",
-            slice.lane, slice.start_us, slice.dur_us
-        );
-    }
-    for &at in barriers_us {
-        let _ = write!(
-            out,
-            ",{{\"ph\":\"i\",\"s\":\"p\",\"pid\":{SHARD_LANES_PID},\"tid\":{},\"ts\":{at},\"name\":\"barrier\"}}",
-            shards
-        );
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Writes the shard-lane trace to `writer`.
-///
-/// # Errors
-///
-/// Propagates the writer's I/O error.
-pub fn write_shard_lanes<W: io::Write>(
-    writer: &mut W,
-    shards: usize,
-    slices: &[ShardSlice],
-    barriers_us: &[u64],
-) -> io::Result<()> {
-    writer.write_all(shard_lanes_to_chrome_trace(shards, slices, barriers_us).as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,46 +210,5 @@ mod tests {
     fn empty_stream_is_still_valid() {
         let trace = to_chrome_trace(&[]);
         validate_json(&trace).expect("empty trace must be valid JSON");
-    }
-
-    #[test]
-    fn shard_lanes_render_named_tracks_slices_and_barriers() {
-        let slices = [
-            ShardSlice {
-                lane: 0,
-                start_us: 0,
-                dur_us: 80,
-                wait: false,
-            },
-            ShardSlice {
-                lane: 1,
-                start_us: 5,
-                dur_us: 60,
-                wait: false,
-            },
-            ShardSlice {
-                lane: 2,
-                start_us: 80,
-                dur_us: 12,
-                wait: true,
-            },
-        ];
-        let trace = shard_lanes_to_chrome_trace(2, &slices, &[92, 150]);
-        validate_json(&trace).expect("shard trace must be valid JSON");
-        assert!(trace.contains("\"thread_name\",\"args\":{\"name\":\"shard 0\"}"));
-        assert!(trace.contains("\"thread_name\",\"args\":{\"name\":\"shard 1\"}"));
-        assert!(trace.contains("\"thread_name\",\"args\":{\"name\":\"coordinator\"}"));
-        assert!(trace.contains("\"tid\":0,\"ts\":0,\"dur\":80,\"name\":\"drain\""));
-        assert!(trace.contains("\"tid\":2,\"ts\":80,\"dur\":12,\"name\":\"wait\""));
-        assert_eq!(trace.matches("\"name\":\"barrier\"").count(), 2);
-        // One lane label per shard plus the coordinator and the process.
-        assert_eq!(trace.matches("\"ph\":\"M\"").count(), 4);
-    }
-
-    #[test]
-    fn empty_profile_still_labels_every_shard_lane() {
-        let trace = shard_lanes_to_chrome_trace(4, &[], &[]);
-        validate_json(&trace).expect("valid JSON");
-        assert_eq!(trace.matches("thread_name").count(), 5);
     }
 }

@@ -18,11 +18,11 @@
 use std::fmt;
 
 /// Which of the three mapping tables (or outside of them) an entry sits
-/// in; used by [`SimEvent::TableMigration`] to describe promotion and
-/// demotion edges.
+/// in; used by [`SimEvent::TableMigration`] to describe the edge an
+/// entry took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TableLevel {
-    /// Not tracked in any table (a forgotten entry).
+    /// Not tracked in any table (not yet seen, or forgotten).
     Out,
     /// The single-table (LRU of once-seen objects).
     Single,
@@ -143,7 +143,7 @@ pub enum SimEvent {
         /// The adopted owner.
         owner: u32,
     },
-    /// An entry moved between mapping tables (promotion or demotion).
+    /// An entry entered, left or moved between mapping tables.
     TableMigration {
         /// The proxy whose tables changed.
         proxy: u32,

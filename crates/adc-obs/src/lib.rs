@@ -41,9 +41,7 @@ pub mod netspan;
 pub mod probe;
 pub mod span;
 
-pub use chrome::{
-    shard_lanes_to_chrome_trace, to_chrome_trace, write_chrome_trace, write_shard_lanes, ShardSlice,
-};
+pub use chrome::{to_chrome_trace, write_chrome_trace};
 pub use convergence::{ConvergenceConfig, ConvergenceReport, ConvergenceTracker};
 pub use event::{EventKind, SimEvent, TableLevel};
 pub use json::validate_json;

@@ -29,8 +29,8 @@ pub const ORIGIN_LANE: u32 = u32::MAX;
 /// Lane id a client endpoint records spans under.
 pub const CLIENT_LANE: u32 = u32::MAX - 1;
 
-/// The chrome `pid` merged cluster-node lanes render under (pids 0–2
-/// belong to the simulator exporters; see [`crate::chrome`]).
+/// The chrome `pid` merged cluster-node lanes render under (pids 0 and 1
+/// belong to the simulator's event exporter; see [`crate::chrome`]).
 pub const NET_LANES_PID: u32 = 3;
 
 /// Derives a trace id from the issuing client and its request counter.

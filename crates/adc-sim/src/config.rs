@@ -105,26 +105,26 @@ pub struct SimConfig {
     /// Seed for all simulator-side randomness (agent RNG, assignment,
     /// faults). A run is a pure function of (workload, agents, config).
     pub seed: u64,
-    /// Execution-profiler switch for
+    /// Execution-profiler switch for the open-loop runs of
     /// [`Simulation::run_sharded`](crate::Simulation::run_sharded).
     /// Pure measurement: the report bytes are the same with it on or
-    /// off, so the single-threaded runner ignores this field entirely.
+    /// off, so the single-threaded runner (which also executes every
+    /// sequential `run_sharded` call) ignores this field entirely.
     pub shard: ShardTuning,
 }
 
-/// The sharded executor's one setting. Its synchronization layer has
-/// no knobs: the pool sizes itself to the host, widening engages
-/// wherever it cannot move the report, and completions fold at every
-/// barrier (DESIGN.md §6c).
+/// The sharded engine's one setting. Its synchronization layer has no
+/// knobs: the pool sizes itself to the host, every window is one
+/// lookahead step, and completions fold at every barrier (DESIGN.md
+/// §6c).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardTuning {
     /// Collect the wall-clock execution profile
     /// ([`SimReport::shard_profile`](crate::SimReport::shard_profile)):
-    /// per-shard drain times, coordinator barrier-wait time,
-    /// window-occupancy and outbox-depth histograms, and chrome-trace
-    /// lane slices. Pure measurement — the deterministic report bytes
-    /// never move — but each window pays a few clock reads, so it is
-    /// off by default.
+    /// per-shard drain times, coordinator barrier-wait time, and
+    /// window-occupancy and outbox-depth histograms. Pure measurement —
+    /// the deterministic report bytes never move — but each window pays
+    /// a few clock reads, so it is off by default.
     pub profile: bool,
 }
 

@@ -80,5 +80,5 @@ pub use tracelog::{DeliveryRecord, TraceLog};
 // dependency.
 pub use adc_obs::{
     ConvergenceConfig, ConvergenceReport, MetricsProbe, MetricsReport, ProxyMetricsSummary,
-    SegmentKind, ShardSlice, SpanProbe, SpanReport,
+    SegmentKind, SpanProbe, SpanReport,
 };

@@ -21,20 +21,21 @@
 //!
 //! Sequential injection draws every agent decision from one stream seeded
 //! `seed ^ 0xA6E7` (at most one event is live, so draw order is event
-//! order). Open loop gives each agent its own stream, seeded
-//! `seed ^ 0xA6E7 ^ splitmix64(proxy + 1)`, so no agent's draws depend on
-//! how flows interleave at other agents. Client assignment draws from
+//! order); only the runner executes it. Open loop gives each agent its
+//! own stream, seeded `seed ^ 0xA6E7 ^ splitmix64(proxy + 1)`, so no
+//! agent's draws depend on how flows interleave at other agents, and no
+//! stream is shared across shards. Client assignment draws from
 //! `seed ^ 0xA551` in arrival order in both modes.
 //!
 //! # The one difference between the executors
 //!
-//! Under open loop, the sharded engine reads agent state for occupancy,
-//! convergence and metrics samples at the barrier after a completion; the
-//! runner reads it at the completion itself. With those samplers off, the
-//! two executors' deterministic reports are byte-identical; sequential
-//! runs are byte-identical with the samplers on too. Both hand the same
-//! flow events to a probe: [`Ledger::start_flow`] and
-//! [`Ledger::complete`] emit them, each completion naming its server.
+//! The sharded engine runs open loop only, and reads agent state for
+//! occupancy, convergence and metrics samples at the barrier after a
+//! completion; the runner reads it at the completion itself. With those
+//! samplers off, the two executors' deterministic reports are
+//! byte-identical. Both hand the same flow events to a probe:
+//! [`Ledger::start_flow`] and [`Ledger::complete`] emit them, each
+//! completion naming its server.
 
 // Hot path (`HOT_PATH_FILES` in the root `tests/lint_ratchet.rs`, which
 // checks this header): every lossy cast and every index states its
@@ -64,7 +65,6 @@ use adc_workload::{Phase, RequestRecord};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 #[expect(
     clippy::disallowed_types,
@@ -221,57 +221,22 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The sequential run's single agent stream.
-pub(crate) fn sequential_stream(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed ^ 0xA6E7)
-}
-
-/// A handle on the sequential stream that shards can share. Sequential
-/// runs have one live event in the whole system, so the lock is never
-/// contended; it only makes the stream `Sync`.
-#[derive(Debug, Clone)]
-pub(crate) struct SharedRng(Arc<Mutex<StdRng>>);
-
-impl SharedRng {
-    pub(crate) fn new(rng: StdRng) -> Self {
-        SharedRng(Arc::new(Mutex::new(rng)))
-    }
-
-    fn lock(&mut self) -> MutexGuard<'_, StdRng> {
-        // A worker panic aborts the run anyway; the state itself is
-        // never left inconsistent mid-draw.
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl RngCore for SharedRng {
-    fn next_u32(&mut self) -> u32 {
-        self.lock().next_u32()
-    }
-    fn next_u64(&mut self) -> u64 {
-        self.lock().next_u64()
-    }
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.lock().fill_bytes(dest);
-    }
-}
-
 /// The agent RNG layout of one executor unit (see the module docs).
 #[derive(Debug)]
-enum AgentRngs<S> {
-    /// Sequential: every agent draws from the one shared stream.
-    Shared(S),
+enum AgentRngs {
+    /// Sequential: every agent draws from the one stream.
+    Shared(StdRng),
     /// Open loop: one stream per agent, in local-index order.
     PerAgent(Vec<StdRng>),
 }
 
-impl<S: RngCore> AgentRngs<S> {
+impl AgentRngs {
     /// The layout for the agents with global ids `proxies`, in local
-    /// order; `shared` is the sequential stream.
-    fn new(config: &SimConfig, shared: S, proxies: impl Iterator<Item = usize>) -> Self {
+    /// order.
+    fn new(config: &SimConfig, proxies: impl Iterator<Item = usize>) -> Self {
         let seed = config.seed ^ 0xA6E7;
         match config.injection {
-            InjectionMode::Sequential => AgentRngs::Shared(shared),
+            InjectionMode::Sequential => AgentRngs::Shared(StdRng::seed_from_u64(seed)),
             InjectionMode::OpenLoop { .. } => AgentRngs::PerAgent(
                 proxies
                     // Dense proxy ids fit u64.
@@ -296,29 +261,22 @@ impl<S: RngCore> AgentRngs<S> {
 /// The delivery side of one executor unit — the runner's whole cluster,
 /// or one shard's slice of it: the agents, their RNG streams, the action
 /// sink, and the delivery counters.
-pub(crate) struct Proxies<A, S> {
+pub(crate) struct Proxies<A> {
     /// Agents in local order: local index `l` holds proxy `first + l·stride`.
     pub(crate) agents: Vec<A>,
     /// Distance between consecutive local proxy ids (the shard count).
     stride: usize,
-    rngs: AgentRngs<S>,
+    rngs: AgentRngs,
     sink: ActionSink,
     pub(crate) counters: Counters,
     /// Stray keys handed out so far (see [`STRAY_KEYS`]).
     strays: u64,
 }
 
-impl<A: CacheAgent, S: RngCore> Proxies<A, S> {
-    /// The unit holding `agents`, the proxies `first, first + stride, …`;
-    /// `shared` is the sequential agent stream.
-    pub(crate) fn new(
-        config: &SimConfig,
-        agents: Vec<A>,
-        first: usize,
-        stride: usize,
-        shared: S,
-    ) -> Self {
-        let rngs = AgentRngs::new(config, shared, (first..).step_by(stride).take(agents.len()));
+impl<A: CacheAgent> Proxies<A> {
+    /// The unit holding `agents`, the proxies `first, first + stride, …`.
+    pub(crate) fn new(config: &SimConfig, agents: Vec<A>, first: usize, stride: usize) -> Self {
+        let rngs = AgentRngs::new(config, (first..).step_by(stride).take(agents.len()));
         Proxies {
             agents,
             stride,
@@ -550,21 +508,9 @@ impl Ledger {
         }
     }
 
-    /// When the run started, on the wall clock.
-    #[expect(clippy::disallowed_types, reason = "wall telemetry only")]
-    pub(crate) fn wall_start(&self) -> Instant {
-        self.wall_start
-    }
-
     /// Flows completed so far.
     pub(crate) fn completed(&self) -> u64 {
         self.completed
-    }
-
-    /// Whether the fold reads agent state at completions (occupancy or
-    /// convergence sampling).
-    pub(crate) fn samples_state(&self) -> bool {
-        self.occupancy.is_some() || self.conv.is_some()
     }
 
     /// Starts the flow for `record` at `now`: counts it, reports it to

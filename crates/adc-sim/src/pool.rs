@@ -1,4 +1,6 @@
-//! Persistent worker pool for the sharded executor.
+//! Persistent worker pool for the sharded executor, which runs open-loop
+//! simulations; a sequential run goes to the single-queue runner and
+//! never starts a pool.
 //!
 //! Worker threads are spawned once per run, lazily, on the first window
 //! that has more than one active shard, and serve every later window.

@@ -3,7 +3,7 @@
 use crate::tracelog::TraceLog;
 use adc_core::{ProxyId, ProxyStats};
 use adc_metrics::{Log2Histogram, Registry, Series, Summary};
-use adc_obs::{ConvergenceReport, MetricsReport, ShardSlice, SpanReport};
+use adc_obs::{ConvergenceReport, MetricsReport, SpanReport};
 use adc_workload::Phase;
 use std::time::Duration;
 
@@ -27,27 +27,17 @@ impl PhaseStats {
     }
 }
 
-/// Synchronization-layer telemetry from the sharded executor: evidence
-/// the persistent worker pool and adaptive window widening actually
-/// engaged on a given run. Host-dependent by design, so it rides next
-/// to the wall/CPU clocks rather than in the canonical JSON.
+/// Synchronization-layer telemetry from the sharded engine (open-loop
+/// runs only): evidence the persistent worker pool engaged.
+/// Host-dependent by design, so it rides next to the wall/CPU clocks
+/// rather than in the canonical JSON.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardExecStats {
     /// Worker threads the persistent pool actually spawned — at most
     /// once each for the whole run, and at most one per core beyond the
     /// coordinator's. 0 means every window ran inline on the
-    /// coordinator (single-core host, one shard, or sequential
-    /// injection).
+    /// coordinator (single-core host, or one shard).
     pub pool_spawns: u64,
-    /// Barrier rounds the coordinator executed (windows run).
-    pub windows_advanced: u64,
-    /// Barrier rounds at which adaptive widening extended the window
-    /// past one lookahead grid step.
-    pub windows_widened: u64,
-    /// Lookahead grid barriers elided by widening: the synchronization
-    /// rounds a fixed-step coordinator would have paid on the same
-    /// schedule.
-    pub windows_skipped: u64,
 }
 
 /// Wall-clock execution profile of one sharded run, collected when
@@ -61,9 +51,7 @@ pub struct ShardExecStats {
 pub struct ShardProfile {
     /// Shard count of the profiled run.
     pub shards: usize,
-    /// Barrier rounds the coordinator executed (same quantity as
-    /// [`ShardExecStats::windows_advanced`], duplicated here so the
-    /// profile is self-contained).
+    /// Barrier rounds the coordinator executed (windows run).
     pub windows: u64,
     /// Cumulative wall-clock time each shard spent draining its windows,
     /// nanoseconds, indexed by shard. Inline windows (run on the
@@ -88,22 +76,9 @@ pub struct ShardProfile {
     /// each barrier, over all ordered shard pairs. Bucket 0 counts empty
     /// outboxes.
     pub outbox_depth: Log2Histogram,
-    /// Chrome-trace lane slices (per-shard drains plus coordinator
-    /// barrier waits), bounded; see [`slices_dropped`](ShardProfile::slices_dropped).
-    pub slices: Vec<ShardSlice>,
-    /// Slices not recorded because the bound was reached.
-    pub slices_dropped: u64,
-    /// Wall-clock offsets of each barrier completion, microseconds since
-    /// run start (bounded like `slices`).
-    pub barriers_us: Vec<u64>,
 }
 
 impl ShardProfile {
-    /// Bound on recorded `slices` and `barriers_us` entries: enough for
-    /// every window of a CI-scale run, small enough that a full-scale
-    /// profiled run cannot balloon the report.
-    pub const MAX_SLICES: usize = 1 << 16;
-
     /// Load-imbalance coefficient: max over mean of per-shard drain
     /// time. 1.0 means perfectly balanced; `k` means the slowest shard
     /// did `k`× the mean work, i.e. the pool idles `(k-1)/k` of its
@@ -129,23 +104,6 @@ impl ShardProfile {
             return 0.0;
         }
         self.coordinator_wait_ns as f64 / total as f64
-    }
-
-    /// Total wall-clock drain time across all shards, nanoseconds.
-    pub fn total_drain_ns(&self) -> u64 {
-        self.shard_drain_ns.iter().sum()
-    }
-
-    /// One-line human summary of the profile.
-    pub fn summary(&self) -> String {
-        format!(
-            "shards={} windows={} drain_ms={:.1} wait_frac={:.3} imbalance={:.2}",
-            self.shards,
-            self.windows,
-            self.total_drain_ns() as f64 / 1e6,
-            self.barrier_wait_fraction(),
-            self.imbalance_coefficient()
-        )
     }
 }
 
@@ -223,12 +181,11 @@ pub struct SimReport {
     /// [`Simulation::run_with_metrics`](crate::Simulation::run_with_metrics));
     /// filled by [`SimReport::attach_metrics`].
     pub metrics: Option<MetricsReport>,
-    /// Synchronization-layer telemetry from the sharded executor
-    /// (`None` for single-threaded runs). Like the wall/CPU clocks this
-    /// is *excluded* from [`to_deterministic_json`]: `pool_spawns`
-    /// depends on the host's core count, and the widening schedule is a
-    /// function of the shard count, while the canonical JSON must be
-    /// invariant across both.
+    /// Synchronization-layer telemetry from the sharded engine (`None`
+    /// for runs on the single-queue runner, sequential `run_sharded`
+    /// calls included). Like the wall/CPU clocks this is *excluded* from
+    /// [`to_deterministic_json`]: `pool_spawns` depends on the host's
+    /// core count, and the canonical JSON must not.
     ///
     /// [`to_deterministic_json`]: SimReport::to_deterministic_json
     pub shard_exec: Option<ShardExecStats>,
@@ -244,7 +201,7 @@ pub struct SimReport {
     pub spans: Option<SpanReport>,
     /// Wall-clock execution profile of the sharded run, present when
     /// [`ShardTuning::profile`](crate::ShardTuning::profile) was set
-    /// (`None` for single-threaded runs). Excluded from
+    /// (`None` for runs on the single-queue runner). Excluded from
     /// [`to_deterministic_json`](SimReport::to_deterministic_json) for
     /// the same reason as `wall_time`: every field is host telemetry.
     pub shard_profile: Option<ShardProfile>,
@@ -696,15 +653,9 @@ mod tests {
         // Max 300 over mean 200 → 1.5.
         prof.shard_drain_ns = vec![300, 100];
         assert!((prof.imbalance_coefficient() - 1.5).abs() < 1e-12);
-        assert_eq!(prof.total_drain_ns(), 400);
         prof.coordinator_busy_ns = 75;
         prof.coordinator_wait_ns = 25;
         assert!((prof.barrier_wait_fraction() - 0.25).abs() < 1e-12);
-        prof.windows = 7;
-        let line = prof.summary();
-        assert!(line.contains("windows=7"), "{line}");
-        assert!(line.contains("imbalance=1.50"), "{line}");
-        assert!(line.contains("wait_frac=0.250"), "{line}");
     }
 
     #[test]

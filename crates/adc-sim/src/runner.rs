@@ -2,7 +2,9 @@
 //! event, and the loop pops them in `(at, key)` order. What each event
 //! does is the shared model's business (see the `model` module); this
 //! file adds only the schedule, plus what the sharded engine rejects:
-//! fault duplicates, churn, and the delivery trace log.
+//! fault duplicates, churn, and the delivery trace log. It is the
+//! reference executor for every feature, and the only one for
+//! sequential injection, which `Simulation::run_sharded` hands to it.
 
 // Hot path (`HOT_PATH_FILES` in the root `tests/lint_ratchet.rs`, which
 // checks this header): every lossy cast and every index states its
@@ -20,7 +22,7 @@
 
 use crate::config::{ChurnEvent, InjectionMode, SimConfig};
 use crate::flows::FlowTable;
-use crate::model::{sequential_stream, Event, Flow, Ledger, Net, Proxies, ARRIVAL_KEY};
+use crate::model::{Event, Flow, Ledger, Net, Proxies, ARRIVAL_KEY};
 use crate::queue::CalendarQueue;
 use crate::report::SimReport;
 use crate::time::SimTime;
@@ -123,7 +125,7 @@ impl<A: CacheAgent> Simulation<A> {
         let n = agents.len();
         let net = Net::new(&config);
         let mut ledger = Ledger::new(&config, n);
-        let mut proxies = Proxies::new(&config, agents, 0, 1, sequential_stream(config.seed));
+        let mut proxies = Proxies::new(&config, agents, 0, 1);
         let mut workload = workload.into_iter();
         let mut fault_rng = StdRng::seed_from_u64(config.seed ^ 0xFA17);
         let mut queue: CalendarQueue<Queued> = CalendarQueue::new();

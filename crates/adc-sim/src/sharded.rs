@@ -1,4 +1,9 @@
-//! Sharded (multi-core) execution of the simulation.
+//! Sharded (multi-core) execution of open-loop runs.
+//!
+//! [`Simulation::run_sharded`] hands a sequential run to the single-queue
+//! runner: sequential injection keeps one event live in the whole
+//! cluster, so no window could ever drain two shards at once. What this
+//! file executes is open-loop injection.
 //!
 //! Proxies are partitioned round-robin across `N` worker shards (proxy
 //! `p` lives on shard `p % N`). Each shard owns its own event queue and
@@ -29,49 +34,30 @@
 //! 2. **Canonical completion folding.** Workers only record completions;
 //!    the coordinator folds them at each barrier in `(at, flow seq)`
 //!    order through the model's fold (series, quantiles, convergence
-//!    snapshots, metrics, sequential re-injection), exactly as the
-//!    single-queue runner folds them one by one.
-//! 3. **The model's RNG layout.** Sequential injection shares one agent
-//!    stream across shards (behind an uncontended mutex: at most one
-//!    event is live in the whole system); open-loop injection gives each
-//!    agent its own stream seeded from `(seed, proxy id)`.
+//!    snapshots, metrics), exactly as the single-queue runner folds them
+//!    one by one.
+//! 3. **The model's RNG layout.** Open-loop injection gives each agent
+//!    its own stream seeded from `(seed, proxy id)`, so no stream is
+//!    shared across shards.
 //!
-//! So the report is byte-identical at every shard count and to
-//! [`Simulation::run`], with one exception: in open-loop mode,
-//! occupancy/convergence/metrics sampling reads agent state at the
-//! enclosing barrier rather than at the completion instant (they coincide
-//! in sequential mode). `events_processed` counts the arrival events the
-//! single-queue runner pops, so the field reconciles across executors.
+//! So the report is byte-identical at every shard count, and to
+//! [`Simulation::run`] with one exception: occupancy, convergence and
+//! metrics sampling read agent state at the enclosing barrier rather
+//! than at the completion instant. `events_processed` counts the
+//! arrival events the single-queue runner pops, so the field reconciles
+//! across executors.
 //!
 //! # Synchronization layer
 //!
-//! Two mechanisms amortize the barrier cost; neither has a knob, and
-//! neither moves a report byte:
-//!
-//! 1. **Persistent worker pool** ([`pool`](crate::pool) module): shard
-//!    threads are spawned at most once per run — lazily, on the first
-//!    window with more than one active shard — and windows are dispatched
-//!    through one mutex-guarded barrier with a claim cursor, instead of
-//!    spawning fresh OS threads every window. The pool has
-//!    `min(cores, shards) - 1` workers, since the coordinator drains
-//!    shards too; on a single-core host it has none and every window
-//!    runs inline on the coordinator.
-//! 2. **Adaptive window widening**: each shard maintains counts of its
-//!    pending proxy-bound and origin-bound events, from which the
-//!    coordinator derives a conservative lower bound on the earliest
-//!    possible cross-shard *send* (proxy-bound work can send immediately;
-//!    origin-bound work cannot reach a proxy again before the
-//!    origin→proxy reply latency; client-bound deliveries never spawn
-//!    anything). When the global minimum bound `S_min` lies beyond the
-//!    next grid barrier, the window extends straight to the grid barrier
-//!    after `S_min` — every cross-shard delivery still lands at
-//!    `≥ S_min + W ≥` that barrier, so the lookahead argument is intact
-//!    (full proof in DESIGN.md §6c). Widening changes *barrier
-//!    placement*, which is observable only by barrier-driven state
-//!    sampling (occupancy series, convergence snapshots, metrics
-//!    probes) in open-loop mode — sequential windows hold at most one
-//!    completion, so sequential folds see identical agent state — and is
-//!    therefore off in exactly those runs.
+//! Shard threads live in a persistent worker pool
+//! ([`pool`](crate::pool) module): they are spawned at most once per
+//! run — lazily, on the first window with more than one active shard —
+//! and windows are dispatched through one mutex-guarded barrier with a
+//! claim cursor, instead of spawning fresh OS threads every window. The
+//! pool has `min(cores, shards) - 1` workers, since the coordinator
+//! drains shards too; on a single-core host it has none and every
+//! window runs inline on the coordinator. It has no knob, and it moves
+//! no report byte.
 //!
 //! The coordinator folds each barrier's completions, gathered from the
 //! shards into one reused buffer and sorted by `(at, flow_seq)`, before
@@ -79,11 +65,12 @@
 //!
 //! # Unsupported configurations
 //!
-//! Fault injection, churn and delivery tracing are rejected (see
-//! [`Simulation::run_sharded`]): duplicates and restarts would need
+//! Fault injection, churn and delivery tracing are rejected in open loop
+//! (see [`Simulation::run_sharded`]): duplicates and restarts would need
 //! cross-shard coordination mid-window (and a duplicate its original's
 //! flow by request id, which only the runner's flow table keeps), and the
-//! trace log is inherently a single totally-ordered stream.
+//! trace log is inherently a single totally-ordered stream. Sequential
+//! runs with any of them go to the runner like every sequential run.
 
 // Hot path (`HOT_PATH_FILES` in the root `tests/lint_ratchet.rs`, which
 // checks this header): every lossy cast and every index states its
@@ -100,9 +87,7 @@
 )]
 
 use crate::config::{InjectionMode, SimConfig};
-use crate::model::{
-    sequential_stream, Completion, Counters, Event, Flow, Ledger, Net, Proxies, SharedRng,
-};
+use crate::model::{Completion, Counters, Event, Flow, Ledger, Net, Proxies};
 use crate::pool::{self, WindowTask};
 use crate::queue::CalendarQueue;
 use crate::report::{ShardExecStats, ShardProfile, SimReport};
@@ -110,7 +95,7 @@ use crate::runner::Simulation;
 use crate::time::SimTime;
 use adc_core::{CacheAgent, NodeId, ProxyId};
 use adc_metrics::{Log2Histogram, Registry};
-use adc_obs::{MetricsProbe, NullProbe, Probe, ShardSlice};
+use adc_obs::{MetricsProbe, NullProbe, Probe};
 use adc_workload::RequestRecord;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -209,14 +194,11 @@ impl ShardProbe for MetricsProbe {
 
 /// Per-shard half of the execution profiler
 /// ([`ShardTuning::profile`](crate::ShardTuning::profile)): wall-clock
-/// drain accounting, the window-occupancy histogram, and chrome-trace
-/// drain slices. Boxed behind an `Option` so the unprofiled hot path
-/// pays one null test per window and nothing per event.
+/// drain accounting and the window-occupancy histogram. Boxed behind an
+/// `Option` so the unprofiled hot path pays one null test per window and
+/// nothing per event.
+#[derive(Default)]
 struct ShardProfState {
-    /// Shared zero point for chrome-trace lane offsets (the run's
-    /// `wall_start`).
-    #[expect(clippy::disallowed_types, reason = "profiler telemetry only")]
-    run_start: Instant,
     /// Cumulative wall-clock drain time, nanoseconds.
     drain_ns: u64,
     /// Window drains executed (including empty drains).
@@ -225,110 +207,6 @@ struct ShardProfState {
     events: u64,
     /// Events drained per window.
     occupancy: Log2Histogram,
-    /// Drain slices for the chrome-trace shard lane (empty drains are
-    /// skipped; they would render as zero-width noise).
-    slices: Vec<ShardSlice>,
-    /// Drain slices not recorded because the bound was reached.
-    slices_dropped: u64,
-}
-
-impl ShardProfState {
-    #[expect(clippy::disallowed_types, reason = "profiler telemetry only")]
-    fn new(run_start: Instant) -> Self {
-        ShardProfState {
-            run_start,
-            drain_ns: 0,
-            windows: 0,
-            events: 0,
-            occupancy: Log2Histogram::new(),
-            slices: Vec::new(),
-            slices_dropped: 0,
-        }
-    }
-}
-
-/// Coordinator-side half of the execution profiler: the busy/wait split
-/// of every pooled window, outbox depths at each barrier, and the
-/// barrier timeline.
-struct CoordProf {
-    /// Coordinator claim-and-drain plus inline-window time, nanoseconds.
-    busy_ns: u64,
-    /// Time parked at the barrier waiting for workers, nanoseconds.
-    wait_ns: u64,
-    /// Cross-shard messages pending per (src, dst) outbox per barrier.
-    outbox_depth: Log2Histogram,
-    /// Barrier-wait slices for the coordinator chrome-trace lane.
-    wait_slices: Vec<ShardSlice>,
-    /// Wait slices not recorded because the bound was reached.
-    slices_dropped: u64,
-    /// Barrier completion offsets, microseconds since run start.
-    barriers_us: Vec<u64>,
-}
-
-impl CoordProf {
-    fn new() -> Self {
-        CoordProf {
-            busy_ns: 0,
-            wait_ns: 0,
-            outbox_depth: Log2Histogram::new(),
-            wait_slices: Vec::new(),
-            slices_dropped: 0,
-            barriers_us: Vec::new(),
-        }
-    }
-}
-
-/// A shard's backlog: its queued events, each with its flow as of the
-/// send, and the counts the widening bound reads.
-struct Backlog {
-    queue: CalendarQueue<(Event, Option<Flow>)>,
-    /// Timestamp of the earliest pending event (`u64::MAX` when idle);
-    /// exact between windows, maintained by `drain_events` and
-    /// `enqueue`.
-    next_at: u64,
-    /// Pending events addressed to a proxy — work that could emit a
-    /// cross-shard message the moment it is processed. Fuels the
-    /// widening bound (see [`cross_send_bound`](Backlog::cross_send_bound)).
-    pending_proxy: usize,
-    /// Pending events addressed to the origin — work whose earliest
-    /// cross-shard consequence is one origin→proxy reply latency away.
-    pending_origin: usize,
-}
-
-impl Backlog {
-    /// Queues `ev` with its flow at `(at, key)`, classifying the
-    /// destination for the widening bound.
-    fn enqueue(&mut self, at: u64, key: u64, ev: Event, flow: Option<Flow>) {
-        match ev.to {
-            NodeId::Proxy(_) => self.pending_proxy += 1,
-            NodeId::Origin => self.pending_origin += 1,
-            NodeId::Client(_) => {}
-        }
-        self.next_at = self.next_at.min(at);
-        self.queue.push(at, key, (ev, flow));
-    }
-
-    /// Conservative lower bound on the earliest simulation time at which
-    /// this shard could *send* a cross-shard message, given its current
-    /// queue. `u64::MAX` means "never, until new work arrives": pending
-    /// client deliveries complete flows and spawn nothing.
-    ///
-    /// Proxy-bound work can forward the instant it is processed, so the
-    /// bound is this shard's earliest pending timestamp. Origin-bound
-    /// work is strictly weaker: the origin replies only to its local
-    /// proxy, so the earliest a proxy on this shard can act again — and
-    /// hence send anything cross-shard — is one origin→proxy reply
-    /// latency after the earliest pending event. Using `next_at` (≤ the
-    /// earliest event of either class) keeps both branches conservative.
-    fn cross_send_bound(&self, origin_reply_us: u64) -> u64 {
-        if self.pending_proxy > 0 {
-            self.next_at
-        } else if self.pending_origin > 0 {
-            self.next_at.saturating_add(origin_reply_us)
-        } else {
-            u64::MAX
-        }
-    }
 }
 
 /// One worker shard: a vertical slice of the simulator owning every
@@ -339,9 +217,10 @@ struct Shard<A, P> {
     shards: usize,
     /// Local agents (local index `l` holds proxy `index + l·N`), their
     /// RNG streams, and the delivery counters.
-    proxies: Proxies<A, SharedRng>,
+    proxies: Proxies<A>,
     probe: P,
-    backlog: Backlog,
+    /// Queued events, each with its flow as of the send.
+    queue: CalendarQueue<(Event, Option<Flow>)>,
     /// Completions recorded this window, drained by the coordinator.
     records: Vec<Completion>,
     /// Cross-shard deliveries produced this window, per destination
@@ -356,6 +235,11 @@ struct Shard<A, P> {
 }
 
 impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
+    /// Timestamp of the earliest pending event (`u64::MAX` when idle).
+    fn next_at(&self) -> u64 {
+        self.queue.peek_key().map_or(u64::MAX, |(at, _)| at)
+    }
+
     /// Drains the window, measuring the drain on the wall clock when
     /// profiling is on. Called for both execution paths (pool workers
     /// via [`WindowTask`], the coordinator inline), so the profile
@@ -368,7 +252,7 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
     )]
     #[expect(
         clippy::cast_possible_truncation,
-        reason = "durations ≪ 2^64 ns (584 years): the casts are lossless"
+        reason = "durations ≪ 2^64 ns (584 years): the cast is lossless"
     )]
     fn drain_window(&mut self, window_end: u64) {
         if self.prof.is_none() {
@@ -380,8 +264,6 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
         self.drain_events(window_end);
         let dur = t0.elapsed();
         let drained = self.proxies.counters.messages_delivered - before;
-        #[expect(clippy::cast_possible_truncation, reason = "shard counts stay tiny")]
-        let lane = self.index as u32;
         if let Some(prof) = self.prof.as_mut() {
             // Wall-clock profiler accounting sits deliberately outside
             // the SimEvent stream; the occupancy-sum identity test
@@ -390,42 +272,22 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
             prof.windows += 1;
             prof.events += drained;
             prof.occupancy.record(drained);
-            if drained > 0 {
-                if prof.slices.len() < ShardProfile::MAX_SLICES {
-                    prof.slices.push(ShardSlice {
-                        lane,
-                        start_us: t0.duration_since(prof.run_start).as_micros() as u64,
-                        dur_us: dur.as_micros() as u64,
-                        wait: false,
-                    });
-                } else {
-                    // Trace cap hit; counted so the report says so.
-                    prof.slices_dropped += 1;
-                }
-            }
         }
     }
 
     /// Drains every local event with `at < window_end`, in `(at, key)`
-    /// order, then records the next pending timestamp.
+    /// order.
     fn drain_events(&mut self, window_end: u64) {
-        while let Some((next, _)) = self.backlog.queue.peek_key() {
+        while let Some((next, _)) = self.queue.peek_key() {
             if next >= window_end {
-                self.backlog.next_at = next;
                 return;
             }
-            let Some((at, _, (ev, flow))) = self.backlog.queue.pop() else {
+            let Some((at, _, (ev, flow))) = self.queue.pop() else {
                 // peek_key just returned Some.
                 unreachable!("peeked event vanished");
             };
-            match ev.to {
-                NodeId::Proxy(_) => self.backlog.pending_proxy -= 1,
-                NodeId::Origin => self.backlog.pending_origin -= 1,
-                NodeId::Client(_) => {}
-            }
             self.process(at, ev, flow, window_end);
         }
-        self.backlog.next_at = u64::MAX;
     }
 
     /// Processes one delivery through the model's delivery step, filing
@@ -442,7 +304,7 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
         // its own copy, locally or through an outbox, with whatever the
         // delivery changed.
         let (index, shards) = (self.index, self.shards);
-        let (backlog, outboxes) = (&mut self.backlog, &mut self.outboxes);
+        let (queue, outboxes) = (&mut self.queue, &mut self.outboxes);
         let done = self.proxies.deliver(
             &self.net,
             at,
@@ -453,10 +315,7 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
                 NodeId::Proxy(p) if shard_of(p, shards) != index => {
                     // Conservative synchronization: a cross-shard message
                     // travels a proxy↔proxy edge with latency ≥ W, so it
-                    // cannot land inside the current window — widened
-                    // windows included, because `window_end` never
-                    // exceeds the grid barrier after the global earliest
-                    // cross-shard send bound (see `cross_send_bound`).
+                    // cannot land inside the current window.
                     debug_assert!(
                         out_at >= window_end,
                         "lookahead violated: cross-shard delivery at {out_at} inside window \
@@ -474,7 +333,7 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
                     });
                 }
                 NodeId::Proxy(_) | NodeId::Client(_) | NodeId::Origin => {
-                    backlog.enqueue(out_at, key, ev, flow);
+                    queue.push(out_at, key, (ev, flow));
                 }
             },
         );
@@ -504,10 +363,20 @@ fn lock_all<W>(cells: &[Mutex<W>]) -> Vec<MutexGuard<'_, W>> {
         .collect()
 }
 
-/// Rejects configurations the sharded executor cannot reproduce
-/// deterministically, returning the lookahead `W` in microseconds.
-fn validate_sharded(config: &SimConfig, proxies: usize, shards: usize) -> u64 {
+/// The open-loop interval of `config` in microseconds, `None` for a
+/// sequential run (which the runner executes).
+fn open_loop_interval(config: &SimConfig, shards: usize) -> Option<u64> {
     assert!(shards >= 1, "shards must be at least 1");
+    match config.injection {
+        InjectionMode::Sequential => None,
+        InjectionMode::OpenLoop { interval } => Some(interval.as_micros()),
+    }
+}
+
+/// Rejects open-loop configurations the sharded executor cannot
+/// reproduce deterministically, returning the lookahead `W` in
+/// microseconds.
+fn validate_sharded(config: &SimConfig, proxies: usize, interval_us: u64) -> u64 {
     assert!(
         config.faults.is_clean(),
         "sharded execution does not support fault injection (duplicates would need \
@@ -523,12 +392,10 @@ fn validate_sharded(config: &SimConfig, proxies: usize, shards: usize) -> u64 {
         "sharded execution does not support delivery tracing (the trace log is a \
          single totally-ordered stream)"
     );
-    if let InjectionMode::OpenLoop { interval } = config.injection {
-        assert!(
-            interval.as_micros() > 0,
-            "open-loop interval must be positive under sharded execution"
-        );
-    }
+    assert!(
+        interval_us > 0,
+        "open-loop interval must be positive under sharded execution"
+    );
     let w = lookahead_us(config, proxies);
     assert!(
         w > 0,
@@ -540,18 +407,21 @@ fn validate_sharded(config: &SimConfig, proxies: usize, shards: usize) -> u64 {
 
 impl<A: CacheAgent + Send> Simulation<A> {
     /// Runs the workload on `shards` worker shards and returns the
-    /// report; see DESIGN.md §6c for the synchronization protocol and
-    /// the determinism guarantees. The report is invariant
-    /// in `shards` (any `shards ≥ 1`, including counts exceeding the
-    /// proxy count) and byte-identical to [`Simulation::run`], except
-    /// that open-loop runs sample occupancy and convergence at barriers
-    /// rather than at completions.
+    /// report. An open-loop run executes on the sharded engine (DESIGN.md
+    /// §6c): its report is invariant in `shards` (any `shards ≥ 1`,
+    /// including counts exceeding the proxy count) and byte-identical to
+    /// [`Simulation::run`], except that occupancy and convergence are
+    /// sampled at barriers rather than at completions. A sequential run
+    /// keeps one event live at a time, so shards cannot run it in
+    /// parallel: it goes to [`Simulation::run`], and the report is that
+    /// runner's.
     ///
     /// # Panics
     ///
-    /// Panics if `shards == 0`, if the configuration enables faults,
-    /// churn or tracing, if an open-loop interval is zero, or if every
-    /// configured latency is zero (no positive lookahead bound).
+    /// Panics if `shards == 0`; under open loop, also if the
+    /// configuration enables faults, churn or tracing, if the interval is
+    /// zero, or if every configured latency is zero (no positive
+    /// lookahead bound).
     pub fn run_sharded(
         self,
         workload: impl IntoIterator<Item = RequestRecord>,
@@ -561,7 +431,8 @@ impl<A: CacheAgent + Send> Simulation<A> {
     }
 
     /// [`run_sharded`](Simulation::run_sharded), additionally returning
-    /// the agents in proxy-id order for post-run inspection.
+    /// the agents in proxy-id order for post-run inspection; a sequential
+    /// run is [`Simulation::run_with_agents`].
     ///
     /// # Panics
     ///
@@ -571,7 +442,11 @@ impl<A: CacheAgent + Send> Simulation<A> {
         workload: impl IntoIterator<Item = RequestRecord>,
         shards: usize,
     ) -> (SimReport, Vec<A>) {
-        let (report, agents, _) = run_sharded_inner::<A, NullProbe>(self, workload, shards);
+        let Some(interval_us) = open_loop_interval(&self.config, shards) else {
+            return self.run_with_agents(workload);
+        };
+        let (report, agents, _) =
+            run_open_loop::<A, NullProbe>(self, workload, shards, interval_us);
         (report, agents)
     }
 
@@ -581,9 +456,9 @@ impl<A: CacheAgent + Send> Simulation<A> {
     /// Their registries fold through the exact [`Registry::merge`], and
     /// [`SimReport::attach_metrics`] adds the agents' final counters and
     /// fills [`SimReport::metrics`], as
-    /// [`Simulation::run_with_metrics`] does. Sequential runs give the
-    /// same bytes as that runner; open-loop runs differ from it only in
-    /// the occupancy samples, taken at barriers.
+    /// [`Simulation::run_with_metrics`] does. An open-loop run differs
+    /// from that runner only in the occupancy samples, taken at
+    /// barriers; a sequential run is [`Simulation::run_with_metrics`].
     ///
     /// # Panics
     ///
@@ -593,58 +468,29 @@ impl<A: CacheAgent + Send> Simulation<A> {
         workload: impl IntoIterator<Item = RequestRecord>,
         shards: usize,
     ) -> SimReport {
+        let Some(interval_us) = open_loop_interval(&self.config, shards) else {
+            return self.run_with_metrics(workload);
+        };
         let (mut report, _, registry) =
-            run_sharded_inner::<A, MetricsProbe>(self, workload, shards);
+            run_open_loop::<A, MetricsProbe>(self, workload, shards, interval_us);
         report.attach_metrics(registry);
         report
     }
 }
 
-/// Starts the next workload flow at `now`, reporting it to the
-/// coordinator's `probe` and filing its first delivery in the owner
-/// shard. `shards` is the coordinator's locked view of the shard cells.
-/// Returns false when the workload is exhausted.
-fn inject_next<A, P, G>(
-    now: SimTime,
-    shards: &mut [G],
-    workload: &mut dyn Iterator<Item = RequestRecord>,
-    ledger: &mut Ledger,
-    net: &Net,
-    probe: &mut P,
-    inj_times: &mut VecDeque<u64>,
-) -> bool
-where
-    A: CacheAgent,
-    P: ShardProbe,
-    G: std::ops::DerefMut<Target = Shard<A, P>>,
-{
-    let Some(record) = workload.next() else {
-        return false;
-    };
-    let start = ledger.start_flow(record, now, net, probe);
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "shard_of() is always below the shard count"
-    )]
-    let shard = &mut shards[shard_of(start.proxy, shards.len())];
-    shard
-        .backlog
-        .enqueue(start.at, start.key, start.event, Some(start.flow));
-    inj_times.push_back(now.as_micros());
-    true
-}
-
-/// The coordinator loop: builds the shards, advances the window barrier
-/// until every queue drains, folds completions, and assembles the
-/// report. Returns `(report, agents in id order, merged registry)`.
-fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
+/// The coordinator loop of an open-loop run with one arrival every
+/// `interval_us`: builds the shards, advances the window barrier until
+/// every queue drains, folds completions, and assembles the report.
+/// Returns `(report, agents in id order, merged registry)`.
+fn run_open_loop<A: CacheAgent + Send, P: ShardProbe>(
     sim: Simulation<A>,
     workload: impl IntoIterator<Item = RequestRecord>,
     shards_n: usize,
+    interval_us: u64,
 ) -> (SimReport, Vec<A>, Registry) {
     let Simulation { agents, config } = sim;
     let n_proxies = agents.len();
-    let window_us = validate_sharded(&config, n_proxies, shards_n);
+    let window_us = validate_sharded(&config, n_proxies, interval_us);
     // The ledger starts the run's clocks; CPU telemetry covers the
     // coordinator thread only (worker CPU would need cross-thread
     // aggregation for a number no gate consumes).
@@ -652,13 +498,9 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
     // The coordinator's probe sees the flow events; each shard's sees
     // its agents' events.
     let mut coord_probe = P::for_shard();
-    let wall_start = ledger.wall_start();
     let net = Arc::new(Net::new(&config));
 
-    // Partition agents round-robin: proxy p → shard p % N. Sequential
-    // runs share the one agent stream across shards.
-    let sequential = config.injection == InjectionMode::Sequential;
-    let shared_rng = SharedRng::new(sequential_stream(config.seed));
+    // Partition agents round-robin: proxy p → shard p % N.
     let mut shard_agents: Vec<Vec<A>> = (0..shards_n).map(|_| Vec::new()).collect();
     for (p, agent) in agents.into_iter().enumerate() {
         #[expect(
@@ -673,21 +515,13 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
         .map(|(index, agents)| Shard {
             index,
             shards: shards_n,
-            proxies: Proxies::new(&config, agents, index, shards_n, shared_rng.clone()),
+            proxies: Proxies::new(&config, agents, index, shards_n),
             probe: P::for_shard(),
-            backlog: Backlog {
-                queue: CalendarQueue::new(),
-                next_at: u64::MAX,
-                pending_proxy: 0,
-                pending_origin: 0,
-            },
+            queue: CalendarQueue::new(),
             records: Vec::new(),
             outboxes: (0..shards_n).map(|_| Vec::new()).collect(),
             net: Arc::clone(&net),
-            prof: config
-                .shard
-                .profile
-                .then(|| Box::new(ShardProfState::new(wall_start))),
+            prof: config.shard.profile.then(Box::default),
         })
         .collect();
 
@@ -701,173 +535,85 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
     let mut peak_flows: usize = 0;
     let mut workload_done = false;
 
-    // Widening moves barrier placement, which is observable only by
-    // barrier-driven state sampling (occupancy series, convergence
-    // snapshots, metrics probes) in open-loop runs; sequential mode is
-    // immune — each of its folds sees at most one completion, with all
-    // of that flow's agent mutations already settled. So widen unless
-    // an open-loop run samples state at barriers.
-    let widen = sequential || !(ledger.samples_state() || P::ENABLED);
     let workers = pool::default_workers(shards_n);
-
-    let interval_us = match config.injection {
-        InjectionMode::Sequential => 0,
-        InjectionMode::OpenLoop { interval } => interval.as_micros(),
-    };
     let mut next_inject_at: u64 = 0;
     let client_proxy_us = config.latency.client_proxy.as_micros();
-    // The origin→proxy reply latency: the widening slack of
-    // origin-bound work. Latency matrices only override proxy↔proxy
-    // edges, so the class model's value is exact.
-    let origin_reply_us = config.latency.proxy_origin.as_micros();
 
-    let mut exec = ShardExecStats::default();
-    // Coordinator half of the execution profiler (None = profiling off).
-    let mut coord_prof: Option<CoordProf> = config.shard.profile.then(CoordProf::new);
+    // Barrier rounds run (the profile's `windows`).
+    let mut windows: u64 = 0;
+    // The execution profile (None = profiling off): the coordinator adds
+    // its barrier-wait split and outbox depths as the run goes, and the
+    // shards' drain accounting at the end.
+    let mut profile: Option<ShardProfile> = config.shard.profile.then(|| ShardProfile {
+        shards: shards_n,
+        ..ShardProfile::default()
+    });
     // Reusable fold buffer: every shard's completions, sorted globally.
     let mut records_buf: Vec<Completion> = Vec::new();
 
     let cells: Vec<Mutex<Shard<A, P>>> = shards.into_iter().map(Mutex::new).collect();
     let ((), spawned) = pool::with_pool(&cells, workers, |pool| {
         let mut guards = lock_all(&cells);
-
-        // Prime the pump. Sequential injects the first request at t=0;
-        // open-loop arrivals are generated window by window below.
-        if sequential {
-            workload_done = !inject_next(
-                SimTime::ZERO,
-                &mut guards,
-                &mut workload,
-                &mut ledger,
-                &net,
-                &mut coord_probe,
-                &mut inj_times,
-            );
-        }
-
         loop {
-            // Earliest pending work across shards and (open-loop) the
-            // arrival process; the plain next window is the
-            // lookahead-aligned window containing it.
-            let mut min_next = guards
-                .iter()
-                .map(|s| s.backlog.next_at)
-                .min()
-                .unwrap_or(u64::MAX);
-            if interval_us > 0 && !workload_done {
+            // Earliest pending work across shards and the arrival
+            // process; the next window is the lookahead-aligned window
+            // containing it.
+            let mut min_next = guards.iter().map(|s| s.next_at()).min().unwrap_or(u64::MAX);
+            if !workload_done {
                 min_next = min_next.min(next_inject_at + client_proxy_us);
             }
             if min_next == u64::MAX {
                 // Drained; the last barrier folded every completion.
                 break;
             }
-            let grid_end = (min_next / window_us) * window_us + window_us;
+            let window_end = (min_next / window_us) * window_us + window_us;
+            windows += 1;
 
-            // Adaptive widening: when no shard can emit a cross-shard
-            // message before `grid_end`, jump the barrier to the
-            // lookahead-aligned window containing the earliest possible
-            // cross-shard send. Every such send is delivered a full
-            // lookahead later, i.e. at or after the widened barrier, so
-            // the jump never admits a delivery into the widened range
-            // (conservatism argument in DESIGN.md §6c).
-            let mut window_end = grid_end;
-            if widen {
-                let mut earliest_send = guards
-                    .iter()
-                    .map(|s| s.backlog.cross_send_bound(origin_reply_us))
-                    .min()
-                    .unwrap_or(u64::MAX);
-                if interval_us > 0 && !workload_done {
-                    // A future arrival is a fresh proxy-bound delivery.
-                    earliest_send = earliest_send.min(next_inject_at + client_proxy_us);
-                }
-                if earliest_send == u64::MAX {
-                    // Nothing left can ever cross shards: drain fully.
-                    window_end = u64::MAX;
-                } else {
-                    window_end = ((earliest_send / window_us) * window_us)
-                        .saturating_add(window_us)
-                        .max(grid_end);
-                }
-            }
-            exec.windows_advanced += 1;
-            if window_end > grid_end {
-                exec.windows_widened += 1;
-                if window_end != u64::MAX {
-                    exec.windows_skipped += (window_end - grid_end) / window_us;
-                }
-            }
-
-            // Open-loop: generate every arrival whose *arrival time*
-            // precedes this barrier. Arrivals whose first delivery
-            // falls beyond the barrier merely sit in the owner queue,
-            // so the event schedule is a pure function of the arrival
-            // grid — but pushing them now puts their timestamps in
-            // `inj_times` before any fold that could observe a
-            // completion after them, which makes the live-flow
-            // interleave pure global time order, independent of
-            // barrier placement (widening, shard count).
-            if interval_us > 0 {
-                while !workload_done && next_inject_at < window_end {
-                    if inject_next(
-                        SimTime::from_micros(next_inject_at),
-                        &mut guards,
-                        &mut workload,
-                        &mut ledger,
-                        &net,
-                        &mut coord_probe,
-                        &mut inj_times,
-                    ) {
-                        next_inject_at += interval_us;
-                    } else {
-                        workload_done = true;
-                    }
-                }
+            // Generate every arrival whose *arrival time* precedes this
+            // barrier. Arrivals whose first delivery falls beyond the
+            // barrier merely sit in the owner queue, so the event
+            // schedule is a pure function of the arrival grid — but
+            // pushing them now puts their timestamps in `inj_times`
+            // before any fold that could observe a completion after
+            // them, which makes the live-flow interleave pure global
+            // time order, independent of barrier placement (the shard
+            // count).
+            while !workload_done && next_inject_at < window_end {
+                let Some(record) = workload.next() else {
+                    workload_done = true;
+                    break;
+                };
+                let now = SimTime::from_micros(next_inject_at);
+                let start = ledger.start_flow(record, now, &net, &mut coord_probe);
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "shard_of() is always below the shard count"
+                )]
+                guards[shard_of(start.proxy, shards_n)].queue.push(
+                    start.at,
+                    start.key,
+                    (start.event, Some(start.flow)),
+                );
+                inj_times.push_back(next_inject_at);
+                next_inject_at += interval_us;
             }
 
             // Run the window: every shard with work below the barrier
-            // drains independently. A single active shard (sequential
-            // mode always lands here) or an empty pool drains inline —
-            // zero synchronization; otherwise release the cells to the
-            // persistent pool and re-lock after the barrier.
-            let active = guards
-                .iter()
-                .filter(|s| s.backlog.next_at < window_end)
-                .count();
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "wall-clock durations ≪ 2^64 ns (584 years) and shard counts stay \
-                          tiny: the casts are lossless"
-            )]
+            // drains independently. A single active shard or an empty
+            // pool drains inline — zero synchronization; otherwise
+            // release the cells to the persistent pool and re-lock after
+            // the barrier.
+            let active = guards.iter().filter(|s| s.next_at() < window_end).count();
             if active > 1 && workers > 0 {
                 guards.clear();
-                match coord_prof.as_mut() {
+                match profile.as_mut() {
                     None => pool.run_window(window_end, active),
-                    Some(cp) => {
-                        let t = pool.run_window_timed(window_end, active);
+                    Some(p) => {
                         // Wall-clock split from the pool, outside the
                         // SimEvent stream.
-                        cp.busy_ns += t.busy_ns;
-                        cp.wait_ns += t.wait_ns;
-                        // The wait slice ends at the barrier, just now.
-                        let wait_us = t.wait_ns / 1_000;
-                        if wait_us > 0 {
-                            if cp.wait_slices.len() < ShardProfile::MAX_SLICES {
-                                cp.wait_slices.push(ShardSlice {
-                                    // Coordinator lane sits after the
-                                    // shard lanes.
-                                    lane: shards_n as u32,
-                                    start_us: (wall_start.elapsed().as_micros() as u64)
-                                        .saturating_sub(wait_us),
-                                    dur_us: wait_us,
-                                    wait: true,
-                                });
-                            } else {
-                                // Trace cap hit; counted so the report
-                                // says so.
-                                cp.slices_dropped += 1;
-                            }
-                        }
+                        let t = pool.run_window_timed(window_end, active);
+                        p.coordinator_busy_ns += t.busy_ns;
+                        p.coordinator_wait_ns += t.wait_ns;
                     }
                 }
                 guards = lock_all(&cells);
@@ -879,33 +625,30 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                     clippy::disallowed_types,
                     reason = "profiler telemetry only"
                 )]
-                let t0 = coord_prof.as_ref().map(|_| Instant::now());
-                for shard in guards.iter_mut().filter(|s| s.backlog.next_at < window_end) {
+                let t0 = profile.as_ref().map(|_| Instant::now());
+                for shard in guards.iter_mut().filter(|s| s.next_at() < window_end) {
                     shard.drain_window(window_end);
                 }
-                if let (Some(cp), Some(t0)) = (coord_prof.as_mut(), t0) {
-                    // Wall clock only.
-                    cp.busy_ns += t0.elapsed().as_nanos() as u64;
+                if let (Some(p), Some(t0)) = (profile.as_mut(), t0) {
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "wall-clock durations ≪ 2^64 ns (584 years): the cast is \
+                                  lossless"
+                    )]
+                    let busy_ns = t0.elapsed().as_nanos() as u64;
+                    p.coordinator_busy_ns += busy_ns;
                 }
             }
 
             // Profiler barrier bookkeeping: outbox depths before routing
-            // drains them, and the barrier's place on the wall-clock
-            // timeline.
-            if let Some(cp) = coord_prof.as_mut() {
+            // drains them.
+            if let Some(p) = profile.as_mut() {
                 for (src, guard) in guards.iter().enumerate() {
                     for (dst, outbox) in guard.outboxes.iter().enumerate() {
                         if src != dst {
-                            cp.outbox_depth.record(outbox.len() as u64);
+                            p.outbox_depth.record(outbox.len() as u64);
                         }
                     }
-                }
-                if cp.barriers_us.len() < ShardProfile::MAX_SLICES {
-                    #[expect(
-                        clippy::cast_possible_truncation,
-                        reason = "wall-clock offsets ≪ 2^64 µs: the cast is lossless"
-                    )]
-                    cp.barriers_us.push(wall_start.elapsed().as_micros() as u64);
                 }
             }
 
@@ -928,7 +671,7 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                     let mut routed = std::mem::take(&mut guards[src].outboxes[dst]);
                     for r in routed.drain(..) {
                         debug_assert!(r.at >= window_end, "lookahead violated at the barrier");
-                        guards[dst].backlog.enqueue(r.at, r.key, r.ev, r.flow);
+                        guards[dst].queue.push(r.at, r.key, (r.ev, r.flow));
                     }
                     guards[src].outboxes[dst] = routed;
                 }
@@ -964,20 +707,6 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
                         shard.probe.barrier_sample();
                     }
                 }
-                // Sequential: the completed flow hands its slot to the
-                // next workload request, injected at the completion
-                // instant.
-                if sequential && !workload_done {
-                    workload_done = !inject_next(
-                        SimTime::from_micros(rec.at),
-                        &mut guards,
-                        &mut workload,
-                        &mut ledger,
-                        &net,
-                        &mut coord_probe,
-                        &mut inj_times,
-                    );
-                }
             }
             // Settle injections up to the barrier so the live-flow
             // counter tracks time order even across completion-free
@@ -990,10 +719,9 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
         }
         drop(guards);
     });
-    exec.pool_spawns = spawned as u64;
 
     // Recover the shards from their pool cells for final accounting.
-    let mut shards: Vec<Shard<A, P>> = cells
+    let shards: Vec<Shard<A, P>> = cells
         .into_iter()
         .map(|c| c.into_inner().unwrap_or_else(PoisonError::into_inner))
         .collect();
@@ -1004,48 +732,16 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
         counters.merge(&shard.proxies.counters);
     }
 
-    // Assemble the execution profile: per-shard drain accounting merged
-    // with the coordinator's barrier-wait half, slices interleaved on
-    // the shared wall-clock timeline.
-    let shard_profile = coord_prof.map(|cp| {
-        let mut profile = ShardProfile {
-            shards: shards_n,
-            windows: exec.windows_advanced,
-            shard_drain_ns: Vec::with_capacity(shards_n),
-            shard_windows: Vec::with_capacity(shards_n),
-            shard_events: Vec::with_capacity(shards_n),
-            coordinator_busy_ns: cp.busy_ns,
-            coordinator_wait_ns: cp.wait_ns,
-            window_occupancy: Log2Histogram::new(),
-            outbox_depth: cp.outbox_depth,
-            slices: cp.wait_slices,
-            slices_dropped: cp.slices_dropped,
-            barriers_us: cp.barriers_us,
-        };
-        for shard in &mut shards {
-            // Profiling is a run-wide switch: every shard carries state.
-            #[expect(
-                clippy::expect_used,
-                reason = "this branch only runs when coord_prof was built, and every shard \
-                          then got a profiler at construction"
-            )]
-            let sp = shard
-                .prof
-                .as_mut()
-                .expect("profiled run built shard profilers");
+    // Complete the execution profile with each shard's drain accounting.
+    if let Some(profile) = profile.as_mut() {
+        profile.windows = windows;
+        for sp in shards.iter().filter_map(|s| s.prof.as_deref()) {
             profile.shard_drain_ns.push(sp.drain_ns);
             profile.shard_windows.push(sp.windows);
             profile.shard_events.push(sp.events);
             profile.window_occupancy.merge(&sp.occupancy);
-            profile.slices.append(&mut sp.slices);
-            // Fold of per-shard caps into the report total.
-            profile.slices_dropped += sp.slices_dropped;
         }
-        profile
-            .slices
-            .sort_unstable_by_key(|s| (s.start_us, s.lane));
-        profile
-    });
+    }
     // Tear the shards down: agents back into proxy-id order, registries
     // folded through the exact merge (coordinator first, then shards in
     // index order — merge is commutative, the order is cosmetic).
@@ -1071,8 +767,10 @@ fn run_sharded_inner<A: CacheAgent + Send, P: ShardProbe>(
         })
         .collect();
     let report = SimReport {
-        shard_exec: Some(exec),
-        shard_profile,
+        shard_exec: Some(ShardExecStats {
+            pool_spawns: spawned as u64,
+        }),
+        shard_profile: profile,
         ..ledger.into_report(&agents, counters, peak_flows)
     };
 
@@ -1098,11 +796,14 @@ mod tests {
     }
 
     /// Default-latency config (the sharded executor needs positive
-    /// latencies for its lookahead bound).
+    /// latencies for its lookahead bound), open loop every 100 µs.
     fn config() -> SimConfig {
         SimConfig {
             hit_window: 500,
             sample_every: 500,
+            injection: InjectionMode::OpenLoop {
+                interval: SimTime::from_micros(100),
+            },
             ..SimConfig::default()
         }
     }
@@ -1125,33 +826,8 @@ mod tests {
     }
 
     #[test]
-    fn sequential_sharded_matches_single_threaded_exactly() {
-        let workload = || StationaryZipf::new(120, 0.9, 6, 7).take(2_500);
-        let legacy = Simulation::new(adc_agents(3), config()).run(workload());
-        for shards in [1, 2, 3, 5] {
-            let sharded = Simulation::new(adc_agents(3), config()).run_sharded(workload(), shards);
-            assert_eq!(legacy.completed, sharded.completed, "shards={shards}");
-            assert_eq!(legacy.hits, sharded.hits, "shards={shards}");
-            assert_eq!(
-                legacy.messages_delivered, sharded.messages_delivered,
-                "shards={shards}"
-            );
-            assert_eq!(
-                legacy.events_processed, sharded.events_processed,
-                "shards={shards}"
-            );
-            assert_eq!(legacy.hit_series, sharded.hit_series, "shards={shards}");
-            assert_eq!(legacy.peak_flows, sharded.peak_flows, "shards={shards}");
-            assert_eq!(legacy.per_proxy, sharded.per_proxy, "shards={shards}");
-        }
-    }
-
-    #[test]
     fn open_loop_sharded_is_shard_count_invariant() {
-        let mut c = config();
-        c.injection = InjectionMode::OpenLoop {
-            interval: SimTime::from_micros(100),
-        };
+        let c = config();
         let workload = || StationaryZipf::new(100, 0.9, 4, 5).take(1_500);
         let run =
             |shards| Simulation::new(adc_agents(4), c.clone()).run_sharded(workload(), shards);
@@ -1175,40 +851,33 @@ mod tests {
     }
 
     #[test]
-    fn profiling_and_widening_never_move_the_bytes() {
-        // Widening and the pool are execution strategy and profiling is
-        // measurement: the 3-shard report must equal the runner's, in
-        // both injection modes, with profiling on and off. The one
-        // exception is open loop with occupancy sampling, which samples
-        // at barriers (widening stays off there); it must equal the
-        // 1-shard report instead.
+    fn profiling_never_moves_the_bytes() {
+        // The pool is execution strategy and profiling is measurement:
+        // the 3-shard report must equal the runner's, with profiling on
+        // and off. With occupancy sampling, which reads agents at
+        // barriers, it must equal the 1-shard report instead.
         let workload = || StationaryZipf::new(100, 0.9, 4, 5).take(1_000);
-        for open_loop in [false, true] {
-            for occupancy in [false, true] {
-                let mut base = config();
-                base.sample_occupancy = occupancy;
-                if open_loop {
-                    base.injection = InjectionMode::OpenLoop {
-                        interval: SimTime::from_micros(60),
-                    };
-                }
-                let reference = Simulation::new(adc_agents(3), base.clone());
-                let reference = if open_loop && occupancy {
-                    reference.run_sharded(workload(), 1)
-                } else {
-                    reference.run(workload())
-                };
-                for profile in [false, true] {
-                    let mut c = base.clone();
-                    c.shard.profile = profile;
-                    let r = Simulation::new(adc_agents(3), c).run_sharded(workload(), 3);
-                    assert_eq!(
-                        reference.to_deterministic_json(),
-                        r.to_deterministic_json(),
-                        "bytes moved at open_loop={open_loop} occupancy={occupancy} \
-                         profile={profile}"
-                    );
-                }
+        for occupancy in [false, true] {
+            let mut base = config();
+            base.sample_occupancy = occupancy;
+            base.injection = InjectionMode::OpenLoop {
+                interval: SimTime::from_micros(60),
+            };
+            let reference = Simulation::new(adc_agents(3), base.clone());
+            let reference = if occupancy {
+                reference.run_sharded(workload(), 1)
+            } else {
+                reference.run(workload())
+            };
+            for profile in [false, true] {
+                let mut c = base.clone();
+                c.shard.profile = profile;
+                let r = Simulation::new(adc_agents(3), c).run_sharded(workload(), 3);
+                assert_eq!(
+                    reference.to_deterministic_json(),
+                    r.to_deterministic_json(),
+                    "bytes moved at occupancy={occupancy} profile={profile}"
+                );
             }
         }
     }
@@ -1230,7 +899,7 @@ mod tests {
         assert_eq!(p.shard_windows.len(), 4);
         assert_eq!(p.shard_events.len(), 4);
         assert!(p.windows > 0, "{p:?}");
-        assert!(p.total_drain_ns() > 0, "{p:?}");
+        assert!(p.shard_drain_ns.iter().sum::<u64>() > 0, "{p:?}");
         // Occupancy records every invoked drain; its sum is exactly the
         // events the shards processed.
         assert!(p.window_occupancy.count() > 0);
@@ -1239,58 +908,9 @@ mod tests {
         assert!(p.imbalance_coefficient() >= 1.0, "{p:?}");
         let frac = p.barrier_wait_fraction();
         assert!((0.0..=1.0).contains(&frac), "{frac}");
-        assert!(!p.slices.is_empty(), "non-empty drains leave slices");
-        assert!(
-            p.slices.windows(2).all(|w| w[0].start_us <= w[1].start_us),
-            "slices sorted by start time"
-        );
-        assert!(!p.barriers_us.is_empty());
-        // The slices render into a parseable chrome trace with shard
-        // lanes plus the coordinator wait lane.
-        let trace = adc_obs::shard_lanes_to_chrome_trace(p.shards, &p.slices, &p.barriers_us);
-        assert!(trace.starts_with('{') && trace.ends_with('}'), "{trace}");
-        assert!(trace.contains("\"traceEvents\""));
-        assert!(trace.contains("\"shard 0\""));
-        assert!(trace.contains("\"coordinator\""));
         // Default config leaves profiling off and the report clean.
         let plain = Simulation::new(adc_agents(8), config()).run_sharded(workload(), 4);
         assert!(plain.shard_profile.is_none());
-    }
-
-    #[test]
-    fn widening_engages_and_reports_stats() {
-        // Sequential mode always widens: a flow's origin round trip
-        // leaves only origin-/client-bound work pending, so the barrier
-        // regularly jumps several windows at once.
-        let workload = || StationaryZipf::new(80, 0.9, 4, 5).take(600);
-        let on = Simulation::new(adc_agents(3), config()).run_sharded(workload(), 3);
-        let exec_on = on.shard_exec.expect("sharded runs report exec stats");
-        assert!(exec_on.windows_widened > 0, "{exec_on:?}");
-        assert!(exec_on.windows_skipped > 0, "{exec_on:?}");
-        // Widening exists to cut barrier count; the report bytes stay
-        // the runner's.
-        let plain = Simulation::new(adc_agents(3), config()).run(workload());
-        assert_eq!(plain.to_deterministic_json(), on.to_deterministic_json());
-        // Open loop with state sampling active must hold the plain
-        // barrier grid (widening off).
-        let mut sampled = config();
-        sampled.sample_occupancy = true;
-        sampled.injection = InjectionMode::OpenLoop {
-            interval: SimTime::from_micros(100),
-        };
-        let s = Simulation::new(adc_agents(3), sampled).run_sharded(workload(), 3);
-        let exec_s = s.shard_exec.expect("sharded runs report exec stats");
-        assert_eq!(exec_s.windows_widened, 0, "{exec_s:?}");
-        // ...and without samplers, a sparse open-loop arrival schedule
-        // widens across the idle stretches between arrivals.
-        let mut sparse = config();
-        sparse.sample_occupancy = false;
-        sparse.injection = InjectionMode::OpenLoop {
-            interval: SimTime::from_micros(5_000),
-        };
-        let sp = Simulation::new(adc_agents(3), sparse).run_sharded(workload(), 3);
-        let exec_sp = sp.shard_exec.expect("sharded runs report exec stats");
-        assert!(exec_sp.windows_widened > 0, "{exec_sp:?}");
     }
 
     #[test]
@@ -1327,8 +947,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "lookahead bound")]
     fn instant_networks_rejected() {
-        let _ =
-            Simulation::new(adc_agents(2), SimConfig::fast()).run_sharded(std::iter::empty(), 2);
+        let c = SimConfig {
+            injection: config().injection,
+            ..SimConfig::fast()
+        };
+        let _ = Simulation::new(adc_agents(2), c).run_sharded(std::iter::empty(), 2);
     }
 
     #[test]
@@ -1339,14 +962,16 @@ mod tests {
 
     #[test]
     fn empty_workload_is_a_clean_no_op() {
-        let report = Simulation::new(adc_agents(2), config()).run_sharded(std::iter::empty(), 2);
+        // Sequential injection goes to the runner.
+        let sequential = SimConfig {
+            injection: InjectionMode::Sequential,
+            ..config()
+        };
+        let report = Simulation::new(adc_agents(2), sequential).run_sharded(std::iter::empty(), 2);
         assert_eq!(report.completed, 0);
         assert_eq!(report.events_processed, 0);
-        let mut c = config();
-        c.injection = InjectionMode::OpenLoop {
-            interval: SimTime::from_micros(50),
-        };
-        let report = Simulation::new(adc_agents(2), c).run_sharded(std::iter::empty(), 2);
+        assert!(report.shard_exec.is_none());
+        let report = Simulation::new(adc_agents(2), config()).run_sharded(std::iter::empty(), 2);
         assert_eq!(report.completed, 0);
         // The single-queue runner pops exactly one (exhausted) Inject.
         assert_eq!(report.events_processed, 1);

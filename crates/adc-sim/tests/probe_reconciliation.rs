@@ -20,7 +20,7 @@ use adc_core::{
     UnlimitedAdcProxy,
 };
 use adc_metrics::Family;
-use adc_sim::{ChurnEvent, FaultPlan, MetricsProbe, SimConfig, SimTime, Simulation};
+use adc_sim::{ChurnEvent, FaultPlan, InjectionMode, MetricsProbe, SimConfig, SimTime, Simulation};
 use adc_workload::{PolygraphConfig, StationaryZipf};
 use proptest::prelude::*;
 
@@ -185,10 +185,9 @@ fn one_faulty_adc_run_emits_every_event_kind() {
 /// After a churn restart the occupancy gauges read the agent's true
 /// occupancy: the restart empties the tables and the store without a
 /// migration or eviction per entry, so the metrics probe zeroes the
-/// restarted proxy's gauges on its event and counts on from there.
-/// (`adc_table_single` is left out: a first sighting enters the single
-/// table without a migration event, so that gauge drifts with or
-/// without restarts.)
+/// restarted proxy's gauges on its event and counts on from there. The
+/// single-table gauge counts first sightings in (`Out → Single`) and
+/// forgotten rows out, so it holds the table's size too.
 #[test]
 fn occupancy_gauges_follow_a_restart() {
     let config = AdcConfig::builder()
@@ -219,6 +218,11 @@ fn occupancy_gauges_follow_a_restart() {
             "proxy {p}"
         );
         assert_eq!(
+            gauge(Family::TABLE_SINGLE),
+            tables.single().len(),
+            "proxy {p}"
+        );
+        assert_eq!(
             gauge(Family::TABLE_MULTIPLE),
             tables.multiple().len(),
             "proxy {p}"
@@ -246,13 +250,29 @@ fn simulator_leaves_no_store_change_undrained() {
     let (report, mut left) =
         Simulation::new(agents(), SimConfig::default()).run_with_agents(trace());
     assert!(report.cluster_stats().cache_insertions > 0);
+    // The sharded engine runs open loop; without occupancy sampling its
+    // bytes are the runner's.
+    let open = SimConfig {
+        injection: InjectionMode::OpenLoop {
+            interval: SimTime::from_micros(50),
+        },
+        sample_occupancy: false,
+        ..SimConfig::default()
+    };
+    let (open_report, mut open_left) =
+        Simulation::new(agents(), open.clone()).run_with_agents(trace());
     let (sharded, mut sharded_left) =
-        Simulation::new(agents(), SimConfig::default()).run_sharded_with_agents(trace(), 2);
+        Simulation::new(agents(), open).run_sharded_with_agents(trace(), 2);
+    assert!(sharded.peak_flows > 1, "open loop must overlap flows");
     assert_eq!(
-        report.to_deterministic_json(),
+        open_report.to_deterministic_json(),
         sharded.to_deterministic_json()
     );
-    for agent in left.iter_mut().chain(&mut sharded_left) {
+    for agent in left
+        .iter_mut()
+        .chain(&mut open_left)
+        .chain(&mut sharded_left)
+    {
         assert_eq!(
             agent.drain_cache_events(),
             [],

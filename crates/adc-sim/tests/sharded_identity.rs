@@ -5,12 +5,13 @@
 //! non-power-of-two count, a count that does not divide the proxy count,
 //! and a count exceeding it — and demands *byte identity* of the
 //! canonical report JSON, the Prometheus metrics exposition, and the
-//! convergence series. Sequential injection must match the
-//! single-threaded runner exactly; open-loop injection must be invariant
-//! in the shard count, and match the single-threaded runner too whenever
-//! nothing samples agent state (occupancy, convergence, metrics). Both
-//! executors attribute each hit flow to the server its completion
-//! names, so their hop and latency histograms agree under open loop.
+//! convergence series. Sequential injection must go to the
+//! single-threaded runner and return its results; open-loop injection
+//! must be invariant in the shard count, and match the single-threaded
+//! runner too whenever nothing samples agent state (occupancy,
+//! convergence, metrics). Both executors attribute each hit flow to the
+//! server its completion names, so their hop and latency histograms
+//! agree under open loop.
 
 use adc_core::{AdcConfig, AdcProxy, CacheAgent, EventLog, ProxyId, SimEvent};
 use adc_metrics::registry::CLUSTER;
@@ -56,80 +57,95 @@ fn config() -> SimConfig {
     }
 }
 
+/// Sequential injection keeps one event live, so `run_sharded*` hands
+/// it to the runner: every entry point returns the runner's bytes,
+/// agents and exposition, and no engine telemetry, even with the
+/// profiler asked for. Zero shards is still an error.
 #[test]
-fn sequential_report_is_byte_identical_to_single_threaded() {
-    let reference = Simulation::new(agents(), config()).run(workload());
-    let reference_json = reference.to_deterministic_json();
-    let reference_conv = reference.convergence.as_ref().expect("convergence enabled");
+fn sequential_runs_delegate_to_the_runner() {
+    let mut seq = config();
+    seq.shard.profile = true;
+    let (reference, reference_agents) =
+        Simulation::new(agents(), seq.clone()).run_with_agents(workload());
     assert!(
-        reference_conv.samples > 0,
+        reference
+            .convergence
+            .as_ref()
+            .is_some_and(|conv| conv.samples > 0),
         "the comparison must actually exercise convergence sampling"
     );
     assert!(reference.hits > 0, "workload must produce hits");
-    for shards in SHARD_COUNTS {
-        let report = Simulation::new(agents(), config()).run_sharded(workload(), shards);
-        assert_eq!(
-            reference_json,
-            report.to_deterministic_json(),
-            "shards={shards} diverged from the single-threaded runner"
-        );
-        // The JSON covers these, but keep first-class failures readable.
-        assert_eq!(
-            reference_conv.agreement,
-            report
-                .convergence
-                .as_ref()
-                .expect("convergence enabled")
-                .agreement,
-            "shards={shards} convergence series diverged"
-        );
-    }
-}
-
-#[test]
-fn sequential_metrics_exposition_is_byte_identical_to_single_threaded() {
-    let reference = Simulation::new(agents(), config()).run_with_metrics(workload());
-    let reference_prom = reference
+    let reference_metrics = Simulation::new(agents(), seq.clone()).run_with_metrics(workload());
+    let reference_prom = reference_metrics
         .metrics
         .as_ref()
         .expect("metrics probe attached")
         .snapshot
         .to_prometheus();
-    assert!(
-        reference_prom.contains("adc_requests_completed"),
-        "exposition must carry completion families:\n{reference_prom}"
-    );
-    for shards in SHARD_COUNTS {
-        let report =
-            Simulation::new(agents(), config()).run_sharded_with_metrics(workload(), shards);
-        let prom = report
+    for shards in [1, 4] {
+        let plain = Simulation::new(agents(), seq.clone()).run_sharded(workload(), shards);
+        let (with_agents, returned) =
+            Simulation::new(agents(), seq.clone()).run_sharded_with_agents(workload(), shards);
+        let with_metrics =
+            Simulation::new(agents(), seq.clone()).run_sharded_with_metrics(workload(), shards);
+        for (what, report, expected) in [
+            ("run_sharded", &plain, &reference),
+            ("run_sharded_with_agents", &with_agents, &reference),
+            (
+                "run_sharded_with_metrics",
+                &with_metrics,
+                &reference_metrics,
+            ),
+        ] {
+            assert_eq!(
+                expected.to_deterministic_json(),
+                report.to_deterministic_json(),
+                "shards={shards}: {what} diverged from the runner"
+            );
+            assert!(
+                report.shard_exec.is_none() && report.shard_profile.is_none(),
+                "shards={shards}: {what} ran a sequential config on the engine"
+            );
+        }
+        assert_eq!(reference_agents.len(), returned.len());
+        for (p, (a, b)) in reference_agents.iter().zip(&returned).enumerate() {
+            assert_eq!(a.proxy_id(), b.proxy_id(), "shards={shards}: agent {p}");
+            assert_eq!(a.stats(), b.stats(), "shards={shards}: agent {p}");
+        }
+        let metrics = with_metrics
             .metrics
             .as_ref()
-            .expect("metrics probe attached")
-            .snapshot
-            .to_prometheus();
+            .expect("metrics probe attached");
         assert_eq!(
-            reference_prom, prom,
+            reference_prom,
+            metrics.snapshot.to_prometheus(),
             "shards={shards} metrics exposition diverged"
         );
-        assert_eq!(
-            reference.metrics, report.metrics,
-            "shards={shards} per-proxy metric summaries diverged"
-        );
-        assert_eq!(
-            reference.to_deterministic_json(),
-            report.to_deterministic_json(),
-            "shards={shards} report diverged under the metrics probe"
-        );
+        assert_eq!(reference_metrics.metrics.as_ref(), Some(metrics));
     }
+    let zero =
+        std::panic::catch_unwind(|| Simulation::new(agents(), config()).run_sharded(workload(), 0));
+    let payload = zero.expect_err("zero shards must panic");
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or_default();
+    assert!(message.contains("at least 1"), "{message}");
 }
 
 #[test]
-fn sequential_returns_agents_in_proxy_id_order() {
-    let (_, reference) = Simulation::new(agents(), config()).run_with_agents(workload());
+fn open_loop_returns_agents_in_proxy_id_order() {
+    let open = SimConfig {
+        injection: InjectionMode::OpenLoop {
+            interval: SimTime::from_micros(200),
+        },
+        ..config()
+    };
+    let (_, reference) = Simulation::new(agents(), open.clone()).run_with_agents(workload());
     for shards in SHARD_COUNTS {
         let (_, returned) =
-            Simulation::new(agents(), config()).run_sharded_with_agents(workload(), shards);
+            Simulation::new(agents(), open.clone()).run_sharded_with_agents(workload(), shards);
         assert_eq!(reference.len(), returned.len());
         for (p, (a, b)) in reference.iter().zip(&returned).enumerate() {
             assert_eq!(
@@ -147,25 +163,11 @@ fn sequential_returns_agents_in_proxy_id_order() {
 }
 
 #[test]
-fn profiled_widened_runs_stay_byte_identical_at_figure_scale() {
-    // The synchronization layer (persistent pool, widening) is pure
-    // execution strategy and the profiler pure measurement: with the
-    // profiler's clock reads on, demand byte identity with the
-    // single-threaded runner in both modes, and with shards=1 in
-    // open-loop mode.
-    let reference = Simulation::new(agents(), config()).run(workload());
-    let mut seq = config();
-    seq.shard.profile = true;
-    for shards in SHARD_COUNTS {
-        let report = Simulation::new(agents(), seq.clone()).run_sharded(workload(), shards);
-        assert_eq!(
-            reference.to_deterministic_json(),
-            report.to_deterministic_json(),
-            "shards={shards} diverged with the profiler on (sequential)"
-        );
-    }
-    // Open loop without barrier-driven samplers, so widening genuinely
-    // engages.
+fn profiled_open_loop_runs_stay_byte_identical_at_figure_scale() {
+    // The persistent pool is pure execution strategy and the profiler
+    // pure measurement: with the profiler's clock reads on, demand byte
+    // identity with shards=1, which, with no barrier-driven sampler on,
+    // equals the single-threaded runner's bytes.
     let mut open = config();
     open.convergence = None;
     open.sample_occupancy = false;
@@ -176,8 +178,6 @@ fn profiled_widened_runs_stay_byte_identical_at_figure_scale() {
     open_profiled.shard.profile = true;
     let plain = Simulation::new(agents(), open.clone()).run(workload());
     let base = Simulation::new(agents(), open).run_sharded(workload(), 1);
-    let exec = base.shard_exec.expect("sharded runs report exec stats");
-    assert!(exec.windows_widened > 0, "widening must engage: {exec:?}");
     // Nothing samples agent state here, so the single-queue runner
     // computes the same open-loop report byte for byte.
     assert_eq!(
