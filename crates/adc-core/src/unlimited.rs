@@ -126,6 +126,13 @@ impl UnlimitedStore {
             // Unbounded growth: every new object gets an entry, forever.
             self.mapping
                 .insert(object, TableEntry::new(object, location, now));
+            let event = SimEvent::TableMigration {
+                proxy: at.raw(),
+                object: object.raw(),
+                from: TableLevel::Out,
+                to: TableLevel::Multiple,
+            };
+            tally.record(probe, event);
             return false;
         };
         if entry.last != now {

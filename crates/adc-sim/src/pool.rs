@@ -5,10 +5,14 @@
 //! Worker threads are spawned once per run, lazily, on the first window
 //! that has more than one active shard, and serve every later window.
 //! The barrier between the coordinator and the workers is one
-//! `Mutex<State>`, with `thread::park`/`unpark` for the waits:
+//! `Mutex<State>`. A thread that has to wait polls it between spin-loop
+//! hints for [`SPIN_POLLS`] polls, about one window's drain, and only
+//! then falls back to `thread::park`/`unpark`, so that back-to-back
+//! windows hand off without a futex sleep and wake-up on their critical
+//! path:
 //!
 //! * `epoch` — the publication counter. The coordinator bumps it to
-//!   announce a new window; a worker that has seen epoch `e` parks until
+//!   announce a new window; a worker that has seen epoch `e` waits until
 //!   the value differs from `e`.
 //! * `window_end` — the barrier timestamp of the published window.
 //! * `cursor` — the claim index. Every participant (the workers and the
@@ -25,11 +29,17 @@
 //!   The cell still counts as done, so the barrier completes, and the
 //!   coordinator re-raises the panic there instead of parking forever.
 //!
-//! The state lock is held only to claim, count or publish, never while
-//! a cell runs. Shard state lives in `Mutex` cells whose locks are
+//! The state lock is held only to claim, count, publish or poll, never
+//! while a cell runs. Shard state lives in `Mutex` cells whose locks are
 //! never contended: the cursor hands each cell to exactly one
 //! participant per window, and the coordinator only locks the cells
-//! between barriers, while every worker is parked or idle.
+//! between barriers, while every worker is waiting or idle.
+//!
+//! At most one thread per core spins: the pool has at most `cores - 1`
+//! workers ([`default_workers`]) besides the coordinator, and on a
+//! single-core host it has none, so the coordinator runs every cell
+//! itself and never waits at all. The spin trades idle CPU between
+//! windows for hand-off latency.
 //!
 //! # Determinism
 //!
@@ -51,6 +61,39 @@ use std::thread::{self, Thread};
 )]
 use std::time::Instant;
 
+/// Polls of the barrier state a waiting thread makes before it parks:
+/// about 0.7 ms on a 2-vCPU x86 host, on the order of one window's
+/// drain, so a thread parks only when the other side is slow.
+const SPIN_POLLS: u32 = 2_000;
+
+/// Spin-loop hints between two polls, so that a spinning thread takes
+/// the state lock rarely enough not to slow the threads that claim and
+/// count under it.
+const SPIN_HINTS: u32 = 16;
+
+/// A thread's wait for the barrier state to move: spin for
+/// [`SPIN_POLLS`] polls, then park between polls. Unparking a thread
+/// that still spins costs no system call; the token it leaves makes one
+/// later park return at once, and the caller re-checks the state.
+#[derive(Default)]
+struct Wait {
+    polls: u32,
+}
+
+impl Wait {
+    /// Pauses between two polls of the state.
+    fn pause(&mut self) {
+        if self.polls < SPIN_POLLS {
+            self.polls += 1;
+            for _ in 0..SPIN_HINTS {
+                std::hint::spin_loop();
+            }
+        } else {
+            thread::park();
+        }
+    }
+}
+
 /// One cell's slice of a window: drain every pending event scheduled
 /// strictly before `window_end`.
 pub(crate) trait WindowTask: Send {
@@ -59,13 +102,13 @@ pub(crate) trait WindowTask: Send {
 
 /// Wall-clock split of one coordinator window, measured by
 /// [`Pool::run_window_timed`]: the coordinator's own claim-and-drain
-/// participation vs the time it spent parked at the barrier waiting for
-/// worker shards to finish their cells.
+/// participation vs the time it spent at the barrier waiting for worker
+/// shards to finish their cells.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct WindowTiming {
     /// Nanoseconds the coordinator spent draining cells it claimed.
     pub busy_ns: u64,
-    /// Nanoseconds the coordinator spent parked at the barrier.
+    /// Nanoseconds the coordinator spent waiting at the barrier.
     pub wait_ns: u64,
 }
 
@@ -133,6 +176,7 @@ fn worker_loop<W: WindowTask>(ctl: &Ctl, cells: &[Mutex<W>]) {
     // value lets a worker spawned mid-dispatch join the very window that
     // triggered its spawn.
     let mut seen = 0u64;
+    let mut wait = Wait::default();
     loop {
         let state = ctl.lock();
         if state.shutdown {
@@ -140,11 +184,11 @@ fn worker_loop<W: WindowTask>(ctl: &Ctl, cells: &[Mutex<W>]) {
         }
         if state.epoch == seen {
             drop(state);
-            // A stale unpark token only costs one spin of this loop.
-            thread::park();
+            wait.pause();
             continue;
         }
         seen = state.epoch;
+        wait = Wait::default();
         claim_and_run(ctl, state, cells);
     }
 }
@@ -240,12 +284,13 @@ impl<'env, W: WindowTask> Pool<'_, 'env, W> {
         state
     }
 
-    /// Parks until every cell of the published window is done, then
+    /// Waits until every cell of the published window is done, then
     /// re-raises the first cell panic, if any. The last finisher unparks
     /// us, and leftover unpark tokens from earlier windows merely make
     /// one park return early — the loop re-checks.
     fn wait_barrier(&self) {
         let n = self.cells.len();
+        let mut wait = Wait::default();
         loop {
             let mut state = self.ctl.lock();
             if state.done == n {
@@ -256,14 +301,14 @@ impl<'env, W: WindowTask> Pool<'_, 'env, W> {
                 return;
             }
             drop(state);
-            thread::park();
+            wait.pause();
         }
     }
 }
 
 impl<W> Drop for Pool<'_, '_, W> {
     fn drop(&mut self) {
-        // Every worker is parked or idle here (windows end at the
+        // Every worker is waiting or idle here (windows end at the
         // barrier, and cell panics are caught), so none is mid-claim.
         self.ctl.lock().shutdown = true;
         for worker in &self.workers {
@@ -338,6 +383,28 @@ mod tests {
         }
     }
 
+    /// Runs `body` on a helper thread and waits at most 10 s for it, so
+    /// that a thread never woken fails the test (with `hang` as the
+    /// message) instead of hanging it. Returns how the thread ended.
+    fn within_10s<T: Send + 'static>(
+        hang: &str,
+        body: impl FnOnce() -> T + Send + 'static,
+    ) -> thread::Result<T> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a helper thread, so that the test can time a hang out"
+        )]
+        let run = thread::spawn(body);
+        for _ in 0..1_000 {
+            if run.is_finished() {
+                break;
+            }
+            thread::sleep(Duration::from_millis(10));
+        }
+        assert!(run.is_finished(), "{hang} after 10 s");
+        run.join()
+    }
+
     fn cells(n: usize) -> Vec<Mutex<Counter>> {
         (0..n)
             .map(|_| {
@@ -386,7 +453,10 @@ mod tests {
     }
 
     /// The timed window variant runs every cell exactly like the plain
-    /// one and reports a busy/wait split that covers real work.
+    /// one and reports a busy/wait split that covers real work. Its 2 ms
+    /// cells outlast the spin budget, so with workers the coordinator
+    /// also spins out in `wait_barrier` and must be unparked by the last
+    /// finisher.
     #[test]
     fn timed_windows_measure_the_coordinator_split() {
         struct Sleeper(u64);
@@ -427,8 +497,7 @@ mod tests {
 
     /// A cell that panics on a worker fails the run: it still counts as
     /// done, so the barrier completes, and the coordinator re-raises the
-    /// worker's panic instead of parking forever. The run goes on a
-    /// helper thread so that a hang fails this test after 10 s.
+    /// worker's panic instead of parking forever.
     #[test]
     fn a_worker_panic_fails_the_run() {
         // Both cells meet at a two-party barrier, so they run on two
@@ -447,11 +516,7 @@ mod tests {
                 );
             }
         }
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "a helper thread, so that the test can time a hang out"
-        )]
-        let run = thread::spawn(|| {
+        let run = within_10s("the coordinator was still parked at the barrier", || {
             let coordinator = thread::current().id();
             let meet = Arc::new(Barrier::new(2));
             let cells: Vec<Mutex<PanicsOnWorker>> = (0..2)
@@ -464,21 +529,54 @@ mod tests {
                 .collect();
             with_pool(&cells, 1, |pool| pool.run_window(1, 2))
         });
-        for _ in 0..1_000 {
-            if run.is_finished() {
-                break;
-            }
-            thread::sleep(Duration::from_millis(10));
-        }
-        assert!(
-            run.is_finished(),
-            "the coordinator was still parked at the barrier after 10 s"
-        );
-        let payload = run
-            .join()
-            .expect_err("the worker's panic must fail the run");
+        let payload = run.expect_err("the worker's panic must fail the run");
         let message = payload.downcast_ref::<String>().expect("a formatted panic");
         assert!(message.contains("cell panicked on a worker"), "{message}");
+    }
+
+    /// Windows published several spin budgets apart: every worker spins
+    /// out and parks between them, and must be unparked for the next
+    /// window and for the shutdown. Each window's cells meet at a
+    /// barrier of every participant, so a worker left parked holds the
+    /// window up, and the run fails after 10 s instead of hanging.
+    #[test]
+    fn workers_that_spin_out_park_and_are_woken() {
+        struct Meets {
+            meet: Arc<Barrier>,
+            runs: u64,
+        }
+        impl WindowTask for Meets {
+            fn run_window(&mut self, _window_end: u64) {
+                self.meet.wait();
+                self.runs += 1;
+            }
+        }
+        for workers in [0, 1, 3] {
+            let hang = format!("a parked thread was never woken (workers={workers})");
+            let run = within_10s(&hang, move || {
+                let meet = Arc::new(Barrier::new(workers + 1));
+                let cells: Vec<Mutex<Meets>> = (0..4)
+                    .map(|_| {
+                        Mutex::new(Meets {
+                            meet: Arc::clone(&meet),
+                            runs: 0,
+                        })
+                    })
+                    .collect();
+                let ((), spawned) = with_pool(&cells, workers, |pool| {
+                    for window in 1..=5u64 {
+                        pool.run_window(window, 4);
+                        thread::sleep(Duration::from_millis(5));
+                    }
+                });
+                (cells, spawned)
+            });
+            let (cells, spawned) = run.expect("the run must not panic");
+            assert_eq!(spawned, workers, "workers={workers}");
+            for cell in &cells {
+                assert_eq!(cell.lock().unwrap().runs, 5, "workers={workers}");
+            }
+        }
     }
 
     /// Workers spawn lazily and only up to the useful count.

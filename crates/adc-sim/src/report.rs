@@ -65,8 +65,8 @@ pub struct ShardProfile {
     /// Wall-clock time the coordinator spent in its own claim-and-drain
     /// participation plus inline window execution, nanoseconds.
     pub coordinator_busy_ns: u64,
-    /// Wall-clock time the coordinator spent parked at the barrier
-    /// waiting for worker shards, nanoseconds. The headline stall
+    /// Wall-clock time the coordinator spent at the barrier, spinning
+    /// or parked, waiting for worker shards, nanoseconds. The headline stall
     /// metric: see [`barrier_wait_fraction`](ShardProfile::barrier_wait_fraction).
     pub coordinator_wait_ns: u64,
     /// Events drained per (shard, window): the window-occupancy
@@ -94,7 +94,7 @@ impl ShardProfile {
         max as f64 / mean
     }
 
-    /// Fraction of the coordinator's window-execution time spent parked
+    /// Fraction of the coordinator's window-execution time spent waiting
     /// at the barrier (0.0 when nothing was measured). High values mean
     /// the coordinator finishes its claim share early and stalls on a
     /// straggler shard.

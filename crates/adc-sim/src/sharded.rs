@@ -10,16 +10,18 @@
 //! agent RNG streams; every queued event carries its flow's bookkeeping,
 //! so no shard keeps a flow table. The run proceeds in fixed time
 //! windows of width `W` — the *lookahead bound*: the minimum
-//! configured network latency over every edge that can carry a
-//! cross-shard message (client→proxy plus the proxy↔proxy minimum;
-//! origin round trips and client deliveries are processed on the sending
-//! proxy's shard, so they never cross shards). Within a window
-//! `[T, T + W)` every shard drains its local queue independently: any
-//! message produced inside the window is either shard-local (arbitrary
-//! latency, including zero-latency self-sends) or crosses shards with
-//! latency `≥ W`, hence lands at or after the barrier `T + W`.
-//! Cross-shard messages accumulate in per-destination outboxes and are
-//! routed at the barrier.
+//! proxy↔proxy latency, over the only edges a shard sends over to
+//! another shard inside a window. Origin round trips and client
+//! deliveries are processed on the sending proxy's shard, and every
+//! client→proxy delivery is an injection, which the coordinator files
+//! before the window containing it opens; a single proxy keeps the
+//! client→proxy latency as `W`, so its windows stay finite. Within a
+//! window `[T, T + W)` every shard drains its local queue
+//! independently: any message produced inside the window is either
+//! shard-local (arbitrary latency, including zero-latency self-sends)
+//! or crosses shards with latency `≥ W`, hence lands at or after the
+//! barrier `T + W`. Cross-shard messages accumulate in per-destination
+//! outboxes and are routed at the barrier.
 //!
 //! # Determinism
 //!
@@ -122,24 +124,27 @@ fn shard_of(p: ProxyId, shards: usize) -> usize {
 }
 
 /// The conservative lookahead bound `W` in microseconds: the minimum
-/// latency over the edges that can carry a message whose production and
-/// delivery live on different shards (client→proxy for injections,
-/// proxy↔proxy for forwards). Origin hops are shard-local and do not
-/// constrain `W`.
+/// latency over the off-diagonal proxy↔proxy edges, the only ones a
+/// shard sends over to another shard inside a window. A client→proxy
+/// delivery is an injection, which the coordinator files before the
+/// window containing it opens, and origin hops and client deliveries
+/// stay on the sending proxy's shard. A single proxy has no such edge
+/// and keeps the client→proxy latency, so its windows stay finite.
 fn lookahead_us(config: &SimConfig, proxies: usize) -> u64 {
-    let mut w = config.latency.client_proxy.as_micros();
-    if proxies > 1 {
-        match &config.proxy_latency_matrix {
-            Some(m) => {
-                for (a, row) in m.iter().enumerate() {
-                    for (b, cell) in row.iter().enumerate() {
-                        if a != b {
-                            w = w.min(cell.as_micros());
-                        }
-                    }
-                }
+    if proxies <= 1 {
+        return config.latency.client_proxy.as_micros();
+    }
+    let Some(m) = &config.proxy_latency_matrix else {
+        return config.latency.proxy_proxy.as_micros();
+    };
+    // The matrix is n×n (checked in `Simulation::new`), and n > 1 gives
+    // it an off-diagonal cell.
+    let mut w = u64::MAX;
+    for (a, row) in m.iter().enumerate() {
+        for (b, cell) in row.iter().enumerate() {
+            if a != b {
+                w = w.min(cell.as_micros());
             }
-            None => w = w.min(config.latency.proxy_proxy.as_micros()),
         }
     }
     w
@@ -355,7 +360,7 @@ impl<A: CacheAgent + Send, P: ShardProbe> WindowTask for Shard<A, P> {
 
 /// Locks every shard cell for a coordinator phase. Uncontended by the
 /// barrier protocol: the coordinator only locks while every worker is
-/// parked between windows.
+/// waiting between windows.
 fn lock_all<W>(cells: &[Mutex<W>]) -> Vec<MutexGuard<'_, W>> {
     cells
         .iter()
@@ -399,7 +404,7 @@ fn validate_sharded(config: &SimConfig, proxies: usize, interval_us: u64) -> u64
     let w = lookahead_us(config, proxies);
     assert!(
         w > 0,
-        "sharded execution needs a positive minimum latency as its lookahead bound \
+        "sharded execution needs a positive proxy↔proxy latency as its lookahead bound \
          (instant networks serialize everything; use the single-threaded runner)"
     );
     w
@@ -420,8 +425,8 @@ impl<A: CacheAgent + Send> Simulation<A> {
     ///
     /// Panics if `shards == 0`; under open loop, also if the
     /// configuration enables faults, churn or tracing, if the interval is
-    /// zero, or if every configured latency is zero (no positive
-    /// lookahead bound).
+    /// zero, or if the lookahead bound is zero: a zero proxy↔proxy
+    /// latency (the client→proxy latency with a single proxy).
     pub fn run_sharded(
         self,
         workload: impl IntoIterator<Item = RequestRecord>,
@@ -811,8 +816,9 @@ mod tests {
     #[test]
     fn lookahead_is_min_latency_over_cross_shard_edges() {
         let c = config();
-        // Default model: client_proxy 1ms, proxy_proxy 2ms → W = 1ms.
-        assert_eq!(lookahead_us(&c, 5), 1_000);
+        // Default model: client_proxy 1ms, proxy_proxy 2ms → W = 2ms,
+        // since injections never cross a barrier.
+        assert_eq!(lookahead_us(&c, 5), 2_000);
         // Single proxy: no proxy↔proxy edges, W = client_proxy.
         assert_eq!(lookahead_us(&c, 1), 1_000);
         // A matrix with a faster off-diagonal pair tightens W.
@@ -823,6 +829,30 @@ mod tests {
             ..config()
         };
         assert_eq!(lookahead_us(&c, 3), 700);
+    }
+
+    /// An instant client edge leaves the lookahead at the proxy↔proxy
+    /// latency: each injection is filed before its window opens, so the
+    /// run goes on the engine (a debug build checks the lookahead of
+    /// every cross-shard send) and gives the runner's bytes.
+    #[test]
+    fn an_instant_client_edge_keeps_the_proxy_lookahead() {
+        let mut c = config();
+        c.latency.client_proxy = SimTime::ZERO;
+        c.sample_occupancy = false;
+        assert_eq!(lookahead_us(&c, 4), 2_000);
+        let workload = || StationaryZipf::new(100, 0.9, 4, 5).take(1_500);
+        let runner = Simulation::new(adc_agents(4), c.clone()).run(workload());
+        assert!(runner.peak_flows > 1, "open loop should overlap flows");
+        for shards in [1, 2, 3] {
+            let r = Simulation::new(adc_agents(4), c.clone()).run_sharded(workload(), shards);
+            assert!(r.shard_exec.is_some(), "shards={shards} ran on the engine");
+            assert_eq!(
+                runner.to_deterministic_json(),
+                r.to_deterministic_json(),
+                "shards={shards}"
+            );
+        }
     }
 
     #[test]

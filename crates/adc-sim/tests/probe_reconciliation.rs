@@ -182,22 +182,43 @@ fn one_faulty_adc_run_emits_every_event_kind() {
     }
 }
 
-/// After a churn restart the occupancy gauges read the agent's true
-/// occupancy: the restart empties the tables and the store without a
-/// migration or eviction per entry, so the metrics probe zeroes the
-/// restarted proxy's gauges on its event and counts on from there. The
-/// single-table gauge counts first sightings in (`Out → Single`) and
-/// forgotten rows out, so it holds the table's size too.
-#[test]
-fn occupancy_gauges_follow_a_restart() {
-    let config = AdcConfig::builder()
-        .single_capacity(400)
-        .multiple_capacity(400)
-        .cache_capacity(200)
-        .build();
-    let agents: Vec<AdcProxy> = (0..5)
-        .map(|i| AdcProxy::new(ProxyId::new(i), 5, config.clone()))
-        .collect();
+/// What an agent's table-occupancy gauges must read: the lengths of its
+/// single, multiple and caching tables, all 0 for an agent without them.
+trait TableLengths: CacheAgent {
+    fn table_lengths(&self) -> [usize; 3] {
+        [0; 3]
+    }
+}
+
+impl TableLengths for AdcProxy {
+    fn table_lengths(&self) -> [usize; 3] {
+        let tables = self.tables();
+        [
+            tables.single().len(),
+            tables.multiple().len(),
+            tables.cached().len(),
+        ]
+    }
+}
+
+impl TableLengths for UnlimitedAdcProxy {
+    fn table_lengths(&self) -> [usize; 3] {
+        // The unbounded map plays the multiple table's role, and
+        // `mapping_entries()` counts the cached entries as well.
+        let cached = self.cached_objects();
+        [0, self.mapping_entries() - cached, cached]
+    }
+}
+
+impl TableLengths for SoapProxy {}
+impl TableLengths for CarpProxy {}
+impl TableLengths for HashingProxy<ConsistentRing> {}
+impl TableLengths for HierarchyProxy {}
+
+/// Runs `agents` over the gauge check's trace, with proxy 0 restarted
+/// after 3,000 completions and a [`MetricsProbe`] attached, and checks
+/// every occupancy gauge against the agent's own count.
+fn gauges_reconcile<A: TableLengths>(scheme: &str, agents: Vec<A>) {
     let mut sim = SimConfig::fast();
     sim.churn = vec![ChurnEvent {
         after_completed: 3_000,
@@ -206,32 +227,87 @@ fn occupancy_gauges_follow_a_restart() {
     let mut probe = MetricsProbe::new();
     let (report, agents) = Simulation::new(agents, sim)
         .run_observed_with_agents(PolygraphConfig::scaled(0.002).build(), &mut probe);
-    assert_eq!(report.proxies_reset, 1);
+    assert_eq!(report.proxies_reset, 1, "{scheme}");
     let registry = probe.into_registry();
+    let count = |n: usize| i64::try_from(n).expect("a table length fits i64");
     for agent in &agents {
         let p = agent.proxy_id().raw();
-        let gauge = |family| usize::try_from(registry.gauge(family, p)).expect("non-negative");
-        let tables = agent.tables();
         assert_eq!(
-            gauge(Family::CACHED_OBJECTS),
-            agent.cached_objects(),
-            "proxy {p}"
+            registry.gauge(Family::CACHED_OBJECTS, p),
+            count(agent.cached_objects()),
+            "{scheme} proxy {p}"
         );
-        assert_eq!(
-            gauge(Family::TABLE_SINGLE),
-            tables.single().len(),
-            "proxy {p}"
-        );
-        assert_eq!(
-            gauge(Family::TABLE_MULTIPLE),
-            tables.multiple().len(),
-            "proxy {p}"
-        );
-        assert_eq!(
-            gauge(Family::TABLE_CACHING),
-            tables.cached().len(),
-            "proxy {p}"
-        );
+        let families = [
+            Family::TABLE_SINGLE,
+            Family::TABLE_MULTIPLE,
+            Family::TABLE_CACHING,
+        ];
+        for (family, len) in families.into_iter().zip(agent.table_lengths()) {
+            assert_eq!(
+                registry.gauge(family, p),
+                count(len),
+                "{scheme} proxy {p} {family:?}"
+            );
+        }
+    }
+}
+
+/// After a churn restart every agent's occupancy gauges read its true
+/// occupancy: the restart empties the tables and the store without a
+/// migration or eviction per entry, so the metrics probe zeroes the
+/// restarted proxy's gauges on its event and counts on from there. The
+/// table gauges count entries entering (`Out → Single` in ADC, `Out →
+/// Multiple` in unlimited ADC) and leaving as well as moving, so they
+/// hold the tables' sizes. Five proxies with a cache of 200 each run
+/// every configuration `compare_schemes` does.
+#[test]
+fn occupancy_gauges_follow_a_restart() {
+    const PROXIES: u32 = 5;
+    const CACHE: usize = 200;
+    const MAX_HOPS: u32 = 8;
+    let ids = || (0..PROXIES).map(ProxyId::new);
+    let adc = |policy| -> Vec<AdcProxy> {
+        let config = AdcConfig::builder()
+            .single_capacity(400)
+            .multiple_capacity(400)
+            .cache_capacity(CACHE)
+            .max_hops(MAX_HOPS)
+            .policy(policy)
+            .build();
+        ids()
+            .map(|i| AdcProxy::new(i, PROXIES, config.clone()))
+            .collect()
+    };
+    for scheme in SCHEMES {
+        match scheme {
+            "adc" => gauges_reconcile(scheme, adc(CachePolicy::Selective)),
+            "adc_lru" => gauges_reconcile(scheme, adc(CachePolicy::LruAll)),
+            "adc_unlimited" => gauges_reconcile::<UnlimitedAdcProxy>(
+                scheme,
+                ids()
+                    .map(|i| UnlimitedAdcProxy::new(i, PROXIES, CACHE, MAX_HOPS))
+                    .collect(),
+            ),
+            "soap" => gauges_reconcile::<SoapProxy>(
+                scheme,
+                ids()
+                    .map(|i| SoapProxy::new(i, PROXIES, 1_024, CACHE, MAX_HOPS))
+                    .collect(),
+            ),
+            "carp" => gauges_reconcile::<CarpProxy>(
+                scheme,
+                ids().map(|i| CarpProxy::new(i, PROXIES, CACHE)).collect(),
+            ),
+            "consistent" => gauges_reconcile::<HashingProxy<ConsistentRing>>(
+                scheme,
+                ids()
+                    .map(|i| {
+                        HashingProxy::with_owner_map(i, ConsistentRing::new(ids(), 128), CACHE)
+                    })
+                    .collect(),
+            ),
+            _ => gauges_reconcile(scheme, HierarchyProxy::binary_tree(PROXIES, CACHE)),
+        }
     }
 }
 
