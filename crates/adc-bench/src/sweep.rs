@@ -196,11 +196,7 @@ pub fn run_sweep(scale: Scale) -> Vec<SweepPoint> {
 /// the output order is always the grid order of
 /// [`SweptTable::ALL`] × [`NOMINAL_SIZES`].
 pub fn run_sweep_with(scale: Scale, options: SweepOptions) -> Vec<SweepPoint> {
-    let mut base = Experiment::at_scale(scale);
-    // Sweep points never read occupancy series; skip the per-completion
-    // sampling of every proxy. Occupancy does not feed the RNG or event
-    // order, so the measured fields are unchanged.
-    base.sim.sample_occupancy = false;
+    let base = Experiment::at_scale(scale);
     let trace = base.trace();
     let grid = sweep_grid(scale);
 

@@ -115,8 +115,7 @@ fn fig11_micro_counts_match_golden() {
 /// unchanged.
 #[test]
 fn openloop_and_span_counts_match_golden() {
-    let mut experiment = Experiment::at_scale(Scale::Custom(0.002));
-    experiment.sim.sample_occupancy = false;
+    let experiment = Experiment::at_scale(Scale::Custom(0.002));
     let trace = experiment.trace();
 
     let plain = experiment.run_adc_on(&trace);

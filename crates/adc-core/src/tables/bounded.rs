@@ -2,9 +2,14 @@
 //! second proxy will store the received data replacing existing
 //! information based on the LRU algorithm"), SOAP, the caching tree and
 //! ADC's cache-everything ablation.
+//!
+//! It runs on the mapping tables' store: a slab of rows with an object
+//! index, and the single-table's LRU list linked through the slots. A
+//! full cache reuses its oldest slot for the object it admits.
 
-use super::LruList;
-use crate::ids::{ObjectId, ProxyId};
+use super::store::{Claim, Lru, Slab};
+use crate::entry::TableEntry;
+use crate::ids::{Location, ObjectId, ProxyId};
 use crate::stats::Tally;
 use adc_obs::{Probe, SimEvent};
 
@@ -25,8 +30,8 @@ use adc_obs::{Probe, SimEvent};
 /// ```
 #[derive(Debug, Clone)]
 pub struct BoundedLru {
-    list: LruList<ObjectId, ()>,
-    capacity: usize,
+    slab: Slab,
+    lru: Lru,
 }
 
 impl BoundedLru {
@@ -38,49 +43,61 @@ impl BoundedLru {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         BoundedLru {
-            list: LruList::with_capacity(capacity.min(1 << 20)),
-            capacity,
+            slab: Slab::with_capacity(capacity),
+            lru: Lru::new(capacity),
         }
     }
 
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.lru.capacity()
     }
 
     /// Number of cached objects.
     pub fn len(&self) -> usize {
-        self.list.len()
+        self.lru.len()
     }
 
     /// Returns `true` when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.list.is_empty()
+        self.len() == 0
     }
 
     /// Returns `true` if `object` is cached (does not touch LRU order).
     pub fn contains(&self, object: ObjectId) -> bool {
-        self.list.contains(&object)
+        self.slab.find(object).is_some()
     }
 
     /// Marks `object` as most recently used; returns `true` if present.
     pub fn touch(&mut self, object: ObjectId) -> bool {
-        self.list.get_refresh(&object).is_some()
+        let Some(slot) = self.slab.find(object) else {
+            return false;
+        };
+        self.lru.move_to_front(&mut self.slab, slot);
+        true
     }
 
     /// Inserts `object` as most recently used, returning the evicted
     /// object if the cache was full. Re-inserting an existing object just
     /// refreshes it.
     pub fn insert(&mut self, object: ObjectId) -> Option<ObjectId> {
-        if self.touch(object) {
-            return None;
-        }
-        self.list.push_front(object, ());
-        if self.list.len() > self.capacity {
-            self.list.pop_back().map(|(k, ())| k)
-        } else {
-            None
-        }
+        // A full cache hands its oldest slot, still linked, to a new
+        // object; a fresh slot is linked in.
+        let reuse = self.lru.oldest().filter(|_| self.lru.is_full());
+        let row = TableEntry::new(object, Location::This, 0);
+        let (slot, evicted) = match self.slab.find_or_claim(row, reuse) {
+            Claim::Found(slot) => (slot, None),
+            Claim::New {
+                slot,
+                forgotten: None,
+            } => {
+                self.lru.push_front(&mut self.slab, slot);
+                return None;
+            }
+            Claim::New { slot, forgotten } => (slot, forgotten.map(|row| row.object)),
+        };
+        self.lru.move_to_front(&mut self.slab, slot);
+        evicted
     }
 
     /// The one LRU admission: stores `object` at `proxy` as most recently
@@ -117,17 +134,33 @@ impl BoundedLru {
 
     /// Removes `object`; returns `true` if it was present.
     pub fn remove(&mut self, object: ObjectId) -> bool {
-        self.list.remove(&object).is_some()
+        let Some(slot) = self.slab.unindex(object) else {
+            return false;
+        };
+        self.lru.unlink(&mut self.slab, slot);
+        self.slab.free(slot);
+        true
     }
 
     /// Iterates cached objects, most recently used first.
     pub fn iter(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.list.iter().map(|(&k, ())| k)
+        let slab = &self.slab;
+        self.lru.slots(slab).map(|slot| slab.entry(slot).object)
     }
 
     /// Removes every cached object.
     pub fn clear(&mut self) {
-        self.list.clear();
+        self.slab.clear();
+        self.lru.clear();
+    }
+
+    /// Asserts the store's invariants: the LRU list links every live
+    /// slot and nothing else, within the capacity.
+    #[cfg(test)]
+    fn assert_invariants(&self) {
+        let live = self.slab.assert_invariants();
+        self.lru.assert_invariants(&self.slab);
+        assert_eq!(live, self.lru.len(), "a live slot is off the LRU list");
     }
 }
 
@@ -145,7 +178,11 @@ mod tests {
         assert!(c.touch(ObjectId::new(1)));
         assert_eq!(c.insert(ObjectId::new(4)), Some(ObjectId::new(2)));
         assert!(c.contains(ObjectId::new(1)));
+        assert!(!c.contains(ObjectId::new(2)));
         assert_eq!(c.len(), 3);
+        let order: Vec<u64> = c.iter().map(|o| o.raw()).collect();
+        assert_eq!(order, vec![4, 1, 3]);
+        c.assert_invariants();
     }
 
     #[test]
@@ -193,6 +230,11 @@ mod tests {
         assert!(c.remove(ObjectId::new(1)));
         assert!(!c.remove(ObjectId::new(1)));
         assert_eq!(c.insert(ObjectId::new(2)), None);
+        c.assert_invariants();
+        c.clear();
+        assert!(c.is_empty());
+        assert_eq!(c.insert(ObjectId::new(3)), None);
+        c.assert_invariants();
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Property-based tests of the mapping-table machinery.
 
-use adc_core::tables::{LruList, MappingTables, OrderedTable, TableHit, UpdateOutcome};
+use adc_core::tables::{MappingTables, OrderedTable, TableHit, UpdateOutcome};
 use adc_core::{AgingMode, Location, ObjectId, ProxyId, TableEntry};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
 
 /// An arbitrary update: which object, reported location, and how far the
 /// local clock advances before the update.
@@ -303,50 +302,6 @@ proptest! {
             for e in tables.multiple().iter().chain(tables.cached().iter()) {
                 prop_assert!(e.hits >= 2, "entry {:?} in ordered table with 1 hit", e);
             }
-        }
-    }
-
-    /// `LruList` behaves exactly like a naive VecDeque model.
-    #[test]
-    fn lru_list_matches_model(ops in prop::collection::vec((0u8..4, 0u64..20), 1..300)) {
-        let mut lru: LruList<u64, u64> = LruList::new();
-        let mut model: VecDeque<(u64, u64)> = VecDeque::new(); // front = most recent
-        for (op, key) in ops {
-            match op {
-                0 => { // push_front
-                    let old = lru.push_front(key, key * 10);
-                    let model_old = model.iter().position(|&(k, _)| k == key).map(|i| {
-                        let (_, v) = model.remove(i).unwrap();
-                        v
-                    });
-                    model.push_front((key, key * 10));
-                    prop_assert_eq!(old, model_old);
-                }
-                1 => { // remove
-                    let got = lru.remove(&key);
-                    let model_got = model.iter().position(|&(k, _)| k == key).map(|i| {
-                        let (_, v) = model.remove(i).unwrap();
-                        v
-                    });
-                    prop_assert_eq!(got, model_got);
-                }
-                2 => { // pop_back
-                    prop_assert_eq!(lru.pop_back(), model.pop_back());
-                }
-                _ => { // get_refresh
-                    let got = lru.get_refresh(&key).copied();
-                    let model_got = model.iter().position(|&(k, _)| k == key).map(|i| {
-                        let e = model.remove(i).unwrap();
-                        model.push_front(e);
-                        e.1
-                    });
-                    prop_assert_eq!(got, model_got);
-                }
-            }
-            prop_assert_eq!(lru.len(), model.len());
-            let order: Vec<u64> = lru.iter().map(|(&k, _)| k).collect();
-            let model_order: Vec<u64> = model.iter().map(|&(k, _)| k).collect();
-            prop_assert_eq!(order, model_order);
         }
     }
 

@@ -3,15 +3,13 @@
 //! Counters, gauges and [`Log2Histogram`]s keyed by
 //! `(`[`Family`]`, proxy id)`. Everything about the registry is
 //! deterministic: storage is ordered ([`std::collections::BTreeMap`]),
-//! iteration and [`Registry::snapshot`] walk keys in sorted order, and
-//! [`Registry::merge`] is a pure element-wise fold — so per-proxy
-//! histograms collected on parallel sweep shards merge *exactly*, unlike
-//! averaging quantile estimates after the fact.
+//! and iteration and [`Registry::snapshot`] walk keys in sorted order.
 //!
-//! The log2 bucket layout is the key to exact merging: every histogram
-//! has the same 65 buckets (`0`, then `[2^(k-1), 2^k)` for `k = 1..=64`),
-//! so merging is element-wise addition and `merge`-then-`quantile`
-//! equals record-everything-then-`quantile` bit for bit.
+//! The log2 bucket layout makes histograms merge exactly: every
+//! histogram has the same 65 buckets (`0`, then `[2^(k-1), 2^k)` for
+//! `k = 1..=64`), so [`Log2Histogram::merge`] is element-wise addition
+//! and `merge`-then-`quantile` equals record-everything-then-`quantile`
+//! bit for bit, unlike averaging quantile estimates after the fact.
 //!
 //! [`RegistrySnapshot::to_prometheus`] renders the classic Prometheus
 //! text exposition format (counters, gauges, and cumulative `le`-labelled
@@ -23,15 +21,14 @@
 //! ```
 //! use adc_metrics::{Family, Registry};
 //!
-//! let mut shard_a = Registry::new();
-//! let mut shard_b = Registry::new();
-//! shard_a.counter_add(Family::LOCAL_HITS, 0, 3);
-//! shard_b.counter_add(Family::LOCAL_HITS, 0, 4);
-//! shard_a.histogram_record(Family::HOPS, 0, 2);
-//! shard_b.histogram_record(Family::HOPS, 0, 9);
-//! shard_a.merge(&shard_b);
-//! assert_eq!(shard_a.counter(Family::LOCAL_HITS, 0), 7);
-//! assert_eq!(shard_a.histogram(Family::HOPS, 0).unwrap().count(), 2);
+//! let mut r = Registry::new();
+//! r.counter_add(Family::LOCAL_HITS, 0, 3);
+//! r.counter_add(Family::LOCAL_HITS, 0, 4);
+//! r.histogram_record(Family::HOPS, 0, 2);
+//! r.histogram_record(Family::HOPS, 0, 9);
+//! assert_eq!(r.counter(Family::LOCAL_HITS, 0), 7);
+//! assert_eq!(r.histogram(Family::HOPS, 0).unwrap().count(), 2);
+//! assert!(r.snapshot().to_prometheus().contains("adc_local_hits_total{proxy=\"0\"} 7"));
 //! ```
 
 use crate::Family;
@@ -164,7 +161,7 @@ pub type MetricKey = (Family, u32);
 ///
 /// A [`Family`] is a `&'static str` underneath, so hot-path updates never
 /// allocate; iteration in family-name order falls out of the ordered
-/// map. See the module docs for the merge guarantees.
+/// map.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
     counters: BTreeMap<MetricKey, u64>,
@@ -247,20 +244,6 @@ impl Registry {
         ids.sort_unstable();
         ids.dedup();
         ids
-    }
-
-    /// Folds every family of `other` into `self`: counters add, gauges
-    /// add, histograms merge element-wise (exactly).
-    pub fn merge(&mut self, other: &Registry) {
-        for (&key, &v) in &other.counters {
-            *self.counters.entry(key).or_insert(0) += v;
-        }
-        for (&key, &v) in &other.gauges {
-            *self.gauges.entry(key).or_insert(0) += v;
-        }
-        for (&key, h) in &other.histograms {
-            self.histograms.entry(key).or_default().merge(h);
-        }
     }
 
     /// An owned, render-ready copy of every family, sorted by family
@@ -551,7 +534,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_families_are_sorted_and_mergeable() {
+    fn registry_families_are_sorted() {
         let (a, b) = (Family::CACHE_EVICTS, Family::LOCAL_HITS);
         let mut r = Registry::new();
         r.counter_add(b, 1, 2);
@@ -564,49 +547,10 @@ mod tests {
         assert_eq!(order, vec![(a, 0), (a, 3), (b, 1)]);
         assert_eq!(r.gauge(Family::CACHED_OBJECTS, 0), 5);
         assert_eq!(r.proxies(), vec![0, 1, 2, 3]);
-
-        let mut other = Registry::new();
-        other.counter_add(a, 0, 1);
-        other.gauge_add(Family::CACHED_OBJECTS, 0, 1);
-        other.histogram_record(Family::HOPS, 2, 4);
-        r.merge(&other);
-        assert_eq!(r.counter(a, 0), 6);
-        assert_eq!(r.gauge(Family::CACHED_OBJECTS, 0), 6);
         assert_eq!(
             r.histogram(Family::HOPS, 2).map(Log2Histogram::count),
-            Some(2)
+            Some(1)
         );
-    }
-
-    #[test]
-    fn merge_is_partition_invariant() {
-        // Record one stream whole, and the same stream split across 3
-        // "shards"; the folded registries must be identical.
-        let mut whole = Registry::new();
-        let mut shards = [Registry::new(), Registry::new(), Registry::new()];
-        for i in 0..300u64 {
-            let proxy = (i % 5) as u32; // 5 proxies round-robin
-            whole.counter_add(Family::LOCAL_HITS, proxy, 1);
-            whole.histogram_record(Family::HOPS, proxy, i % 9);
-            whole.gauge_add(Family::CACHED_OBJECTS, proxy, 1);
-            let s = &mut shards[(i % 3) as usize]; // shard by index
-            s.counter_add(Family::LOCAL_HITS, proxy, 1);
-            s.histogram_record(Family::HOPS, proxy, i % 9);
-            s.gauge_add(Family::CACHED_OBJECTS, proxy, 1);
-        }
-        let mut merged = Registry::new();
-        for shard in &shards {
-            merged.merge(shard);
-        }
-        assert_eq!(merged, whole);
-        assert_eq!(
-            merged.snapshot().to_prometheus(),
-            whole.snapshot().to_prometheus()
-        );
-        // Merging into an empty registry is the identity.
-        let mut copy = Registry::new();
-        copy.merge(&whole);
-        assert_eq!(copy, whole);
     }
 
     #[test]

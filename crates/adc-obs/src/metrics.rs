@@ -8,7 +8,10 @@
 //! the backward-adoption and table-migration counters, and live
 //! table-occupancy gauges whose distribution is additionally sampled
 //! into histograms on a completion cadence (every
-//! [`MetricsProbe::with_cadence`] completed requests). The eleven
+//! [`MetricsProbe::with_cadence`] completed requests). One probe sees
+//! every event of a run in order, so the completion that brings the
+//! cadence due samples the gauges as they stand at that instant: the
+//! simulator attaches it on its single-queue runner only. The eleven
 //! per-proxy counters of `adc-core`'s `ProxyStats` are left to it: the
 //! simulator renders the agents' final `ProxyStats` into the same
 //! registry, through the render a live node's scrape uses.
@@ -75,24 +78,14 @@ impl MetricsProbe {
         }
     }
 
-    /// Consumes the probe, yielding the registry (for merging shards).
+    /// Consumes the probe, yielding the registry.
     pub fn into_registry(self) -> Registry {
         self.registry
     }
 
-    /// Whether the last completion brought the occupancy cadence due.
-    ///
-    /// The sharded executor asks the probe that sees its completions and
-    /// then samples the gauges its shard probes hold, through
-    /// [`MetricsProbe::sample_occupancy_now`].
-    pub fn cadence_due(&self) -> bool {
-        self.cadence > 0 && self.completed > 0 && self.completed.is_multiple_of(self.cadence)
-    }
-
     /// Records the current table-occupancy gauges into their histogram
-    /// families (one observation per known proxy and family), whether or
-    /// not the cadence is due.
-    pub fn sample_occupancy_now(&mut self) {
+    /// families (one observation per known proxy and family).
+    fn sample_occupancy(&mut self) {
         // Collect first: the registry cannot be iterated and mutated at
         // once. A handful of gauges, so the Vec is tiny.
         let live: Vec<(usize, u32, i64)> = self
@@ -147,8 +140,8 @@ impl Probe for MetricsProbe {
                     self.now_us.saturating_sub(start_us),
                 );
                 self.completed += 1;
-                if self.cadence_due() {
-                    self.sample_occupancy_now();
+                if self.cadence > 0 && self.completed.is_multiple_of(self.cadence) {
+                    self.sample_occupancy();
                 }
             }
             SimEvent::BackwardAdoption { proxy, .. } => {
@@ -474,8 +467,7 @@ mod tests {
             from: TableLevel::Out,
             to: TableLevel::Single,
         });
-        assert!(!p.cadence_due(), "nothing completed yet");
-        let mut due = Vec::new();
+        let mut samples = Vec::new();
         for seq in 0..4 {
             p.emit(SimEvent::RequestCompleted {
                 client: 0,
@@ -485,15 +477,18 @@ mod tests {
                 hops: 1,
                 start_us: 0,
             });
-            due.push(p.cadence_due());
+            samples.push(
+                p.registry
+                    .histogram(Family::TABLE_SINGLE_OCCUPANCY, 0)
+                    .map_or(0, |h| h.count()),
+            );
         }
-        assert_eq!(due, [false, true, false, true]);
-        // 4 completions at cadence 2 -> two samples of the gauge (1).
+        // Every second completion samples the gauge (1).
+        assert_eq!(samples, [0, 1, 1, 2]);
         let h = p
             .registry
             .histogram(Family::TABLE_SINGLE_OCCUPANCY, 0)
             .expect("occupancy sampled");
-        assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), 2);
     }
 
@@ -526,25 +521,6 @@ mod tests {
         // The snapshot renders as valid Prometheus text.
         adc_metrics::validate_prometheus(&report.snapshot.to_prometheus())
             .expect("snapshot renders valid exposition text");
-    }
-
-    #[test]
-    fn sample_occupancy_now_records_outside_cadence() {
-        let mut p = MetricsProbe::with_cadence(0);
-        p.emit(SimEvent::TableMigration {
-            proxy: 0,
-            object: 1,
-            from: TableLevel::Out,
-            to: TableLevel::Single,
-        });
-        p.sample_occupancy_now();
-        p.sample_occupancy_now();
-        let h = p
-            .registry
-            .histogram(Family::TABLE_SINGLE_OCCUPANCY, 0)
-            .expect("occupancy sampled on demand");
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), 2);
     }
 
     #[test]

@@ -91,25 +91,31 @@ pub struct SimConfig {
     pub hit_window: usize,
     /// Keep one series point per this many completed requests.
     pub sample_every: u64,
-    /// Record per-proxy cache-occupancy series. On by default; sweep
-    /// runs turn it off since their outputs never read occupancy and the
-    /// per-completion sampling of every proxy costs measurable time.
+    /// Record per-proxy cache-occupancy series
+    /// ([`SimReport::occupancy_series`](crate::SimReport::occupancy_series)).
+    /// Off by default: it reads every proxy's cache size at every
+    /// completion, which costs measurable time, and no figure writes the
+    /// series out. A run that samples goes to the single-queue runner
+    /// under [`Simulation::run_sharded`](crate::Simulation::run_sharded)
+    /// too, since it reads agent state at completion instants.
     pub sample_occupancy: bool,
     /// When set, periodically snapshot every agent's
     /// [`owner_hint`](adc_core::CacheAgent::owner_hint) for the hottest
     /// objects and report cluster-wide mapping agreement, remaps and
     /// churn as a [`ConvergenceReport`](adc_obs::ConvergenceReport). Off
     /// (`None`) by default — the sampling walks every agent once per
-    /// interval, so it is opt-in like tracing.
+    /// interval, so it is opt-in like tracing. Like occupancy sampling,
+    /// it keeps a run on the single-queue runner.
     pub convergence: Option<ConvergenceConfig>,
     /// Seed for all simulator-side randomness (agent RNG, assignment,
     /// faults). A run is a pure function of (workload, agents, config).
     pub seed: u64,
-    /// Execution-profiler switch for the open-loop runs of
-    /// [`Simulation::run_sharded`](crate::Simulation::run_sharded).
-    /// Pure measurement: the report bytes are the same with it on or
-    /// off, so the single-threaded runner (which also executes every
-    /// sequential `run_sharded` call) ignores this field entirely.
+    /// Execution-profiler switch for the runs
+    /// [`Simulation::run_sharded`](crate::Simulation::run_sharded)
+    /// executes on the sharded engine. Pure measurement: the report
+    /// bytes are the same with it on or off, so the single-threaded
+    /// runner (which also executes every `run_sharded` call the engine
+    /// does not) ignores this field entirely.
     pub shard: ShardTuning,
 }
 
@@ -140,7 +146,7 @@ impl Default for SimConfig {
             proxy_latency_matrix: None,
             hit_window: 5_000,
             sample_every: 5_000,
-            sample_occupancy: true,
+            sample_occupancy: false,
             convergence: None,
             seed: 0xADC0_5EED,
             shard: ShardTuning::default(),
@@ -202,6 +208,7 @@ mod tests {
         assert_eq!(c.hit_window, 5_000);
         assert_eq!(c.injection, InjectionMode::Sequential);
         assert!(c.faults.is_clean());
+        assert!(!c.sample_occupancy);
         assert!(c.validate().is_ok());
     }
 

@@ -70,7 +70,7 @@ pub use cputime::thread_cpu_now;
 pub use flows::FlowTable;
 pub use network::LatencyModel;
 pub use queue::CalendarQueue;
-pub use report::{PhaseStats, ShardExecStats, ShardProfile, SimReport};
+pub use report::{PhaseStats, ShardProfile, SimReport};
 pub use runner::Simulation;
 pub use time::SimTime;
 pub use tracelog::{DeliveryRecord, TraceLog};

@@ -27,15 +27,15 @@
 //! stream is shared across shards. Client assignment draws from
 //! `seed ^ 0xA551` in arrival order in both modes.
 //!
-//! # The one difference between the executors
+//! # The completion fold
 //!
-//! The sharded engine runs open loop only, and reads agent state for
-//! occupancy, convergence and metrics samples at the barrier after a
-//! completion; the runner reads it at the completion itself. With those
-//! samplers off, the two executors' deterministic reports are
-//! byte-identical. Both hand the same flow events to a probe:
-//! [`Ledger::start_flow`] and [`Ledger::complete`] emit them, each
-//! completion naming its server.
+//! Both executors fold each completion through [`Ledger::complete`],
+//! which reads no agent. Only the runner follows it with
+//! [`Ledger::sample_agents`], the occupancy and convergence samples that
+//! read agent state at the completion instant: the sharded engine runs
+//! no configuration that samples, so its reports are the runner's byte
+//! for byte. [`Ledger::start_flow`] and [`Ledger::complete`] hand the
+//! flow events to a probe, each completion naming its server.
 
 // Hot path (`HOT_PATH_FILES` in the root `tests/lint_ratchet.rs`, which
 // checks this header): every lossy cast and every index states its
@@ -563,17 +563,11 @@ impl Ledger {
         }
     }
 
-    /// Folds one completion: counts, phases, summaries, quantiles,
-    /// moving-average series, and the occupancy and convergence samples,
-    /// reading proxy `p`'s agent through `agent(p)`. Reports it to
-    /// `probe`, ticked to the completion instant first.
+    /// Folds one completion: counts, phases, summaries, quantiles and
+    /// moving-average series. Reports it to `probe`, ticked to the
+    /// completion instant first.
     #[expect(clippy::indexing_slicing, reason = "phase is 0..3 by construction")]
-    pub(crate) fn complete<'a, A: CacheAgent + 'a, P: Probe>(
-        &mut self,
-        c: &Completion,
-        probe: &mut P,
-        agent: impl Fn(usize) -> &'a A,
-    ) {
+    pub(crate) fn complete<P: Probe>(&mut self, c: &Completion, probe: &mut P) {
         let hit = c.server.is_some();
         self.completed += 1;
         self.hits += u64::from(hit);
@@ -612,9 +606,19 @@ impl Ledger {
         if let Some(v) = self.hops_window.value() {
             self.hops_sampler.observe(completed, v);
         }
+    }
+
+    /// Takes the occupancy and convergence samples due after the
+    /// completion just folded, reading proxy `p`'s agent through
+    /// `agent(p)`. A no-op when neither sampler is on.
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "completion counts and cache sizes ≪ 2^53: exact"
+    )]
+    pub(crate) fn sample_agents<'a, A: CacheAgent + 'a>(&mut self, agent: impl Fn(usize) -> &'a A) {
+        let completed = self.completed as f64;
         if let Some(occupancy) = self.occupancy.as_mut() {
             for (p, sampler) in occupancy.iter_mut().enumerate() {
-                #[expect(clippy::cast_precision_loss, reason = "cache sizes ≪ 2^53: exact")]
                 sampler.observe(completed, agent(p).cached_objects() as f64);
             }
         }
@@ -695,7 +699,6 @@ impl Ledger {
             trace: None,
             convergence: self.conv.map(|c| c.tracker.into_report()),
             metrics: None,
-            shard_exec: None,
             spans: None,
             shard_profile: None,
             wall_time: self.wall_start.elapsed(),

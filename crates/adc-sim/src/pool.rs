@@ -207,8 +207,7 @@ pub(crate) struct Pool<'scope, 'env, W> {
 }
 
 impl<'env, W: WindowTask> Pool<'_, 'env, W> {
-    /// Workers actually spawned so far (the `pool_spawns` telemetry —
-    /// the run-level count reaches callers via [`with_pool`]'s return).
+    /// Workers actually spawned so far.
     #[cfg(test)]
     pub(crate) fn spawned(&self) -> usize {
         self.workers.len()
@@ -319,14 +318,13 @@ impl<W> Drop for Pool<'_, '_, W> {
 
 /// Runs `body` with a lazily-spawned worker pool over `cells`, joining
 /// every worker before returning, also when `body` panics. Returns
-/// `body`'s result and the number of workers spawned. `target_workers`
-/// caps the pool size; 0 means `body` still gets a pool but every
-/// window runs inline on the calling thread.
+/// `body`'s result. `target_workers` caps the pool size; 0 means `body`
+/// still gets a pool but every window runs inline on the calling thread.
 pub(crate) fn with_pool<W: WindowTask, R>(
     cells: &[Mutex<W>],
     target_workers: usize,
     body: impl FnOnce(&mut Pool<'_, '_, W>) -> R,
-) -> (R, usize) {
+) -> R {
     let ctl = Ctl {
         state: Mutex::new(State {
             epoch: 0,
@@ -351,8 +349,7 @@ pub(crate) fn with_pool<W: WindowTask, R>(
             target_workers,
             workers: Vec::new(),
         };
-        let result = body(&mut pool);
-        (result, pool.workers.len())
+        body(&mut pool)
     })
 }
 
@@ -422,10 +419,11 @@ mod tests {
     fn every_cell_runs_once_per_window() {
         for workers in [0, 1, 3, 8] {
             let cells = cells(5);
-            let ((), spawned) = with_pool(&cells, workers, |pool| {
+            let spawned = with_pool(&cells, workers, |pool| {
                 for window in 1..=100u64 {
                     pool.run_window(window * 10, 5);
                 }
+                pool.spawned()
             });
             assert!(spawned <= workers, "spawned {spawned} > target {workers}");
             for cell in &cells {
@@ -441,10 +439,11 @@ mod tests {
     #[test]
     fn single_active_windows_spawn_nothing() {
         let cells = cells(3);
-        let ((), spawned) = with_pool(&cells, 4, |pool| {
+        let spawned = with_pool(&cells, 4, |pool| {
             for window in 1..=50u64 {
                 pool.run_window(window, 1);
             }
+            pool.spawned()
         });
         assert_eq!(spawned, 0);
         for cell in &cells {
@@ -470,13 +469,14 @@ mod tests {
         // itself, so its busy time covers all three sleeps and the
         // barrier wait is (near) zero.
         let cells: Vec<Mutex<Sleeper>> = (0..3).map(|_| Mutex::new(Sleeper(0))).collect();
-        let ((), spawned) = with_pool(&cells, 0, |pool| {
+        let spawned = with_pool(&cells, 0, |pool| {
             let t = pool.run_window_timed(10, 3);
             assert!(
                 t.busy_ns >= 3 * 2_000_000,
                 "inline busy {} < 3 sleeps",
                 t.busy_ns
             );
+            pool.spawned()
         });
         assert_eq!(spawned, 0);
         for cell in &cells {
@@ -485,7 +485,7 @@ mod tests {
         // With workers, the split still accounts every cell exactly once
         // (who ran what is scheduling; the counts must not move).
         let cells: Vec<Mutex<Sleeper>> = (0..4).map(|_| Mutex::new(Sleeper(0))).collect();
-        let ((), _) = with_pool(&cells, 3, |pool| {
+        with_pool(&cells, 3, |pool| {
             for window in 1..=5u64 {
                 let _ = pool.run_window_timed(window, 4);
             }
@@ -563,11 +563,12 @@ mod tests {
                         })
                     })
                     .collect();
-                let ((), spawned) = with_pool(&cells, workers, |pool| {
+                let spawned = with_pool(&cells, workers, |pool| {
                     for window in 1..=5u64 {
                         pool.run_window(window, 4);
                         thread::sleep(Duration::from_millis(5));
                     }
+                    pool.spawned()
                 });
                 (cells, spawned)
             });
@@ -583,7 +584,7 @@ mod tests {
     #[test]
     fn workers_spawn_lazily_up_to_the_hint() {
         let cells = cells(6);
-        let ((), spawned) = with_pool(&cells, 16, |pool| {
+        with_pool(&cells, 16, |pool| {
             pool.run_window(1, 1);
             assert_eq!(pool.spawned(), 0);
             pool.run_window(2, 3);
@@ -593,7 +594,6 @@ mod tests {
             pool.run_window(4, 6);
             assert_eq!(pool.spawned(), 5);
         });
-        assert_eq!(spawned, 5);
         for cell in &cells {
             assert_eq!(cell.lock().unwrap().runs, 4);
         }

@@ -107,10 +107,11 @@ impl<T> CalendarQueue<T> {
 
     /// Schedules `value` at `(at, seq)`.
     pub fn push(&mut self, at: u64, seq: u64, value: T) {
-        // A push behind the last pop (never done by the simulator)
-        // legitimately restarts the monotone-pop sequence.
+        // A push at or behind the last pop legitimately restarts the
+        // monotone-pop sequence: an open-loop arrival every 0 µs
+        // re-pushes the key it just popped.
         #[cfg(debug_assertions)]
-        if self.last_pop.is_some_and(|last| (at, seq) < last) {
+        if self.last_pop.is_some_and(|last| (at, seq) <= last) {
             self.last_pop = None;
         }
         self.heap.push(Item { at, seq, value });
@@ -230,5 +231,14 @@ mod tests {
         assert_eq!(q.peek_key(), Some((5, 1)));
         assert_eq!(q.pop(), Some((5, 1, "past")));
         assert_eq!(q.pop(), Some(((1 << 20) + 1, 2, "later")));
+    }
+
+    #[test]
+    fn the_key_just_popped_can_be_pushed_again() {
+        let mut q = CalendarQueue::new();
+        q.push(0, u64::MAX, "arrival");
+        assert_eq!(q.pop(), Some((0, u64::MAX, "arrival")));
+        q.push(0, u64::MAX, "next arrival");
+        assert_eq!(q.pop(), Some((0, u64::MAX, "next arrival")));
     }
 }

@@ -27,19 +27,6 @@ impl PhaseStats {
     }
 }
 
-/// Synchronization-layer telemetry from the sharded engine (open-loop
-/// runs only): evidence the persistent worker pool engaged.
-/// Host-dependent by design, so it rides next to the wall/CPU clocks
-/// rather than in the canonical JSON.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardExecStats {
-    /// Worker threads the persistent pool actually spawned — at most
-    /// once each for the whole run, and at most one per core beyond the
-    /// coordinator's. 0 means every window ran inline on the
-    /// coordinator (single-core host, or one shard).
-    pub pool_spawns: u64,
-}
-
 /// Wall-clock execution profile of one sharded run, collected when
 /// [`ShardTuning::profile`](crate::ShardTuning::profile) is set. Every
 /// field measures *how the host executed the run*, never what the run
@@ -181,14 +168,6 @@ pub struct SimReport {
     /// [`Simulation::run_with_metrics`](crate::Simulation::run_with_metrics));
     /// filled by [`SimReport::attach_metrics`].
     pub metrics: Option<MetricsReport>,
-    /// Synchronization-layer telemetry from the sharded engine (`None`
-    /// for runs on the single-queue runner, sequential `run_sharded`
-    /// calls included). Like the wall/CPU clocks this is *excluded* from
-    /// [`to_deterministic_json`]: `pool_spawns` depends on the host's
-    /// core count, and the canonical JSON must not.
-    ///
-    /// [`to_deterministic_json`]: SimReport::to_deterministic_json
-    pub shard_exec: Option<ShardExecStats>,
     /// Per-flow latency attribution (per-segment and per-proxy
     /// breakdowns plus the slowest-flows digest), present when the run
     /// was driven through a [`SpanProbe`](adc_obs::SpanProbe) (e.g.
@@ -200,8 +179,10 @@ pub struct SimReport {
     /// probes were attached.
     pub spans: Option<SpanReport>,
     /// Wall-clock execution profile of the sharded run, present when
-    /// [`ShardTuning::profile`](crate::ShardTuning::profile) was set
-    /// (`None` for runs on the single-queue runner). Excluded from
+    /// [`ShardTuning::profile`](crate::ShardTuning::profile) was set and
+    /// the run executed on the sharded engine (`None` for every run on
+    /// the single-queue runner, `run_sharded` calls it takes included).
+    /// Excluded from
     /// [`to_deterministic_json`](SimReport::to_deterministic_json) for
     /// the same reason as `wall_time`: every field is host telemetry.
     pub shard_profile: Option<ShardProfile>,
@@ -560,7 +541,6 @@ mod tests {
             trace: None,
             convergence: None,
             metrics: None,
-            shard_exec: None,
             spans: None,
             shard_profile: None,
             wall_time: Duration::from_millis(1),
@@ -612,7 +592,6 @@ mod tests {
             trace: None,
             convergence: None,
             metrics: None,
-            shard_exec: None,
             spans: None,
             shard_profile: None,
             wall_time: Duration::from_millis(1),
@@ -688,7 +667,6 @@ mod tests {
             trace: Some(TraceLog::new(1)),
             convergence: None,
             metrics: None,
-            shard_exec: None,
             spans: None,
             shard_profile: None,
             wall_time: Duration::from_millis(1),

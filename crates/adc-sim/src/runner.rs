@@ -1,10 +1,12 @@
 //! The single-queue executor: one event queue holds every pending
 //! event, and the loop pops them in `(at, key)` order. What each event
 //! does is the shared model's business (see the `model` module); this
-//! file adds only the schedule, plus what the sharded engine rejects:
-//! fault duplicates, churn, and the delivery trace log. It is the
-//! reference executor for every feature, and the only one for
-//! sequential injection, which `Simulation::run_sharded` hands to it.
+//! file adds only the schedule, plus what the sharded engine leaves to
+//! it: fault duplicates, churn, the delivery trace log, and the
+//! occupancy and convergence samples. It is the reference executor:
+//! `Simulation::run_sharded` returns its report byte for byte, and hands
+//! it every configuration the engine does not run, sequential ones
+//! included.
 
 // Hot path (`HOT_PATH_FILES` in the root `tests/lint_ratchet.rs`, which
 // checks this header): every lossy cast and every index states its
@@ -60,8 +62,9 @@ impl<A: CacheAgent> Simulation<A> {
     ///
     /// # Panics
     ///
-    /// Panics if `agents` is empty, agent IDs are not dense `0..n`, or
-    /// the configuration is invalid.
+    /// Panics if `agents` is empty, agent IDs are not dense `0..n`, the
+    /// configuration is invalid, its latency matrix is not `n×n`, or a
+    /// churn event names a proxy outside `0..n`.
     pub fn new(agents: Vec<A>, config: SimConfig) -> Self {
         assert!(!agents.is_empty(), "need at least one proxy agent");
         #[expect(
@@ -85,6 +88,15 @@ impl<A: CacheAgent> Simulation<A> {
                 matrix.len(),
                 agents.len(),
                 "proxy_latency_matrix must match the proxy count"
+            );
+        }
+        for c in &config.churn {
+            // u32 → usize widens on 64-bit.
+            assert!(
+                (c.proxy.raw() as usize) < agents.len(),
+                "churn event names proxy {}, outside the {} proxies",
+                c.proxy.raw(),
+                agents.len()
             );
         }
         Simulation { agents, config }
@@ -204,18 +216,19 @@ impl<A: CacheAgent> Simulation<A> {
                 continue;
             };
             flows.remove(&id);
+            ledger.complete(&done, probe);
             #[expect(
                 clippy::indexing_slicing,
                 reason = "proxy ids are dense 0..n, the agents' indexes"
             )]
-            ledger.complete(&done, probe, |p| &proxies.agents[p]);
+            ledger.sample_agents(|p| &proxies.agents[p]);
             // Scheduled proxy restarts fire on completion boundaries.
             let completed = ledger.completed();
             while let Some(c) = churn
                 .get(churn_idx)
                 .filter(|c| c.after_completed <= completed)
             {
-                // u32 → usize widens on 64-bit.
+                // u32 → usize widens on 64-bit; `new` checked the id.
                 if let Some(agent) = proxies.agents.get_mut(c.proxy.raw() as usize) {
                     agent.reset();
                     proxies_reset += 1;
@@ -788,8 +801,12 @@ mod occupancy_tests {
         let agents: Vec<AdcProxy> = (0..2)
             .map(|i| AdcProxy::new(ProxyId::new(i), 2, config.clone()))
             .collect();
-        let sim = Simulation::new(agents, SimConfig::fast());
-        let report = sim.run(StationaryZipf::new(40, 0.9, 4, 3).take(3_000));
+        let config = SimConfig {
+            sample_occupancy: true,
+            ..SimConfig::fast()
+        };
+        let report =
+            Simulation::new(agents, config).run(StationaryZipf::new(40, 0.9, 4, 3).take(3_000));
         assert_eq!(report.occupancy_series.len(), 2);
         for (i, series) in report.occupancy_series.iter().enumerate() {
             assert!(!series.is_empty(), "proxy {i} series empty");
@@ -870,6 +887,17 @@ mod matrix_tests {
     fn wrong_sized_matrix_rejected() {
         let mut config = SimConfig::fast();
         config.proxy_latency_matrix = Some(vec![vec![SimTime::ZERO; 2]; 2]);
+        let _ = Simulation::new(agents(3), config);
+    }
+
+    #[test]
+    #[should_panic(expected = "churn event names proxy 3")]
+    fn churn_on_a_missing_proxy_rejected() {
+        let mut config = SimConfig::fast();
+        config.churn = vec![ChurnEvent {
+            after_completed: 10,
+            proxy: ProxyId::new(3),
+        }];
         let _ = Simulation::new(agents(3), config);
     }
 

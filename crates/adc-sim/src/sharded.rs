@@ -1,9 +1,14 @@
-//! Sharded (multi-core) execution of open-loop runs.
+//! The open-loop engine: sharded (multi-core) execution of the runs whose
+//! schedule cannot show in the report.
 //!
-//! [`Simulation::run_sharded`] hands a sequential run to the single-queue
-//! runner: sequential injection keeps one event live in the whole
-//! cluster, so no window could ever drain two shards at once. What this
-//! file executes is open-loop injection.
+//! [`Simulation::run_sharded`] returns what [`Simulation::run`] returns,
+//! byte for byte, for every valid configuration and every shard count.
+//! This file executes a configuration only when it reproduces the runner
+//! exactly: open-loop injection with a positive interval and a positive
+//! lookahead bound, and none of fault injection, churn, the delivery
+//! trace, occupancy sampling or convergence sampling (see
+//! `engine_windows`). Every other configuration goes to the single-queue
+//! runner, sequential ones included.
 //!
 //! Proxies are partitioned round-robin across `N` worker shards (proxy
 //! `p` lives on shard `p % N`). Each shard owns its own event queue and
@@ -35,19 +40,32 @@
 //!    are shard-count invariant — and equal to the single-queue runner's.
 //! 2. **Canonical completion folding.** Workers only record completions;
 //!    the coordinator folds them at each barrier in `(at, flow seq)`
-//!    order through the model's fold (series, quantiles, convergence
-//!    snapshots, metrics), exactly as the single-queue runner folds them
-//!    one by one.
+//!    order through the model's fold (counts, series, quantiles), exactly
+//!    as the single-queue runner folds them one by one. The fold reads no
+//!    agent: the samplers that do run on the runner only.
 //! 3. **The model's RNG layout.** Open-loop injection gives each agent
 //!    its own stream seeded from `(seed, proxy id)`, so no stream is
 //!    shared across shards.
 //!
-//! So the report is byte-identical at every shard count, and to
-//! [`Simulation::run`] with one exception: occupancy, convergence and
-//! metrics sampling read agent state at the enclosing barrier rather
-//! than at the completion instant. `events_processed` counts the
-//! arrival events the single-queue runner pops, so the field reconciles
-//! across executors.
+//! So the report is byte-identical to [`Simulation::run`]'s at every
+//! shard count. `events_processed` counts the arrival events the
+//! single-queue runner pops, so that field reconciles too.
+//!
+//! # Configurations the runner executes
+//!
+//! * Sequential injection keeps one event live in the whole cluster, so
+//!   no window could ever drain two shards at once.
+//! * A zero interval or a zero lookahead leaves no window to advance
+//!   by: an instant network serializes everything.
+//! * A fault duplicate would need its original's flow by request id,
+//!   which only the runner's flow table keeps, and cross-shard
+//!   coordination mid-window.
+//! * Churn restarts fire on the global completion count, which workers
+//!   cannot observe mid-window.
+//! * The delivery trace is one totally ordered stream.
+//! * Occupancy and convergence samples read agent state at the
+//!   completion instant; the coordinator folds at barriers, after the
+//!   shards have moved past it.
 //!
 //! # Synchronization layer
 //!
@@ -64,15 +82,6 @@
 //! The coordinator folds each barrier's completions, gathered from the
 //! shards into one reused buffer and sorted by `(at, flow_seq)`, before
 //! it opens the next window.
-//!
-//! # Unsupported configurations
-//!
-//! Fault injection, churn and delivery tracing are rejected in open loop
-//! (see [`Simulation::run_sharded`]): duplicates and restarts would need
-//! cross-shard coordination mid-window (and a duplicate its original's
-//! flow by request id, which only the runner's flow table keeps), and the
-//! trace log is inherently a single totally-ordered stream. Sequential
-//! runs with any of them go to the runner like every sequential run.
 
 // Hot path (`HOT_PATH_FILES` in the root `tests/lint_ratchet.rs`, which
 // checks this header): every lossy cast and every index states its
@@ -92,12 +101,12 @@ use crate::config::{InjectionMode, SimConfig};
 use crate::model::{Completion, Counters, Event, Flow, Ledger, Net, Proxies};
 use crate::pool::{self, WindowTask};
 use crate::queue::CalendarQueue;
-use crate::report::{ShardExecStats, ShardProfile, SimReport};
+use crate::report::{ShardProfile, SimReport};
 use crate::runner::Simulation;
 use crate::time::SimTime;
 use adc_core::{CacheAgent, NodeId, ProxyId};
-use adc_metrics::{Log2Histogram, Registry};
-use adc_obs::{MetricsProbe, NullProbe, Probe};
+use adc_metrics::Log2Histogram;
+use adc_obs::NullProbe;
 use adc_workload::RequestRecord;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -150,53 +159,6 @@ fn lookahead_us(config: &SimConfig, proxies: usize) -> u64 {
     w
 }
 
-/// The probe features the sharded executor needs beyond [`Probe`]: one
-/// probe per shard for the agent events plus one on the coordinator for
-/// the flow events, occupancy sampling on the cluster-wide cadence, and
-/// registry extraction for the exact merge.
-trait ShardProbe: Probe + Send {
-    /// A fresh probe, for a shard or for the coordinator.
-    fn for_shard() -> Self;
-    /// Whether the completion just reported to this probe brought the
-    /// occupancy cadence due (asked of the coordinator's probe).
-    fn sample_due(&self) -> bool;
-    /// Samples the occupancy gauges this probe holds (each shard's, when
-    /// the coordinator's cadence comes due).
-    fn barrier_sample(&mut self);
-    /// The accumulated registry (empty when the probe keeps none).
-    fn into_registry(self) -> Registry;
-}
-
-impl ShardProbe for NullProbe {
-    fn for_shard() -> Self {
-        NullProbe
-    }
-    fn sample_due(&self) -> bool {
-        false
-    }
-    fn barrier_sample(&mut self) {}
-    fn into_registry(self) -> Registry {
-        Registry::new()
-    }
-}
-
-impl ShardProbe for MetricsProbe {
-    fn for_shard() -> Self {
-        // Shard probes see no completions, so only the coordinator's
-        // cadence ever comes due; its own registry holds no gauges.
-        MetricsProbe::new()
-    }
-    fn sample_due(&self) -> bool {
-        self.cadence_due()
-    }
-    fn barrier_sample(&mut self) {
-        self.sample_occupancy_now();
-    }
-    fn into_registry(self) -> Registry {
-        self.into_registry()
-    }
-}
-
 /// Per-shard half of the execution profiler
 /// ([`ShardTuning::profile`](crate::ShardTuning::profile)): wall-clock
 /// drain accounting and the window-occupancy histogram. Boxed behind an
@@ -216,14 +178,13 @@ struct ShardProfState {
 
 /// One worker shard: a vertical slice of the simulator owning every
 /// `index + i·N`-th proxy, its events, and its resident flows.
-struct Shard<A, P> {
+struct Shard<A> {
     index: usize,
     /// The shard count `N`.
     shards: usize,
     /// Local agents (local index `l` holds proxy `index + l·N`), their
     /// RNG streams, and the delivery counters.
     proxies: Proxies<A>,
-    probe: P,
     /// Queued events, each with its flow as of the send.
     queue: CalendarQueue<(Event, Option<Flow>)>,
     /// Completions recorded this window, drained by the coordinator.
@@ -239,7 +200,7 @@ struct Shard<A, P> {
     prof: Option<Box<ShardProfState>>,
 }
 
-impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
+impl<A: CacheAgent> Shard<A> {
     /// Timestamp of the earliest pending event (`u64::MAX` when idle).
     fn next_at(&self) -> u64 {
         self.queue.peek_key().map_or(u64::MAX, |(at, _)| at)
@@ -315,7 +276,7 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
             at,
             ev,
             flow.as_mut(),
-            &mut self.probe,
+            &mut NullProbe,
             |out_at, key, ev, flow| match ev.to {
                 NodeId::Proxy(p) if shard_of(p, shards) != index => {
                     // Conservative synchronization: a cross-shard message
@@ -352,7 +313,7 @@ impl<A: CacheAgent, P: ShardProbe> Shard<A, P> {
 /// window is a pure function of the cell's own state and `window_end`,
 /// which is what makes the claim-cursor schedule irrelevant to the
 /// result (see the [`pool`] module docs).
-impl<A: CacheAgent + Send, P: ShardProbe> WindowTask for Shard<A, P> {
+impl<A: CacheAgent + Send> WindowTask for Shard<A> {
     fn run_window(&mut self, window_end: u64) {
         self.drain_window(window_end);
     }
@@ -368,65 +329,38 @@ fn lock_all<W>(cells: &[Mutex<W>]) -> Vec<MutexGuard<'_, W>> {
         .collect()
 }
 
-/// The open-loop interval of `config` in microseconds, `None` for a
-/// sequential run (which the runner executes).
-fn open_loop_interval(config: &SimConfig, shards: usize) -> Option<u64> {
-    assert!(shards >= 1, "shards must be at least 1");
-    match config.injection {
-        InjectionMode::Sequential => None,
-        InjectionMode::OpenLoop { interval } => Some(interval.as_micros()),
-    }
-}
-
-/// Rejects open-loop configurations the sharded executor cannot
-/// reproduce deterministically, returning the lookahead `W` in
-/// microseconds.
-fn validate_sharded(config: &SimConfig, proxies: usize, interval_us: u64) -> u64 {
-    assert!(
-        config.faults.is_clean(),
-        "sharded execution does not support fault injection (duplicates would need \
-         cross-shard coordination mid-window)"
-    );
-    assert!(
-        config.churn.is_empty(),
-        "sharded execution does not support churn (restarts fire on the global \
-         completion count, which workers cannot observe mid-window)"
-    );
-    assert_eq!(
-        config.trace_capacity, 0,
-        "sharded execution does not support delivery tracing (the trace log is a \
-         single totally-ordered stream)"
-    );
-    assert!(
-        interval_us > 0,
-        "open-loop interval must be positive under sharded execution"
-    );
-    let w = lookahead_us(config, proxies);
-    assert!(
-        w > 0,
-        "sharded execution needs a positive proxy↔proxy latency as its lookahead bound \
-         (instant networks serialize everything; use the single-threaded runner)"
-    );
-    w
+/// The open-loop interval and the lookahead `W` of `config` over
+/// `proxies` proxies, both in microseconds, when the engine reproduces
+/// the runner byte for byte; `None` sends the run to the runner (see the
+/// module docs for why each other configuration goes there).
+fn engine_windows(config: &SimConfig, proxies: usize) -> Option<(u64, u64)> {
+    let InjectionMode::OpenLoop { interval } = config.injection else {
+        return None;
+    };
+    let interval_us = interval.as_micros();
+    let window_us = lookahead_us(config, proxies);
+    let exact = interval_us > 0
+        && window_us > 0
+        && config.faults.is_clean()
+        && config.churn.is_empty()
+        && config.trace_capacity == 0
+        && !config.sample_occupancy
+        && config.convergence.is_none();
+    exact.then_some((interval_us, window_us))
 }
 
 impl<A: CacheAgent + Send> Simulation<A> {
-    /// Runs the workload on `shards` worker shards and returns the
-    /// report. An open-loop run executes on the sharded engine (DESIGN.md
-    /// §6c): its report is invariant in `shards` (any `shards ≥ 1`,
-    /// including counts exceeding the proxy count) and byte-identical to
-    /// [`Simulation::run`], except that occupancy and convergence are
-    /// sampled at barriers rather than at completions. A sequential run
-    /// keeps one event live at a time, so shards cannot run it in
-    /// parallel: it goes to [`Simulation::run`], and the report is that
-    /// runner's.
+    /// Runs the workload on `shards` worker shards and returns exactly
+    /// the report [`Simulation::run`] returns, for any `shards ≥ 1`
+    /// (including counts exceeding the proxy count). An open-loop run
+    /// with a positive interval and lookahead and no faults, churn,
+    /// tracing, occupancy sampling or convergence sampling executes on
+    /// the sharded engine (DESIGN.md §6c); every other run goes to
+    /// [`Simulation::run`] itself.
     ///
     /// # Panics
     ///
-    /// Panics if `shards == 0`; under open loop, also if the
-    /// configuration enables faults, churn or tracing, if the interval is
-    /// zero, or if the lookahead bound is zero: a zero proxy↔proxy
-    /// latency (the client→proxy latency with a single proxy).
+    /// Panics if `shards == 0`.
     pub fn run_sharded(
         self,
         workload: impl IntoIterator<Item = RequestRecord>,
@@ -436,73 +370,44 @@ impl<A: CacheAgent + Send> Simulation<A> {
     }
 
     /// [`run_sharded`](Simulation::run_sharded), additionally returning
-    /// the agents in proxy-id order for post-run inspection; a sequential
-    /// run is [`Simulation::run_with_agents`].
+    /// the agents in proxy-id order for post-run inspection: exactly what
+    /// [`Simulation::run_with_agents`] returns.
     ///
     /// # Panics
     ///
-    /// As [`run_sharded`](Simulation::run_sharded).
+    /// Panics if `shards == 0`.
     pub fn run_sharded_with_agents(
         self,
         workload: impl IntoIterator<Item = RequestRecord>,
         shards: usize,
     ) -> (SimReport, Vec<A>) {
-        let Some(interval_us) = open_loop_interval(&self.config, shards) else {
-            return self.run_with_agents(workload);
-        };
-        let (report, agents, _) =
-            run_open_loop::<A, NullProbe>(self, workload, shards, interval_us);
-        (report, agents)
-    }
-
-    /// [`run_sharded`](Simulation::run_sharded) with a
-    /// [`MetricsProbe`] on every shard (the agent events) and one on the
-    /// coordinator (the flow events, each completion naming its server).
-    /// Their registries fold through the exact [`Registry::merge`], and
-    /// [`SimReport::attach_metrics`] adds the agents' final counters and
-    /// fills [`SimReport::metrics`], as
-    /// [`Simulation::run_with_metrics`] does. An open-loop run differs
-    /// from that runner only in the occupancy samples, taken at
-    /// barriers; a sequential run is [`Simulation::run_with_metrics`].
-    ///
-    /// # Panics
-    ///
-    /// As [`run_sharded`](Simulation::run_sharded).
-    pub fn run_sharded_with_metrics(
-        self,
-        workload: impl IntoIterator<Item = RequestRecord>,
-        shards: usize,
-    ) -> SimReport {
-        let Some(interval_us) = open_loop_interval(&self.config, shards) else {
-            return self.run_with_metrics(workload);
-        };
-        let (mut report, _, registry) =
-            run_open_loop::<A, MetricsProbe>(self, workload, shards, interval_us);
-        report.attach_metrics(registry);
-        report
+        assert!(shards >= 1, "shards must be at least 1");
+        match engine_windows(&self.config, self.agents.len()) {
+            Some((interval_us, window_us)) => {
+                run_open_loop(self, workload, shards, interval_us, window_us)
+            }
+            None => self.run_with_agents(workload),
+        }
     }
 }
 
 /// The coordinator loop of an open-loop run with one arrival every
-/// `interval_us`: builds the shards, advances the window barrier until
-/// every queue drains, folds completions, and assembles the report.
-/// Returns `(report, agents in id order, merged registry)`.
-fn run_open_loop<A: CacheAgent + Send, P: ShardProbe>(
+/// `interval_us` and windows of `window_us`: builds the shards, advances
+/// the window barrier until every queue drains, folds completions, and
+/// assembles the report. Returns the report and the agents in id order.
+fn run_open_loop<A: CacheAgent + Send>(
     sim: Simulation<A>,
     workload: impl IntoIterator<Item = RequestRecord>,
     shards_n: usize,
     interval_us: u64,
-) -> (SimReport, Vec<A>, Registry) {
+    window_us: u64,
+) -> (SimReport, Vec<A>) {
     let Simulation { agents, config } = sim;
     let n_proxies = agents.len();
-    let window_us = validate_sharded(&config, n_proxies, interval_us);
     // The ledger starts the run's clocks; CPU telemetry covers the
     // coordinator thread only (worker CPU would need cross-thread
     // aggregation for a number no gate consumes).
     let mut ledger = Ledger::new(&config, n_proxies);
-    // The coordinator's probe sees the flow events; each shard's sees
-    // its agents' events.
-    let mut coord_probe = P::for_shard();
     let net = Arc::new(Net::new(&config));
 
     // Partition agents round-robin: proxy p → shard p % N.
@@ -514,14 +419,13 @@ fn run_open_loop<A: CacheAgent + Send, P: ShardProbe>(
         )]
         shard_agents[p % shards_n].push(agent);
     }
-    let shards: Vec<Shard<A, P>> = shard_agents
+    let shards: Vec<Shard<A>> = shard_agents
         .into_iter()
         .enumerate()
         .map(|(index, agents)| Shard {
             index,
             shards: shards_n,
             proxies: Proxies::new(&config, agents, index, shards_n),
-            probe: P::for_shard(),
             queue: CalendarQueue::new(),
             records: Vec::new(),
             outboxes: (0..shards_n).map(|_| Vec::new()).collect(),
@@ -556,8 +460,8 @@ fn run_open_loop<A: CacheAgent + Send, P: ShardProbe>(
     // Reusable fold buffer: every shard's completions, sorted globally.
     let mut records_buf: Vec<Completion> = Vec::new();
 
-    let cells: Vec<Mutex<Shard<A, P>>> = shards.into_iter().map(Mutex::new).collect();
-    let ((), spawned) = pool::with_pool(&cells, workers, |pool| {
+    let cells: Vec<Mutex<Shard<A>>> = shards.into_iter().map(Mutex::new).collect();
+    pool::with_pool(&cells, workers, |pool| {
         let mut guards = lock_all(&cells);
         loop {
             // Earliest pending work across shards and the arrival
@@ -589,7 +493,7 @@ fn run_open_loop<A: CacheAgent + Send, P: ShardProbe>(
                     break;
                 };
                 let now = SimTime::from_micros(next_inject_at);
-                let start = ledger.start_flow(record, now, &net, &mut coord_probe);
+                let start = ledger.start_flow(record, now, &net, &mut NullProbe);
                 #[expect(
                     clippy::indexing_slicing,
                     reason = "shard_of() is always below the shard count"
@@ -700,18 +604,7 @@ fn run_open_loop<A: CacheAgent + Send, P: ShardProbe>(
                     peak_flows = peak_flows.max(live_flows);
                 }
                 live_flows = live_flows.saturating_sub(1);
-                #[expect(
-                    clippy::indexing_slicing,
-                    reason = "proxy p lives on shard p % N at local index p / N"
-                )]
-                let agent = |p: usize| &guards[p % shards_n].proxies.agents[p / shards_n];
-                ledger.complete(rec, &mut coord_probe, agent);
-                if coord_probe.sample_due() {
-                    // The shard probes hold the occupancy gauges.
-                    for shard in guards.iter_mut() {
-                        shard.probe.barrier_sample();
-                    }
-                }
+                ledger.complete(rec, &mut NullProbe);
             }
             // Settle injections up to the barrier so the live-flow
             // counter tracks time order even across completion-free
@@ -726,7 +619,7 @@ fn run_open_loop<A: CacheAgent + Send, P: ShardProbe>(
     });
 
     // Recover the shards from their pool cells for final accounting.
-    let shards: Vec<Shard<A, P>> = cells
+    let shards: Vec<Shard<A>> = cells
         .into_iter()
         .map(|c| c.into_inner().unwrap_or_else(PoisonError::into_inner))
         .collect();
@@ -747,15 +640,11 @@ fn run_open_loop<A: CacheAgent + Send, P: ShardProbe>(
             profile.window_occupancy.merge(&sp.occupancy);
         }
     }
-    // Tear the shards down: agents back into proxy-id order, registries
-    // folded through the exact merge (coordinator first, then shards in
-    // index order — merge is commutative, the order is cosmetic).
-    let mut agent_iters: Vec<std::vec::IntoIter<A>> = Vec::with_capacity(shards_n);
-    let mut registry = coord_probe.into_registry();
-    for shard in shards {
-        agent_iters.push(shard.proxies.agents.into_iter());
-        registry.merge(&shard.probe.into_registry());
-    }
+    // Tear the shards down: agents back into proxy-id order.
+    let mut agent_iters: Vec<std::vec::IntoIter<A>> = shards
+        .into_iter()
+        .map(|shard| shard.proxies.agents.into_iter())
+        .collect();
     #[expect(
         clippy::indexing_slicing,
         reason = "p % N is below the shard count, one agent iterator per shard"
@@ -772,14 +661,10 @@ fn run_open_loop<A: CacheAgent + Send, P: ShardProbe>(
         })
         .collect();
     let report = SimReport {
-        shard_exec: Some(ShardExecStats {
-            pool_spawns: spawned as u64,
-        }),
         shard_profile: profile,
         ..ledger.into_report(&agents, counters, peak_flows)
     };
-
-    (report, agents, registry)
+    (report, agents)
 }
 
 #[cfg(test)]
@@ -800,8 +685,8 @@ mod tests {
             .collect()
     }
 
-    /// Default-latency config (the sharded executor needs positive
-    /// latencies for its lookahead bound), open loop every 100 µs.
+    /// Default-latency config (the engine needs positive latencies for
+    /// its lookahead bound), open loop every 100 µs.
     fn config() -> SimConfig {
         SimConfig {
             hit_window: 500,
@@ -811,6 +696,37 @@ mod tests {
             },
             ..SimConfig::default()
         }
+    }
+
+    fn workload(requests: usize) -> impl Iterator<Item = RequestRecord> {
+        StationaryZipf::new(100, 0.9, 4, 5).take(requests)
+    }
+
+    /// Runs `requests` requests on `proxies` proxies through
+    /// `run_sharded` at `shards` twice, with the profiler off and on,
+    /// demands [`Simulation::run`]'s bytes from both, and returns the
+    /// profiled report; its `shard_profile` shows whether the engine ran.
+    fn matches_the_runner(
+        proxies: u32,
+        config: &SimConfig,
+        requests: usize,
+        shards: usize,
+    ) -> SimReport {
+        let runner = Simulation::new(adc_agents(proxies), config.clone()).run(workload(requests));
+        let [plain, profiled] = [false, true].map(|profile| {
+            let mut c = config.clone();
+            c.shard.profile = profile;
+            let sharded =
+                Simulation::new(adc_agents(proxies), c).run_sharded(workload(requests), shards);
+            assert_eq!(
+                runner.to_deterministic_json(),
+                sharded.to_deterministic_json(),
+                "shards={shards} profile={profile}"
+            );
+            sharded
+        });
+        assert!(plain.shard_profile.is_none(), "shards={shards}");
+        profiled
     }
 
     #[test]
@@ -839,76 +755,55 @@ mod tests {
     fn an_instant_client_edge_keeps_the_proxy_lookahead() {
         let mut c = config();
         c.latency.client_proxy = SimTime::ZERO;
-        c.sample_occupancy = false;
         assert_eq!(lookahead_us(&c, 4), 2_000);
-        let workload = || StationaryZipf::new(100, 0.9, 4, 5).take(1_500);
-        let runner = Simulation::new(adc_agents(4), c.clone()).run(workload());
-        assert!(runner.peak_flows > 1, "open loop should overlap flows");
         for shards in [1, 2, 3] {
-            let r = Simulation::new(adc_agents(4), c.clone()).run_sharded(workload(), shards);
-            assert!(r.shard_exec.is_some(), "shards={shards} ran on the engine");
-            assert_eq!(
-                runner.to_deterministic_json(),
-                r.to_deterministic_json(),
-                "shards={shards}"
+            let r = matches_the_runner(4, &c, 1_500, shards);
+            assert!(r.peak_flows > 1, "open loop should overlap flows");
+            assert!(
+                r.shard_profile.is_some(),
+                "shards={shards} ran on the engine"
             );
         }
     }
 
+    /// The engine's report is the runner's at every shard count,
+    /// including counts that do not divide the proxy count or exceed it.
     #[test]
-    fn open_loop_sharded_is_shard_count_invariant() {
-        let c = config();
-        let workload = || StationaryZipf::new(100, 0.9, 4, 5).take(1_500);
-        let run =
-            |shards| Simulation::new(adc_agents(4), c.clone()).run_sharded(workload(), shards);
-        let one = run(1);
-        assert_eq!(one.completed, 1_500);
-        for shards in [2, 3, 7] {
-            let k = run(shards);
-            assert_eq!(one.completed, k.completed, "shards={shards}");
-            assert_eq!(one.hits, k.hits, "shards={shards}");
-            assert_eq!(
-                one.messages_delivered, k.messages_delivered,
-                "shards={shards}"
+    fn open_loop_runs_give_the_runners_bytes() {
+        for shards in [1, 2, 3, 7] {
+            let r = matches_the_runner(4, &config(), 1_500, shards);
+            assert_eq!(r.completed, 1_500);
+            assert!(r.peak_flows > 1, "open loop should overlap flows");
+            assert!(
+                r.shard_profile.is_some(),
+                "shards={shards} ran on the engine"
             );
-            assert_eq!(one.events_processed, k.events_processed, "shards={shards}");
-            assert_eq!(one.peak_flows, k.peak_flows, "shards={shards}");
-            assert_eq!(one.hit_series, k.hit_series, "shards={shards}");
-            assert_eq!(one.per_proxy, k.per_proxy, "shards={shards}");
         }
-        // Open loop genuinely overlaps flows.
-        assert!(one.peak_flows > 1, "open loop should overlap flows");
     }
 
+    /// Occupancy and convergence samples read agents at completion
+    /// instants, so a run that takes them goes to the runner; the
+    /// profiler is pure measurement either way.
     #[test]
-    fn profiling_never_moves_the_bytes() {
-        // The pool is execution strategy and profiling is measurement:
-        // the 3-shard report must equal the runner's, with profiling on
-        // and off. With occupancy sampling, which reads agents at
-        // barriers, it must equal the 1-shard report instead.
-        let workload = || StationaryZipf::new(100, 0.9, 4, 5).take(1_000);
-        for occupancy in [false, true] {
-            let mut base = config();
-            base.sample_occupancy = occupancy;
-            base.injection = InjectionMode::OpenLoop {
-                interval: SimTime::from_micros(60),
-            };
-            let reference = Simulation::new(adc_agents(3), base.clone());
-            let reference = if occupancy {
-                reference.run_sharded(workload(), 1)
-            } else {
-                reference.run(workload())
-            };
-            for profile in [false, true] {
-                let mut c = base.clone();
-                c.shard.profile = profile;
-                let r = Simulation::new(adc_agents(3), c).run_sharded(workload(), 3);
-                assert_eq!(
-                    reference.to_deterministic_json(),
-                    r.to_deterministic_json(),
-                    "bytes moved at occupancy={occupancy} profile={profile}"
-                );
-            }
+    fn sampling_runs_go_to_the_runner() {
+        let mut base = config();
+        base.injection = InjectionMode::OpenLoop {
+            interval: SimTime::from_micros(60),
+        };
+        let occupancy = SimConfig {
+            sample_occupancy: true,
+            ..base.clone()
+        };
+        let convergence = SimConfig {
+            convergence: Some(adc_obs::ConvergenceConfig {
+                sample_every: 250,
+                top_k: 16,
+            }),
+            ..base.clone()
+        };
+        for (c, engine) in [(base, true), (occupancy, false), (convergence, false)] {
+            let r = matches_the_runner(3, &c, 1_000, 3);
+            assert_eq!(r.shard_profile.is_some(), engine, "{c:?}");
         }
     }
 
@@ -943,45 +838,29 @@ mod tests {
         assert!(plain.shard_profile.is_none());
     }
 
+    /// Fault duplicates need the runner's flow table, so an open-loop
+    /// run with faults goes to the runner.
     #[test]
-    fn pool_spawns_stay_within_the_default_worker_count() {
-        // The pool sizes itself to the host and spawns each worker at
-        // most once per run; whatever it spawns, the bytes stay the
-        // 1-shard run's.
-        let workload = || StationaryZipf::new(100, 0.9, 4, 5).take(1_000);
-        let mut c = config();
-        c.sample_occupancy = false;
-        c.injection = InjectionMode::OpenLoop {
-            interval: SimTime::from_micros(60),
-        };
-        let one = Simulation::new(adc_agents(4), c.clone()).run_sharded(workload(), 1);
-        let exec_one = one.shard_exec.expect("sharded runs report exec stats");
-        assert_eq!(exec_one.pool_spawns, 0, "one shard never spawns");
-        let four = Simulation::new(adc_agents(4), c).run_sharded(workload(), 4);
-        let exec = four.shard_exec.expect("sharded runs report exec stats");
-        assert!(
-            exec.pool_spawns <= pool::default_workers(4) as u64,
-            "{exec:?}"
-        );
-        assert_eq!(one.to_deterministic_json(), four.to_deterministic_json());
-    }
-
-    #[test]
-    #[should_panic(expected = "fault injection")]
-    fn faulty_configs_rejected() {
+    fn faulty_configs_go_to_the_runner() {
         let mut c = config();
         c.faults.duplicate_prob = 0.1;
-        let _ = Simulation::new(adc_agents(2), c).run_sharded(std::iter::empty(), 2);
+        let r = matches_the_runner(2, &c, 500, 2);
+        assert!(r.duplicates_injected > 0);
+        assert!(r.shard_profile.is_none());
     }
 
+    /// An instant network gives no lookahead to window by, so it goes to
+    /// the runner.
     #[test]
-    #[should_panic(expected = "lookahead bound")]
-    fn instant_networks_rejected() {
+    fn instant_networks_go_to_the_runner() {
         let c = SimConfig {
             injection: config().injection,
             ..SimConfig::fast()
         };
-        let _ = Simulation::new(adc_agents(2), c).run_sharded(std::iter::empty(), 2);
+        assert_eq!(lookahead_us(&c, 2), 0);
+        let r = matches_the_runner(2, &c, 500, 2);
+        assert_eq!(r.completed, 500);
+        assert!(r.shard_profile.is_none());
     }
 
     #[test]
@@ -997,13 +876,14 @@ mod tests {
             injection: InjectionMode::Sequential,
             ..config()
         };
-        let report = Simulation::new(adc_agents(2), sequential).run_sharded(std::iter::empty(), 2);
+        let report = matches_the_runner(2, &sequential, 0, 2);
         assert_eq!(report.completed, 0);
         assert_eq!(report.events_processed, 0);
-        assert!(report.shard_exec.is_none());
-        let report = Simulation::new(adc_agents(2), config()).run_sharded(std::iter::empty(), 2);
+        assert!(report.shard_profile.is_none());
+        let report = matches_the_runner(2, &config(), 0, 2);
         assert_eq!(report.completed, 0);
         // The single-queue runner pops exactly one (exhausted) Inject.
         assert_eq!(report.events_processed, 1);
+        assert!(report.shard_profile.is_some());
     }
 }

@@ -326,13 +326,12 @@ fn simulator_leaves_no_store_change_undrained() {
     let (report, mut left) =
         Simulation::new(agents(), SimConfig::default()).run_with_agents(trace());
     assert!(report.cluster_stats().cache_insertions > 0);
-    // The sharded engine runs open loop; without occupancy sampling its
-    // bytes are the runner's.
+    // An open-loop run that samples nothing runs on the sharded engine,
+    // and `run_sharded` returns the runner's bytes.
     let open = SimConfig {
         injection: InjectionMode::OpenLoop {
             interval: SimTime::from_micros(50),
         },
-        sample_occupancy: false,
         ..SimConfig::default()
     };
     let (open_report, mut open_left) =

@@ -10,11 +10,11 @@
 //!    reference processes, in the reference's `(at, seq)` order, and no
 //!    cross-shard message is ever delivered before the barrier that
 //!    routed it (the lookahead property).
-//! 2. **Whole-simulator differentials** over randomized small open-loop
-//!    configurations: runs must be invariant in the shard count and,
-//!    when nothing samples agent state, equal to the single-threaded
-//!    runner as well. (Sequential runs go to that runner; the delegation
-//!    is pinned in `sharded_identity.rs`.)
+//! 2. **A whole-simulator differential** over randomized small full
+//!    configurations: `run_sharded_with_agents` must return what
+//!    `run_with_agents` returns at every shard count, and run on the
+//!    engine exactly when the configuration is one the engine
+//!    reproduces.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -207,11 +207,13 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Whole-simulator differentials.
+// Whole-simulator differential.
 // ---------------------------------------------------------------------
 
-use adc_core::{AdcConfig, AdcProxy, ProxyId};
-use adc_sim::{InjectionMode, SimConfig, SimTime, Simulation};
+use adc_core::{AdcConfig, AdcProxy, CacheAgent, ProxyId};
+use adc_sim::{
+    ChurnEvent, ConvergenceConfig, InjectionMode, LatencyModel, SimConfig, SimTime, Simulation,
+};
 use adc_workload::StationaryZipf;
 
 fn sim_agents(proxies: u32) -> Vec<AdcProxy> {
@@ -226,59 +228,147 @@ fn sim_agents(proxies: u32) -> Vec<AdcProxy> {
         .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Open-loop injection: randomized intervals and populations give
-    /// the same bytes at any shard count.
-    #[test]
-    fn random_open_loop_runs_are_shard_count_invariant(
-        proxies in 1u32..6,
-        requests in 50usize..250,
-        seed in any::<u64>(),
-        shards in 2usize..6,
-        interval_us in 1u64..400,
-    ) {
-        let config = SimConfig {
-            injection: InjectionMode::OpenLoop {
-                interval: SimTime::from_micros(interval_us),
-            },
-            ..SimConfig::default()
-        };
-        let workload = || StationaryZipf::new(60, 0.8, 4, seed).take(requests);
-        let one = Simulation::new(sim_agents(proxies), config.clone())
-            .run_sharded(workload(), 1);
-        let many = Simulation::new(sim_agents(proxies), config.clone())
-            .run_sharded(workload(), shards);
-        prop_assert_eq!(one.to_deterministic_json(), many.to_deterministic_json());
+/// The configuration every generated case starts from: default
+/// latencies, sequential injection, short windows.
+fn base_config(seed: u64) -> SimConfig {
+    SimConfig {
+        hit_window: 50,
+        sample_every: 50,
+        seed,
+        ..SimConfig::default()
     }
+}
 
-    /// The pool is pure execution strategy and profiling pure
-    /// measurement: with nothing sampling agent state, a profiled run at
-    /// any shard count gives the single-queue runner's bytes.
-    #[test]
-    fn profiled_open_loop_runs_match_the_runner(
-        proxies in 1u32..6,
-        requests in 50usize..200,
-        seed in any::<u64>(),
-        shards in 1usize..6,
-        interval_us in 1u64..400,
-    ) {
-        let mut config = SimConfig {
-            injection: InjectionMode::OpenLoop {
-                interval: SimTime::from_micros(interval_us),
+/// A random proxy count (1–5) and a configuration the engine runs: open
+/// loop every 1–400 µs, with the default latencies or, on two or more
+/// proxies, an instant client edge.
+fn engine_config() -> impl Strategy<Value = (u32, SimConfig)> {
+    (1u32..=5, 1u64..=400, any::<bool>(), any::<u64>()).prop_map(
+        |(proxies, us, instant_client, seed)| {
+            let mut c = base_config(seed);
+            c.injection = InjectionMode::OpenLoop {
+                interval: SimTime::from_micros(us),
+            };
+            if instant_client && proxies > 1 {
+                c.latency.client_proxy = SimTime::ZERO;
+            }
+            (proxies, c)
+        },
+    )
+}
+
+/// A random proxy count (1–5) and full configuration: sequential or
+/// open loop every 0–400 µs; instant latencies, the defaults, or the
+/// defaults with an instant client edge; duplicates, one restart of a
+/// live proxy, tracing, occupancy sampling and convergence sampling each
+/// on one time in five. About one case in eight runs on the engine
+/// (`option::of` yields `Some` three times in four).
+fn full_config() -> impl Strategy<Value = (u32, SimConfig)> {
+    let interval = prop_oneof![Just(0u64), 1u64..=400, 1u64..=400, 1u64..=400];
+    let one_in_five = || (0u8..5).prop_map(|d| d == 0);
+    (
+        1u32..=5,
+        proptest::option::of(interval),
+        0u8..4,
+        (one_in_five(), 0.01f64..0.3),
+        (one_in_five(), 1u64..200, any::<u32>()),
+        (one_in_five(), 1usize..4_000),
+        one_in_five(),
+        one_in_five(),
+        any::<u64>(),
+    )
+        .prop_map(
+            |(proxies, interval, latency, dup, churn, trace, occupancy, convergence, seed)| {
+                let mut c = base_config(seed);
+                if let Some(us) = interval {
+                    c.injection = InjectionMode::OpenLoop {
+                        interval: SimTime::from_micros(us),
+                    };
+                }
+                match latency {
+                    0 => c.latency = LatencyModel::instant(),
+                    1 => c.latency.client_proxy = SimTime::ZERO,
+                    _ => {}
+                }
+                if dup.0 {
+                    c.faults.duplicate_prob = dup.1;
+                    c.faults.duplicate_jitter = SimTime::from_micros(7);
+                }
+                if churn.0 {
+                    c.churn = vec![ChurnEvent {
+                        after_completed: churn.1,
+                        proxy: ProxyId::new(churn.2 % proxies),
+                    }];
+                }
+                if trace.0 {
+                    c.trace_capacity = trace.1;
+                }
+                c.sample_occupancy = occupancy;
+                c.convergence = convergence.then_some(ConvergenceConfig {
+                    sample_every: 40,
+                    top_k: 8,
+                });
+                (proxies, c)
             },
-            sample_occupancy: false,
-            ..SimConfig::default()
-        };
-        let workload = || StationaryZipf::new(60, 0.8, 4, seed).take(requests);
-        let plain = Simulation::new(sim_agents(proxies), config.clone()).run(workload());
-        config.shard.profile = true;
-        let profiled = Simulation::new(sim_agents(proxies), config)
-            .run_sharded(workload(), shards);
-        prop_assert_eq!(
-            plain.to_deterministic_json(),
-            profiled.to_deterministic_json()
-        );
+        )
+}
+
+/// Whether the engine runs `c` on `proxies` proxies: open loop with a
+/// positive interval and lookahead (the proxy↔proxy latency, or the
+/// client's for a single proxy), and none of the features the runner
+/// keeps.
+fn runs_on_the_engine(c: &SimConfig, proxies: u32) -> bool {
+    let lookahead = if proxies == 1 {
+        c.latency.client_proxy
+    } else {
+        c.latency.proxy_proxy
+    };
+    matches!(c.injection, InjectionMode::OpenLoop { interval } if interval > SimTime::ZERO)
+        && lookahead > SimTime::ZERO
+        && c.faults.is_clean()
+        && c.churn.is_empty()
+        && c.trace_capacity == 0
+        && !c.sample_occupancy
+        && c.convergence.is_none()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    /// `run_sharded_with_agents` is `run_with_agents` for every valid
+    /// configuration and shard count, with the profiler off and on: the
+    /// same deterministic bytes, the same agents in the same order. Half
+    /// the cases draw a configuration the engine runs, the rest a full
+    /// one, so a little over half (about 56 %) run on the engine. The
+    /// execution profile appears exactly when the profiler is on and the
+    /// configuration is one the engine runs.
+    #[test]
+    fn run_sharded_is_run_for_every_config(
+        (proxies, config) in prop_oneof![engine_config(), full_config()],
+        requests in 50usize..250,
+        workload_seed in any::<u64>(),
+        shards in 1usize..=6,
+    ) {
+        let workload = || StationaryZipf::new(60, 0.8, 4, workload_seed).take(requests);
+        let (runner, runner_agents) =
+            Simulation::new(sim_agents(proxies), config.clone()).run_with_agents(workload());
+        prop_assert!(runner.shard_profile.is_none());
+        for profile in [false, true] {
+            let mut c = config.clone();
+            c.shard.profile = profile;
+            let (sharded, sharded_agents) =
+                Simulation::new(sim_agents(proxies), c).run_sharded_with_agents(workload(), shards);
+            prop_assert_eq!(runner.to_deterministic_json(), sharded.to_deterministic_json());
+            prop_assert_eq!(runner_agents.len(), sharded_agents.len());
+            for (a, b) in runner_agents.iter().zip(&sharded_agents) {
+                prop_assert_eq!(a.proxy_id(), b.proxy_id());
+                prop_assert_eq!(a.stats(), b.stats());
+            }
+            prop_assert_eq!(
+                sharded.shard_profile.is_some(),
+                profile && runs_on_the_engine(&config, proxies),
+                "profile={} {:?}", profile, config
+            );
+        }
     }
 }

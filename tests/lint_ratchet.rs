@@ -25,9 +25,9 @@ const EXPECT_CEILINGS: &[(&str, usize)] = &[
     ("clippy::cast_possible_truncation", 8),
     ("clippy::cast_precision_loss", 3),
     ("clippy::disallowed_methods", 8),
-    ("clippy::disallowed_types", 17),
-    ("clippy::expect_used", 13),
-    ("clippy::indexing_slicing", 27),
+    ("clippy::disallowed_types", 16),
+    ("clippy::expect_used", 10),
+    ("clippy::indexing_slicing", 25),
     ("clippy::wildcard_enum_match_arm", 2),
     ("unsafe_code", 1),
 ];
