@@ -1,7 +1,8 @@
 //! Property tests pinning the event queue's determinism contract:
 //! [`CalendarQueue`] pops in exactly the `(at, seq)` order a reference
 //! `BinaryHeap` of bare keys produces, for arbitrary push/pop
-//! interleavings, and breaks ties on `at` by `seq` whatever the push
+//! interleavings and for the interleaved ascending streams the
+//! simulator pushes, and breaks ties on `at` by `seq` whatever the push
 //! order. The simulator's bit-for-bit reproducibility rests on this
 //! total order: the goldens pin the schedule it produces.
 
@@ -17,6 +18,43 @@ enum Op {
     Push(u64),
     /// Pop once and compare.
     Pop,
+}
+
+/// Delays (µs) the simulator reschedules by: an instant hop, the
+/// open-loop arrival step, the client and peer hops, and the origin's
+/// two legs.
+const DELAYS: [u64; 6] = [0, 50, 1_000, 2_000, 40_000, 42_000];
+
+/// One step of a script over interleaved ascending streams.
+#[derive(Debug, Clone)]
+enum StreamOp {
+    /// Push on this stream (modulo the stream count), at the last
+    /// popped `at` plus the stream's delay.
+    Push(usize),
+    /// Push this many µs behind the last popped `at`.
+    Behind(u64),
+    /// Peek, pop once and compare both.
+    Pop,
+}
+
+/// A stream count from 1 to 24, each stream's delay class, and a script
+/// of mostly stream pushes and pops with a few pushes behind the last
+/// pop.
+fn streams() -> impl Strategy<Value = (usize, Vec<usize>, Vec<StreamOp>)> {
+    let op = (0u32..100, 0usize..24, 1u64..50_000).prop_map(|(roll, stream, behind)| {
+        if roll < 4 {
+            StreamOp::Behind(behind)
+        } else if roll < 60 {
+            StreamOp::Push(stream)
+        } else {
+            StreamOp::Pop
+        }
+    });
+    (
+        1usize..25,
+        prop::collection::vec(0..DELAYS.len(), 24..25),
+        prop::collection::vec(op, 1..800),
+    )
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
@@ -57,6 +95,49 @@ proptest! {
             prop_assert_eq!(got, Some(expected));
         }
         prop_assert!(calendar.is_empty());
+    }
+
+    /// The simulator's push stream: each push lands at the last popped
+    /// `at` plus its stream's delay, so every stream ascends and the
+    /// queue's runs take them. Stream `i`'s delay is its class's plus
+    /// `i` µs, so no two streams share one, and more than sixteen
+    /// streams outnumber the runs and reach the spill heap while runs
+    /// hold items. The other scripts here draw timestamps at random, so
+    /// past their first sixteen pushes they mostly test the spill heap.
+    #[test]
+    fn interleaved_streams_match_binary_heap_reference((k, classes, script) in streams()) {
+        let delay = |stream: usize| DELAYS[classes[stream % k]] + (stream % k) as u64;
+        let mut queue = CalendarQueue::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut last_at = 0u64;
+        for op in script {
+            let at = match op {
+                StreamOp::Push(stream) => Some(last_at + delay(stream)),
+                StreamOp::Behind(by) => Some(last_at.saturating_sub(by)),
+                StreamOp::Pop => None,
+            };
+            if let Some(at) = at {
+                queue.push(at, seq, seq);
+                heap.push(Reverse((at, seq)));
+                seq += 1;
+            } else {
+                let expected = heap.pop().map(|Reverse(key)| key);
+                prop_assert_eq!(queue.peek_key(), expected);
+                prop_assert_eq!(queue.pop(), expected.map(|(at, s)| (at, s, s)));
+                if let Some((at, _)) = expected {
+                    last_at = at;
+                }
+            }
+            prop_assert_eq!(queue.len(), heap.len());
+        }
+        while let Some(Reverse((at, s))) = heap.pop() {
+            prop_assert_eq!(queue.peek_key(), Some((at, s)));
+            prop_assert_eq!(queue.pop(), Some((at, s, s)));
+            prop_assert_eq!(queue.len(), heap.len());
+        }
+        prop_assert_eq!(queue.peek_key(), None);
+        prop_assert!(queue.is_empty());
     }
 
     /// Pops come out in strictly increasing `(at, seq)` order except
